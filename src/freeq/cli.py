@@ -13,6 +13,7 @@ only shown in the default human format).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -79,6 +80,17 @@ def _add_budget_args(parser) -> None:
                         help="visited cyclic forms before an orbit search gives up")
     parser.add_argument("--hnn-budget", type=int, default=10**4, metavar="N",
                         help="tested bases before the splitting search gives up")
+
+
+def _jobs(text: str) -> int:
+    """A worker count: at least 1, at most the number of CPUs."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"the worker count must be at least 1, not {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _budgets(args) -> Budgets:
@@ -447,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute", help="enumerate all solutions in a length ball")
     _add_equation_args(p)
     p.add_argument("-L", "--max-len", type=int, default=None, help="ball radius (default |u|+2)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at most the CPU count)")
     _add_format(p)
     p.set_defaults(func=_cmd_brute)
 
@@ -455,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_equation_args(p)
     _add_budget_args(p)
     p.add_argument("-L", "--max-len", type=int, default=None, help="ball radius (default |u|+2)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at most the CPU count)")
     _add_format(p)
     p.set_defaults(func=_cmd_certify)
 

@@ -92,23 +92,6 @@ class CoreGraph:
     def rank(self) -> int:
         return len(self.edges) - self.num_vertices + 1
 
-    def radius(self) -> int:
-        dist = self._distances()
-        return max(dist)
-
-    def _distances(self) -> list[int]:
-        dist = [-1] * self.num_vertices
-        dist[0] = 0
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for c in self.alphabet.letters:
-                for w in (self._out[v].get(c), self._in[v].get(c)):
-                    if w is not None and dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-        return dist
-
     def spanning_tree(self):
         """Breadth-first spanning tree from the basepoint.
 
@@ -161,16 +144,6 @@ class CoreGraph:
         letters = tuple(_BASIS_LETTER_POOL[i] for i in range(len(gens)))
         edge_letters = {edge: letters[i] for i, (_, edge) in enumerate(gens)}
         return SubgroupBasis(self, generators, letters, edge_letters)
-
-    def describe(self) -> str:
-        lines = [
-            f"vertices: {self.num_vertices}",
-            f"rank: {self.rank()}",
-            "edges:",
-        ]
-        for (u, c, v) in sorted(self.edges, key=lambda e: (e[0], e[1], e[2])):
-            lines.append(f"  {u} -{c}-> {v}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 
+from .autf2 import SearchBudgetExceeded
 from .graphs import build_subgroup_graph
 from .solver import (
     KIND_EMPTY,
@@ -168,7 +169,9 @@ def delta_orbit_closure(
     max_visited: int = 10**6,
 ) -> frozenset:
     """Orbit of the seed solutions under the canonical generators, restricted
-    to pairs whose coordinates both fit in the length ball."""
+    to pairs whose coordinates both fit in the length ball.  Raises
+    :class:`SearchBudgetExceeded` once more than ``max_visited`` pairs would
+    be kept."""
     auts = [g.aut for g in generators] + [g.aut.inverse() for g in generators]
     seen = set()
     queue = []
@@ -187,7 +190,9 @@ def delta_orbit_closure(
                 continue
             if new not in seen:
                 if len(seen) >= max_visited:
-                    raise WordError("orbit closure exceeded its visit budget")
+                    raise SearchBudgetExceeded(
+                        f"orbit closure visited {len(seen)} solutions without closing"
+                    )
                 seen.add(new)
                 queue.append(new)
     return frozenset(seen)

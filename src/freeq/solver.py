@@ -98,7 +98,6 @@ class Budgets:
 
     orbit_max_visited: int = 10**6
     hnn_max_bases: int = 10**4
-    partition_max: int = 10**5
     minimize_widenings: int = 3
 
 
@@ -466,57 +465,49 @@ def terminal_data(alphabet: Alphabet, w: str, g1: str, g2: str) -> TerminalData:
     return TerminalData(pair=cur, word=word, aut=aut, moves=moves)
 
 
-def _set_partitions(n: int, limit: int):
-    """Restricted-growth strings: block index per element, lexicographic."""
-    assignment = [0] * n
-    count = 0
-    while True:
-        count += 1
-        if count > limit:
-            raise SearchBudgetExceeded(f"more than {limit} cycle partitions")
-        yield tuple(assignment)
-        # advance to the next restricted-growth string
-        i = n - 1
-        while i > 0:
-            bound = max(assignment[:i]) + 1
-            if assignment[i] < bound:
-                assignment[i] += 1
-                for j in range(i + 1, n):
-                    assignment[j] = 0
-                break
-            i -= 1
-        else:
-            return
-
-
-def terminal_candidates(eq: Equation, budgets: Budgets = Budgets()):
+def terminal_candidates(eq: Equation):
     """Rank-two subgroup bases that can host a minimal solution.
 
     Every candidate subgroup is filled by the right side, so its core graph
-    is a folded quotient of the u-labelled cycle; all such quotients are
-    enumerated by partitioning the cycle's vertices.  Returns deduplicated
+    is a folded quotient of the u-labelled cycle.  The quotients are built
+    by reading ``u`` from the basepoint one letter at a time: an existing
+    edge for the letter is followed (which keeps the graph folded), and
+    otherwise the walk branches into opening a new vertex or joining an
+    existing vertex whose slot for the letter is free.  A join raises the
+    rank by one, so at rank two only existing edges are followed, and the
+    last letter must join the basepoint.  A folded quotient is fixed by its
+    graph, so each one is reached exactly once.  Returns
     ``(basis_pair, rewritten_u)`` entries sorted by the basis pair.
     """
     u = eq.rhs
     if not u:
         raise WordError("terminal candidates need a non-trivial right side")
     m = len(u)
-    cycle_edges = []
-    for i, c in enumerate(u):
-        src, dst = i, (i + 1) % m
-        cycle_edges.append((src, c, dst) if c.islower() else (dst, c.lower(), src))
-    seen = set()
     results = []
-    for blocks in _set_partitions(m, budgets.partition_max):
-        mapped = [(blocks[s], c, blocks[d]) for (s, c, d) in cycle_edges]
-        graph = graph_from_edges(eq.alphabet, max(blocks) + 1, mapped, base=blocks[0])
-        if graph in seen:
+    # A partial walk: letters read, vertex reached, vertex count, rank, and
+    # the signed edge map (vertex, letter) -> vertex.
+    stack = [(0, 0, 1, 0, {})]
+    while stack:
+        i, v, n, rank, step = stack.pop()
+        while i < m and (v, u[i]) in step:
+            v = step[v, u[i]]
+            i += 1
+        if i == m:
+            if v == 0 and rank == 2:
+                edges = [(s, c, t) for (s, c), t in step.items() if c.islower()]
+                basis = graph_from_edges(eq.alphabet, n, edges).canonical_basis()
+                results.append((basis.generators, basis.express(u)))
             continue
-        seen.add(graph)
-        if graph.rank() != 2:
+        if rank == 2:
             continue
-        basis = graph.canonical_basis()
-        results.append((basis.generators, basis.express(u)))
+        c, back = u[i], u[i].swapcase()
+        for t in (0,) if i == m - 1 else range(n + 1):
+            if (t, back) in step:
+                continue
+            grown = dict(step)
+            grown[v, c] = t
+            grown[t, back] = v
+            stack.append((i + 1, t, n + (t == n), rank + (t < n), grown))
     results.sort(key=lambda item: pair_key(item[0]))
     return tuple(results)
 
@@ -563,7 +554,7 @@ def minimal_rank2_solutions(
     length ball (components are ball-relative).
     """
     seeds = []
-    for pair, rewritten in terminal_candidates(eq, budgets):
+    for pair, rewritten in terminal_candidates(eq):
         match = orbit_automorphism(eq.lhs, rewritten, budgets.orbit_max_visited)
         if match is None:
             continue

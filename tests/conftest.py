@@ -1,8 +1,10 @@
-"""Shared test helpers: random words and a graph-free membership oracle."""
+"""Shared test helpers: random words, a graph-free membership oracle and a
+set-partition oracle for terminal candidates."""
 
 import itertools
 
-from freeq.words import invert, multiply, reduce_word
+from freeq.graphs import graph_from_edges
+from freeq.words import invert, multiply, pair_key, reduce_word
 
 
 def random_reduced_word(rng, max_len, letters="abAB"):
@@ -58,3 +60,49 @@ def naive_member(reduced, w):
             if len(nxt) <= cap and nxt not in seen:
                 stack.append(nxt)
     return False
+
+
+# The terminal-candidate oracle: fold every set partition of the u-cycle's
+# vertices (Bell(|u|) of them) and keep the distinct rank-two quotients.
+
+
+def _set_partitions(n):
+    """Restricted-growth strings: block index per element, lexicographic."""
+    assignment = [0] * n
+    while True:
+        yield tuple(assignment)
+        # advance to the next restricted-growth string
+        i = n - 1
+        while i > 0:
+            bound = max(assignment[:i]) + 1
+            if assignment[i] < bound:
+                assignment[i] += 1
+                for j in range(i + 1, n):
+                    assignment[j] = 0
+                break
+            i -= 1
+        else:
+            return
+
+
+def partition_terminal_candidates(eq):
+    u = eq.rhs
+    m = len(u)
+    cycle_edges = []
+    for i, c in enumerate(u):
+        src, dst = i, (i + 1) % m
+        cycle_edges.append((src, c, dst) if c.islower() else (dst, c.lower(), src))
+    seen = set()
+    results = []
+    for blocks in _set_partitions(m):
+        mapped = [(blocks[s], c, blocks[d]) for (s, c, d) in cycle_edges]
+        graph = graph_from_edges(eq.alphabet, max(blocks) + 1, mapped, base=blocks[0])
+        if graph in seen:
+            continue
+        seen.add(graph)
+        if graph.rank() != 2:
+            continue
+        basis = graph.canonical_basis()
+        results.append((basis.generators, basis.express(u)))
+    results.sort(key=lambda item: pair_key(item[0]))
+    return tuple(results)

@@ -1,12 +1,15 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import dataclasses
+import functools
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
 import freeq.cli as cli
+import freeq.oracle
 
 
 def run_main(capsys, *argv):
@@ -114,6 +117,39 @@ def test_certify_uncovered_exit(capsys, monkeypatch):
     assert "uncovered" in out
 
 
+def test_certify_closure_budget_exits_unresolved(capsys, monkeypatch):
+    tight = functools.partial(freeq.oracle.delta_orbit_closure, max_visited=1)
+    monkeypatch.setattr(freeq.oracle, "delta_orbit_closure", tight)
+    code, _, err = run_main(capsys, "certify", "--w", "xxyy", "--u", "aabb", "-L", "4")
+    assert code == 2
+    assert "orbit closure visited 1 solutions" in err
+
+
+def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    counts = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            counts.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, out, _ = run_main(capsys, "brute", "--w", "XYxy", "--u", "ABab", "-L", "1",
+                            "--jobs", "1000000", "--format", "structured")
+    assert code == 0
+    assert counts == [3]
+    assert "solution.0: a b 2" in out
+
+
 def test_unresolved_exit(capsys):
     code, out, err = run_main(capsys, "classify", "--w", "xxyyxy", "--hnn-budget", "1")
     assert code == 2
@@ -135,6 +171,11 @@ def test_usage_errors_exit_1():
     assert proc.returncode == 1
     proc = run_proc()
     assert proc.returncode == 1
+    for jobs in ("0", "-2"):
+        proc = run_proc("brute", "--w", "xxyy", "--u", "aabb", "--jobs", jobs)
+        assert proc.returncode == 1
+        proc = run_proc("certify", "--w", "xxyy", "--u", "aabb", "--jobs", jobs)
+        assert proc.returncode == 1
 
 
 def test_version_flag():

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
+from freeq.autf2 import SearchBudgetExceeded
 from freeq.oracle import (
     brute_force_solutions,
     certify,
     delta_orbit_closure,
     pair_rank,
 )
-from freeq.solver import Budgets, Equation, describe_variety
-from freeq.words import Alphabet, WordError, evaluate, invert, pair_key, words_upto
+from freeq.solver import STATUS_OK, Budgets, Equation, describe_variety
+from freeq.words import Alphabet, WordError, evaluate, invert, pair_key, parse_word, words_upto
 
 AB = Alphabet.from_string("ab")
 A = Alphabet.from_string("a")
@@ -87,6 +88,12 @@ def test_delta_orbit_closure_golden():
     assert all(len(g1) <= 5 and len(g2) <= 5 for g1, g2 in closure)
 
 
+def test_delta_orbit_closure_budget_is_a_search_budget():
+    desc = describe_variety(eq("XYxy", "ABab"))
+    with pytest.raises(SearchBudgetExceeded, match="orbit closure visited 1 solutions"):
+        delta_orbit_closure(desc.minimal, desc.generators, 5, max_visited=1)
+
+
 def test_certify_trivial_exact():
     e = eq("xxyy", "")
     report = certify(e, describe_variety(e), 3)
@@ -102,6 +109,35 @@ def test_certify_hnn_covered():
     assert report.covered
     assert report.uncovered == ()
     assert report.rank_counts == (0, 0, report.total_solutions)
+
+
+@pytest.mark.parametrize(
+    "w,u,max_len,minimal",
+    [
+        ("[x,y]", "[aab,ba]", 4, (("aab", "ba"),)),
+        ("xxyy", "(aab)^2(bab)^2", 6, (("aab", "bab"),)),
+        ("[x,y]", "[aab,bba]", 4, (("aab", "bba"),)),
+    ],
+)
+def test_certify_long_rhs_covered(w, u, max_len, minimal):
+    e = eq(parse_word(w, "xy"), parse_word(u, "ab"))
+    desc = describe_variety(e)
+    assert desc.status == STATUS_OK
+    assert desc.minimal == minimal
+    assert certify(e, desc, max_len).covered
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="psi = (YXy, Yxxxyy) fixes xxxyy and maps (a, b) to (BAb, Baaabb); "
+    "psi = inner(y).(X, xxxy), and (X, xxxy) sends w to its rotation yxxxy, "
+    "so _symmetry_generators, which tries only signed letter permutations, misses it",
+)
+def test_certify_rigid_rotation_symmetry():
+    e = eq("xxxyy", "aaabb")
+    report = certify(e, describe_variety(e), 6)
+    assert report.uncovered == ()
 
 
 def test_certify_rank1_only():

@@ -1,8 +1,13 @@
 """The description pipeline: kinds, classification, generators, generation."""
 
+import inspect
 import random
+import sys
 
 import pytest
+from conftest import partition_terminal_candidates
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeq.autf2 import AutF2, INVERSION_MOVES, PRODUCT_MOVES, inner
 from freeq.graphs import build_subgroup_graph
@@ -304,6 +309,31 @@ def test_terminal_candidates_complete_for_short_bases():
             if _edges_covered_by_rhs(graph, "aabb"):
                 found.add(graph)
     assert found <= candidate_graphs
+
+
+def test_terminal_candidates_match_partition_oracle_exhaustively():
+    for u in words_upto(AB, 5):
+        if u:
+            e = eq("xxyy", u)
+            assert terminal_candidates(e) == partition_terminal_candidates(e), u
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.text(alphabet="abAB", min_size=6, max_size=8).map(reduce_word).filter(bool))
+def test_terminal_candidates_match_partition_oracle(u):
+    e = eq("xxyy", u)
+    assert terminal_candidates(e) == partition_terminal_candidates(e)
+
+
+def test_terminal_candidates_walk_is_not_recursive():
+    """A walk over |u| = 300 runs inside 100 spare stack frames."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        candidates = terminal_candidates(eq("xxyy", "a" * 299 + "b"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(candidates) == 299
 
 
 def test_generate_hnn_golden():
