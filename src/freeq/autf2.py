@@ -1,11 +1,16 @@
 """Automorphisms of the free group of rank two.
 
-An automorphism is stored by its images of ``x`` and ``y``.  Construction
-validates that the image pair is a free basis, which in rank two can be
-decided greedily: a basis pair of total length above two always admits an
-elementary Nielsen transformation that strictly shortens it, so repeated
-shortening ends at a signed permutation of ``(x, y)`` exactly when the pair
-was a basis.
+An automorphism is stored by its images of ``x`` and ``y``.  The public
+constructor ``AutF2(ix, iy)`` validates that the image pair is a free basis,
+which in rank two can be decided greedily: a basis pair of total length
+above two always admits an elementary Nielsen transformation that strictly
+shortens it, so repeated shortening ends at a signed permutation of
+``(x, y)`` exactly when the pair was a basis.
+
+Validation happens once, where images come from outside.  The results of
+``compose``, ``inverse``, ``inner`` and ``NielsenMove.as_aut`` are trusted
+without a basis check: a product of automorphisms is an automorphism, and
+an elementary Nielsen move or a conjugation is one by construction.
 
 The same move bookkeeping drives pair reduction with a recorded move list,
 automorphism inversion, and the Whitehead-automorphism search used to decide
@@ -31,7 +36,6 @@ from .words import (
     invert,
     multiply,
     pair_key,
-    power,
     reduce_word,
     shortlex_key,
 )
@@ -49,7 +53,12 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class AutF2:
-    """An automorphism of F(x, y), stored by its images of x and y."""
+    """An automorphism of F(x, y), stored by its images of x and y.
+
+    Construction reduces both images and raises :class:`NotAnAutomorphism`
+    unless they form a free basis.  Automorphisms built by ``compose``,
+    ``inverse``, ``inner`` and ``NielsenMove.as_aut`` skip that check.
+    """
 
     image_x: str
     image_y: str
@@ -70,7 +79,7 @@ class AutF2:
 
     def compose(self, other: "AutF2") -> "AutF2":
         """self after other: ``(self.compose(other)).apply(w) == self.apply(other.apply(w))``."""
-        return AutF2(self.apply(other.image_x), self.apply(other.image_y))
+        return _trusted(self.apply(other.image_x), self.apply(other.image_y))
 
     def inverse(self) -> "AutF2":
         moves = moves_to_standard((self.image_x, self.image_y))
@@ -93,6 +102,14 @@ class AutF2:
         return f"x->{self.image_x or '1'}, y->{self.image_y or '1'}"
 
 
+def _trusted(image_x: str, image_y: str) -> AutF2:
+    """An automorphism from reduced images already known to form a basis."""
+    aut = object.__new__(AutF2)
+    object.__setattr__(aut, "image_x", image_x)
+    object.__setattr__(aut, "image_y", image_y)
+    return aut
+
+
 @dataclass(frozen=True)
 class NielsenMove:
     """Elementary Nielsen transformation of an ordered pair.
@@ -109,12 +126,16 @@ class NielsenMove:
 
     def apply(self, pair: Pair) -> Pair:
         a, b = pair if self.side == 0 else (pair[1], pair[0])
-        new = power(multiply(power(a, self.e1), power(b, self.e2)), self.e3)
+        # Every exponent is -1, 0 or 1, so one free reduction suffices.
+        head = a if self.e1 == 1 else invert(a)
+        tail = "" if self.e2 == 0 else b if self.e2 == 1 else invert(b)
+        new = reduce_word(head + tail)
+        if self.e3 == -1:
+            new = invert(new)
         return (new, pair[1]) if self.side == 0 else (pair[0], new)
 
     def as_aut(self) -> AutF2:
-        images = self.apply(("x", "y"))
-        return AutF2(*images)
+        return _trusted(*self.apply(("x", "y")))
 
 
 PRODUCT_MOVES: tuple[NielsenMove, ...] = tuple(
@@ -218,7 +239,8 @@ IDENTITY = AutF2("x", "y")
 
 def inner(g: str) -> AutF2:
     """Conjugation by ``g``: every word maps to ``g^-1 w g``."""
-    return AutF2(conjugate("x", g), conjugate("y", g))
+    VARIABLES.check_word(g)
+    return _trusted(conjugate("x", g), conjugate("y", g))
 
 
 def _type1_automorphisms() -> tuple[AutF2, ...]:

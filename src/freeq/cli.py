@@ -76,21 +76,26 @@ def _add_equation_args(parser) -> None:
 
 
 def _add_budget_args(parser) -> None:
-    parser.add_argument("--orbit-cap", type=int, default=10**6, metavar="N",
+    parser.add_argument("--orbit-cap", type=_positive, default=10**6, metavar="N",
                         help="visited cyclic forms before an orbit search gives up")
-    parser.add_argument("--hnn-budget", type=int, default=10**4, metavar="N",
+    parser.add_argument("--hnn-budget", type=_positive, default=10**4, metavar="N",
                         help="tested bases before the splitting search gives up")
+
+
+def _positive(text: str) -> int:
+    """A count that must be at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"the count must be at least 1, not {n}")
+    return n
 
 
 def _jobs(text: str) -> int:
     """A worker count: at least 1, at most the number of CPUs."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"the worker count must be at least 1, not {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    return min(_positive(text), os.cpu_count() or 1)
 
 
 def _budgets(args) -> Budgets:

@@ -163,7 +163,6 @@ class SubgroupBasis:
         """Rewrite a subgroup element as a word over the basis letters."""
         w = reduce_word(self.graph.alphabet.check_word(w))
         graph = self.graph
-        parent, _ = graph.spanning_tree()
         v = 0
         out = []
         for c in w:

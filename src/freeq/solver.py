@@ -26,17 +26,13 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .autf2 import (
-    IDENTITY,
     TYPE1_AUTOMORPHISMS,
     AutF2,
     INVERSION_MOVES,
-    NielsenMove,
     PRODUCT_MOVES,
     SearchBudgetExceeded,
     inner,
     is_primitive,
-    moves_to_standard,
-    nielsen_reduce_pair,
     orbit_automorphism,
 )
 from .graphs import build_subgroup_graph, graph_from_edges
@@ -216,16 +212,6 @@ class CanonicalGenerator:
 
 
 @dataclass(frozen=True)
-class TerminalData:
-    """End state of Nielsen-reducing a solution pair against its equation."""
-
-    pair: Pair
-    word: str
-    aut: AutF2
-    moves: tuple[NielsenMove, ...]
-
-
-@dataclass(frozen=True)
 class VarietyDescription:
     equation: Equation
     reduced: Equation
@@ -324,34 +310,39 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
     the rank-two subgroup <p, t^-1 p t>.  Exhausting the bounded space
     without a witness returns None; exceeding the tested-basis budget raises
     :class:`SearchBudgetExceeded`.
+
+    The rewritten word is carried along the search: the pair reached by
+    ``move`` from (p, t) is the basis ``AutF2(p, t) . move.as_aut()``, so its
+    rewritten word is the inverse move applied to the rewritten word of
+    (p, t).  The inverse moves are computed once per call.
     """
     w = reduce_word(w)
     bound = max(len(w), 2)
+    moves = PRODUCT_MOVES + INVERSION_MOVES
+    undo = [move.as_aut().inverse() for move in moves]
     start: Pair = ("x", "y")
-    queue = [start]
+    queue = [(start, w)]
     visited = {start}
     tested = 0
     head = 0
     while head < len(queue):
-        p, t = queue[head]
+        (p, t), rewritten = queue[head]
         head += 1
         tested += 1
         if tested > budgets.hnn_max_bases:
             raise SearchBudgetExceeded(
                 f"edge-splitting search tested {budgets.hnn_max_bases} bases without a verdict"
             )
-        basis = AutF2(p, t)
-        rewritten = basis.inverse().apply(w)
         if exponent_sum(rewritten, "y") == 0:
             q = conjugate(p, t)
             sub = build_subgroup_graph(VARIABLES, [p, q])
             if sub.rank() == 2 and sub.contains(w):
-                return HnnWitness(p=p, q=q, t=t, basis_aut=basis, rewritten=rewritten)
-        for move in PRODUCT_MOVES + INVERSION_MOVES:
+                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t), rewritten=rewritten)
+        for move, inverse_move in zip(moves, undo):
             new = move.apply((p, t))
             if len(new[0]) + len(new[1]) <= bound and new not in visited:
                 visited.add(new)
-                queue.append(new)
+                queue.append((new, inverse_move.apply(rewritten)))
     return None
 
 
@@ -442,29 +433,6 @@ def apply_to_solution(aut: AutF2, pair: Pair) -> Pair:
     return (evaluate(aut.image_x, pair[0], pair[1]), evaluate(aut.image_y, pair[0], pair[1]))
 
 
-def terminal_data(alphabet: Alphabet, w: str, g1: str, g2: str) -> TerminalData:
-    """Nielsen-reduce a rank-two solution pair, dragging the equation along.
-
-    Returns the canonical basis pair of <g1, g2>, the rewritten variable word
-    ``word`` with ``evaluate(word, *pair) == evaluate(w, g1, g2)``, the
-    automorphism ``aut`` with ``aut.apply(w) == word``, and the move list.
-    """
-    w = reduce_word(VARIABLES.check_word(w))
-    value = evaluate(w, g1, g2)
-    pair, moves = nielsen_reduce_pair(alphabet, g1, g2)
-    cur: Pair = (reduce_word(g1), reduce_word(g2))
-    word = w
-    aut = IDENTITY
-    for move in moves:
-        cur = move.apply(cur)
-        step = move.as_aut().inverse()
-        word = step.apply(word)
-        aut = step.compose(aut)
-        if evaluate(word, cur[0], cur[1]) != value:
-            raise AssertionError("terminal reduction broke the equation invariant")
-    return TerminalData(pair=cur, word=word, aut=aut, moves=moves)
-
-
 def terminal_candidates(eq: Equation):
     """Rank-two subgroup bases that can host a minimal solution.
 
@@ -533,7 +501,10 @@ def _orbit_ball(seed: Pair, actions, ball: int, budgets: Budgets):
             if new in visited:
                 continue
             if len(visited) >= budgets.orbit_max_visited:
-                raise SearchBudgetExceeded("orbit minimization visited too many solutions")
+                raise SearchBudgetExceeded(
+                    f"orbit minimization visited {len(visited)} solutions"
+                    f" within the ball of total length {ball}"
+                )
             visited.add(new)
             queue.append(new)
             if pair_key(new) < pair_key(best):
@@ -573,16 +544,19 @@ def minimal_rank2_solutions(
             continue
         ball = max(2 * len(eq.rhs) + 4, len(seed[0]) + len(seed[1]))
         previous = None
-        for _ in range(budgets.minimize_widenings + 1):
+        widenings = 0
+        while True:
             best, visited, hit = _orbit_ball(seed, actions, ball, budgets)
             if not hit or best == previous:
                 break
+            if widenings >= budgets.minimize_widenings:
+                raise SearchBudgetExceeded(
+                    f"orbit minimization kept improving at the widest ball:"
+                    f" total length {ball} after {widenings} widenings"
+                )
             previous = best
             ball *= 2
-        else:
-            raise SearchBudgetExceeded(
-                "orbit minimization kept improving at the widest ball"
-            )
+            widenings += 1
         claimed |= visited
         reps.append(best)
     return tuple(sorted(set(reps), key=pair_key))

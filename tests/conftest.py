@@ -1,10 +1,14 @@
-"""Shared test helpers: random words, a graph-free membership oracle and a
-set-partition oracle for terminal candidates."""
+"""Shared test helpers: random words, a graph-free membership oracle, a
+set-partition oracle for terminal candidates and a rebuild-every-node oracle
+for the edge-splitting search."""
 
+import functools
 import itertools
 
-from freeq.graphs import graph_from_edges
-from freeq.words import invert, multiply, pair_key, reduce_word
+from freeq.autf2 import INVERSION_MOVES, PRODUCT_MOVES, AutF2, SearchBudgetExceeded
+from freeq.graphs import build_subgroup_graph, graph_from_edges
+from freeq.solver import Budgets, HnnWitness
+from freeq.words import VARIABLES, conjugate, exponent_sum, invert, multiply, pair_key, reduce_word
 
 
 def random_reduced_word(rng, max_len, letters="abAB"):
@@ -106,3 +110,41 @@ def partition_terminal_candidates(eq):
         results.append((basis.generators, basis.express(u)))
     results.sort(key=lambda item: pair_key(item[0]))
     return tuple(results)
+
+
+# The edge-splitting oracle: the breadth-first order over bases of
+# ``solver.detect_hnn_splitting``, but each basis is built by the validating
+# ``AutF2(p, t)`` and ``w`` is rewritten through its inverse from scratch
+# instead of being carried along.  The order depends only on the length
+# bound, so the bases and their inverses are listed once per bound.
+
+
+@functools.lru_cache(maxsize=None)
+def _bases_in_search_order(bound):
+    start = ("x", "y")
+    order = [start]
+    visited = {start}
+    for p, t in order:  # the list grows while it is walked: breadth first
+        for move in PRODUCT_MOVES + INVERSION_MOVES:
+            new = move.apply((p, t))
+            if len(new[0]) + len(new[1]) <= bound and new not in visited:
+                visited.add(new)
+                order.append(new)
+    return tuple(((p, t), AutF2(p, t).inverse()) for p, t in order)
+
+
+def rebuilding_hnn_splitting(w, budgets=Budgets()):
+    w = reduce_word(w)
+    bases = _bases_in_search_order(max(len(w), 2))
+    for tested, ((p, t), basis_inverse) in enumerate(bases, 1):
+        if tested > budgets.hnn_max_bases:
+            raise SearchBudgetExceeded(
+                f"edge-splitting search tested {budgets.hnn_max_bases} bases without a verdict"
+            )
+        rewritten = basis_inverse.apply(w)
+        if exponent_sum(rewritten, "y") == 0:
+            q = conjugate(p, t)
+            sub = build_subgroup_graph(VARIABLES, [p, q])
+            if sub.rank() == 2 and sub.contains(w):
+                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t), rewritten=rewritten)
+    return None

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeq.autf2 import (
     AutF2,
@@ -91,6 +93,31 @@ def test_inner():
         w = random_word(rng, 6)
         assert inner(g).apply(w) == conjugate(w, g)
     assert inner("x").inverse().apply("y") == "xyX"
+
+
+def test_inner_rejects_foreign_letters():
+    with pytest.raises(WordError):
+        inner("xa")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(WHITEHEAD_AUTOMORPHISMS) - 1), st.booleans()),
+        max_size=6,
+    ),
+    st.text(alphabet="xyXY", max_size=4),
+)
+def test_trusted_products_pass_validation(steps, g):
+    # compose, inverse and inner skip the basis check; the validating
+    # constructor must accept every automorphism they build, unchanged.
+    aut = IDENTITY
+    for index, inverted in steps:
+        step = WHITEHEAD_AUTOMORPHISMS[index]
+        aut = (step.inverse() if inverted else step).compose(aut)
+    for built in (aut, aut.inverse(), inner(g).compose(aut), inner(g)):
+        assert AutF2(built.image_x, built.image_y) == built
+    assert aut.inverse().compose(aut).is_identity()
 
 
 def test_abelianized_determinant_is_unit():

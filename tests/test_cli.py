@@ -176,6 +176,10 @@ def test_usage_errors_exit_1():
         assert proc.returncode == 1
         proc = run_proc("certify", "--w", "xxyy", "--u", "aabb", "--jobs", jobs)
         assert proc.returncode == 1
+    for flag in ("--orbit-cap", "--hnn-budget"):
+        for value in ("0", "-5"):
+            proc = run_proc("solve", "--w", "xxxyyy", "--u", "aaabbb", flag, value)
+            assert proc.returncode == 1
 
 
 def test_version_flag():

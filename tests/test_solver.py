@@ -5,11 +5,11 @@ import random
 import sys
 
 import pytest
-from conftest import partition_terminal_candidates
+from conftest import partition_terminal_candidates, rebuilding_hnn_splitting
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeq.autf2 import AutF2, INVERSION_MOVES, PRODUCT_MOVES, inner
+from freeq.autf2 import AutF2, SearchBudgetExceeded, inner
 from freeq.graphs import build_subgroup_graph
 from freeq.solver import (
     Budgets,
@@ -36,6 +36,7 @@ from freeq.solver import (
     apply_to_solution,
     classify_jsj,
     describe_variety,
+    detect_hnn_splitting,
     generate_conjugates,
     generate_hnn,
     generate_orbit,
@@ -44,13 +45,13 @@ from freeq.solver import (
     generate_trivial,
     mega_word,
     terminal_candidates,
-    terminal_data,
     two_level_conjugator,
     two_level_member,
     verify_solution,
     verify_two_level,
 )
 from freeq.words import (
+    VARIABLES,
     Alphabet,
     WordError,
     commutator,
@@ -64,7 +65,6 @@ from freeq.words import (
 )
 
 AB = Alphabet.from_string("ab")
-ALL_MOVES = PRODUCT_MOVES + INVERSION_MOVES
 
 
 def eq(w, u, alphabet=AB):
@@ -218,6 +218,52 @@ def test_describe_unresolved_status():
     assert desc.status == STATUS_UNRESOLVED
 
 
+def test_hnn_search_matches_rebuilding_oracle():
+    words = [w for w in words_upto(VARIABLES, 6) if {c.lower() for c in w} == {"x", "y"}]
+    outcomes = set()
+    for w in words:
+        witness = detect_hnn_splitting(w)
+        assert witness == rebuilding_hnn_splitting(w), w
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
+def _hnn_outcome(search, w, budgets):
+    try:
+        return search(w, budgets)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_hnn_search_budget_trip_matches_oracle():
+    tight = Budgets(hnn_max_bases=1)
+    assert _hnn_outcome(detect_hnn_splitting, "xxyyxy", tight) == (
+        "edge-splitting search tested 1 bases without a verdict"
+    )
+    assert detect_hnn_splitting("xYxy", tight).basis_aut.is_identity()
+    for w in words_upto(VARIABLES, 4):
+        if {c.lower() for c in w} != {"x", "y"}:
+            continue
+        for cap in (1, 2, 7):
+            budgets = Budgets(hnn_max_bases=cap)
+            fast = _hnn_outcome(detect_hnn_splitting, w, budgets)
+            assert fast == _hnn_outcome(rebuilding_hnn_splitting, w, budgets), (w, cap)
+
+
+def test_orbit_minimization_visited_trip_names_count():
+    desc = describe("xxyy", "aabb", budgets=Budgets(orbit_max_visited=10))
+    assert desc.status == STATUS_UNRESOLVED
+    assert desc.note == "orbit minimization visited 10 solutions within the ball of total length 12"
+
+
+def test_orbit_minimization_widening_trip_names_ball():
+    desc = describe("xxyyxy", "aabbab", budgets=Budgets(minimize_widenings=0))
+    assert desc.status == STATUS_UNRESOLVED
+    assert desc.note == (
+        "orbit minimization kept improving at the widest ball: total length 16 after 0 widenings"
+    )
+
+
 def test_hnn_description_golden():
     desc = describe("xxyy", "aabb")
     assert desc.kind == KIND_JSJ
@@ -255,19 +301,6 @@ def test_generators_fix_lhs_and_act_on_solutions():
             for sol in desc.minimal:
                 moved = apply_to_solution(gen.aut, sol)
                 assert desc.reduced.holds_for(*moved)
-
-
-def test_terminal_data_invariant():
-    rng = random.Random(127)
-    for _ in range(60):
-        pair = ("a", "b")
-        for _ in range(rng.randint(0, 5)):
-            g1, g2 = rng.choice(ALL_MOVES).apply(pair)
-            pair = (reduce_word(g1), reduce_word(g2))
-        data = terminal_data(AB, "xxyy", *pair)
-        assert data.pair == ("a", "b")
-        assert evaluate(data.word, *data.pair) == evaluate("xxyy", *pair)
-        assert data.aut.apply("xxyy") == data.word
 
 
 def _edges_covered_by_rhs(graph, u):
