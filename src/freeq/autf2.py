@@ -12,9 +12,9 @@ Validation happens once, where images come from outside.  The results of
 without a basis check: a product of automorphisms is an automorphism, and
 an elementary Nielsen move or a conjugation is one by construction.
 
-The same move bookkeeping drives pair reduction with a recorded move list,
-automorphism inversion, and the Whitehead-automorphism search used to decide
-whether two words lie in the same orbit of the automorphism group.
+The same move bookkeeping drives automorphism inversion and the
+Whitehead-automorphism search used to decide whether two words lie in the
+same orbit of the automorphism group.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import build_subgroup_graph
 from .words import (
     VARIABLES,
     WordError,
@@ -379,23 +378,3 @@ def is_primitive(w: str) -> AutF2 | None:
         return None
     return orbit_automorphism(w, "x")
 
-
-def nielsen_reduce_pair(alphabet, g1: str, g2: str):
-    """Carry a rank-two pair of coefficient words to its canonical basis.
-
-    Returns ``((b1, b2), moves)`` where ``(b1, b2)`` is the canonical basis
-    of the subgroup the pair generates and applying ``moves`` in order to
-    ``(g1, g2)`` yields exactly ``(b1, b2)``.
-    """
-    graph = build_subgroup_graph(alphabet, [g1, g2])
-    if graph.rank() != 2:
-        raise WordError("the pair does not generate a rank-two subgroup")
-    basis = graph.canonical_basis()
-    expressed = (basis.express(g1), basis.express(g2))
-    moves = moves_to_standard(expressed)
-    pair = (reduce_word(g1), reduce_word(g2))
-    for m in moves:
-        pair = m.apply(pair)
-    if pair != basis.generators:
-        raise AssertionError("move replay did not land on the canonical basis")
-    return basis.generators, moves

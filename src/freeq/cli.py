@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .autf2 import SearchBudgetExceeded
-from .oracle import BruteForceResult, CertifyReport, brute_force_solutions, certify
+from .oracle import brute_force_solutions, certify
 from .solver import (
     CASE_HNN,
     CASE_QH,
@@ -82,15 +82,20 @@ def _add_budget_args(parser) -> None:
                         help="tested bases before the splitting search gives up")
 
 
-def _positive(text: str) -> int:
-    """A count that must be at least 1."""
+def _count(text: str, least: int = 0) -> int:
+    """A count that must be at least ``least`` (a ball radius: at least 0)."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"the count must be at least 1, not {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"the count must be at least {least}, not {n}")
     return n
+
+
+def _positive(text: str) -> int:
+    """A count that must be at least 1."""
+    return _count(text, 1)
 
 
 def _jobs(text: str) -> int:
@@ -463,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="enumerate all solutions in a length ball")
     _add_equation_args(p)
-    p.add_argument("-L", "--max-len", type=int, default=None, help="ball radius (default |u|+2)")
+    p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
     p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at most the CPU count)")
     _add_format(p)
     p.set_defaults(func=_cmd_brute)
@@ -471,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check the description against brute force")
     _add_equation_args(p)
     _add_budget_args(p)
-    p.add_argument("-L", "--max-len", type=int, default=None, help="ball radius (default |u|+2)")
+    p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
     p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at most the CPU count)")
     _add_format(p)
     p.set_defaults(func=_cmd_certify)

@@ -25,7 +25,6 @@ from .words import (
     multiply,
     reduce_word,
     shortlex_key,
-    substitute,
 )
 
 _BASIS_LETTER_POOL = "xyzuvw"
@@ -282,60 +281,3 @@ def build_subgroup_graph(alphabet: Alphabet, generators) -> CoreGraph:
         num_vertices += max(len(w) - 1, 0)
     return graph_from_edges(alphabet, num_vertices, edges)
 
-
-def _row_reduce(rows: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Greedy Nielsen reduction of ``(left, right)`` rows.
-
-    Each row asserts that the element spelled by ``left`` equals the element
-    spelled by ``right`` (over two different bases); row operations preserve
-    that.  The left sides are reduced until their total length stops
-    shrinking.
-    """
-    rows = list(rows)
-    while True:
-        best = None
-        total = sum(len(left) for left, _ in rows)
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                if i == j:
-                    continue
-                li, ri = rows[i]
-                lj, rj = rows[j]
-                for (lnew, rnew) in (
-                    (multiply(li, lj), multiply(ri, rj)),
-                    (multiply(li, invert(lj)), multiply(ri, invert(rj))),
-                    (multiply(lj, li), multiply(rj, ri)),
-                    (multiply(invert(lj), li), multiply(invert(rj), ri)),
-                ):
-                    gain = len(li) - len(lnew)
-                    if gain > 0:
-                        cand = (gain, -i, shortlex_key(lnew))
-                        if best is None or cand > best[0]:
-                            best = (cand, i, (lnew, rnew))
-        if best is None:
-            return rows
-        _, i, row = best
-        rows[i] = row
-
-
-def express_in_basis(alphabet: Alphabet, basis: tuple[str, ...], w: str) -> str:
-    """Rewrite ``w`` over a user-supplied free basis of a subgroup.
-
-    The basis words are assigned the letters x, y, z, ... in the order given.
-    Raises :class:`NotInSubgroup` if ``w`` is not in the span, and
-    :class:`WordError` if the given words are not independent.
-    """
-    graph = build_subgroup_graph(alphabet, basis)
-    if graph.rank() != len(basis):
-        raise WordError("the given words do not form a free basis")
-    canonical = graph.canonical_basis()
-    rows = [(canonical.express(b), _BASIS_LETTER_POOL[i]) for i, b in enumerate(basis)]
-    rows = _row_reduce(rows)
-    table = {}
-    for left, right in rows:
-        if len(left) != 1:
-            raise WordError("could not rewrite the basis to canonical form")
-        table[left.lower()] = right if left.islower() else invert(right)
-    if len(table) != len(basis):
-        raise WordError("the given words do not form a free basis")
-    return substitute(canonical.express(w), table)

@@ -1,9 +1,17 @@
 """Exhaustive enumeration and coverage certification for equation solutions.
 
 The brute-force enumerator is the independent route against which the
-descriptive machinery is certified: it scans all pairs of reduced coefficient
-words inside a length ball and keeps those solving the equation, tagging each
-with the rank of the subgroup the pair generates.
+descriptive machinery is certified: it finds every pair of reduced coefficient
+words inside a length ball that solves the equation, tagging each with the
+rank of the subgroup the pair generates.  It takes one of three routes, using
+only word arithmetic:
+
+- single run, ``s^a z^k s^b``: for each value of ``s``, ``z`` is the unique
+  k-th root of ``s^-a u s^-b``;
+- conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: for each value of
+  ``s``, ``z^-e`` conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z``
+  form one coset of a cyclic centralizer;
+- full scan: every other left side tests every pair in the ball.
 
 ``certify`` then replays a variety description against the enumeration:
 every brute solution must be reproduced by the description's families
@@ -36,6 +44,7 @@ from .solver import (
 )
 from .words import (
     WordError,
+    conjugating_word,
     evaluate,
     invert,
     multiply,
@@ -87,15 +96,13 @@ def _single_run_shape(w: str) -> tuple[str, int, int, int] | None:
     (z, a, k, b) or None."""
     runs = _variable_runs(reduce_word(w))
     for z, s in (("y", "x"), ("x", "y")):
-        inner = [r for r in runs if r[0] == z]
-        if len(inner) != 1:
-            continue
-        pattern = [r[0] for r in runs]
-        if pattern in ([s, z, s], [s, z], [z, s], [z]):
-            k = inner[0][1]
+        inner = [k for v, k in runs if v == z]
+        if len(inner) == 1:
+            # Runs alternate between the two variables, so the z-run is
+            # flanked by at most one s-run on each side.
             a = runs[0][1] if runs[0][0] == s else 0
-            b = runs[-1][1] if len(runs) > 1 and runs[-1][0] == s else 0
-            return z, a, k, b
+            b = runs[-1][1] if runs[-1][0] == s else 0
+            return z, a, inner[0], b
     return None
 
 
@@ -126,10 +133,72 @@ def _solve_single_run(eq: Equation, shape, max_len: int, candidates) -> list[Pai
     return out
 
 
+def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
+    """Detect the shape s^a z^e s^b z^-e s^c with e = ±1 (the variable z
+    occurs exactly twice, as single letters of opposite sign); returns
+    (z, a, e, b, c) or None."""
+    runs = _variable_runs(reduce_word(w))
+    for z, s in (("y", "x"), ("x", "y")):
+        inner = [k for v, k in runs if v == z]
+        if len(inner) != 2 or abs(inner[0]) != 1 or inner[1] != -inner[0]:
+            continue
+        # Runs alternate between the two variables, so the z-runs are
+        # separated by exactly one s-run and possibly flanked by one more each.
+        outer = [k for v, k in runs if v == s]
+        a = outer.pop(0) if runs[0][0] == s else 0
+        c = outer.pop() if runs[-1][0] == s else 0
+        return z, a, inner[0], outer[0], c
+    return None
+
+
+def _solve_conjugate_pair(eq: Equation, shape, max_len: int, candidates) -> list[Pair]:
+    """Solve s^a z^e s^b z^-e s^c = u by conjugacy, one candidate s-value g at
+    a time.  With B = g^b and V = g^-a u g^-c, h' = z^-e satisfies
+    h'^-1 B h' = V.  For B != 1 the solutions are h' = r^k h, where
+    h = conjugating_word(B, V) and r is the primitive root of B, whose cyclic
+    group is the centralizer of B.  As |r^k h| >= |k| - |h|, the sweep
+    |k| <= max_len + |h| finds every z in the ball."""
+    z, a, e, b, c = shape
+    out = []
+    for g in candidates:
+        target = multiply(power(g, -a), eq.rhs, power(g, -c))
+        if not g:
+            others = words_upto(eq.alphabet, max_len) if not target else ()
+        else:
+            base = power(g, b)
+            h = conjugating_word(base, target)
+            if h is None:
+                continue
+            root = primitive_root(base)[0]
+            span = max_len + len(h)
+            others = (power(multiply(power(root, k), h), -e) for k in range(-span, span + 1))
+        for other in others:
+            if len(other) > max_len:
+                continue
+            pair = (g, other) if z == "y" else (other, g)
+            if eq.holds_for(*pair):
+                out.append(pair)
+    return out
+
+
+def _elimination(w: str):
+    """The route that eliminates one variable of ``w``, as (solve, shape),
+    or None when every pair must be scanned."""
+    for detect, solve in (
+        (_single_run_shape, _solve_single_run),
+        (_conjugate_pair_shape, _solve_conjugate_pair),
+    ):
+        shape = detect(w)
+        if shape is not None:
+            return solve, shape
+    return None
+
+
 def _scan_chunk(args) -> list[Pair]:
-    eq, shape, max_len, chunk = args
-    if shape is not None:
-        return _solve_single_run(eq, shape, max_len, chunk)
+    eq, route, max_len, chunk = args
+    if route is not None:
+        solve, shape = route
+        return solve(eq, shape, max_len, chunk)
     everything = list(words_upto(eq.alphabet, max_len))
     out = []
     for g1 in chunk:
@@ -142,21 +211,25 @@ def _scan_chunk(args) -> list[Pair]:
 def brute_force_solutions(eq: Equation, max_len: int, jobs: int = 1) -> BruteForceResult:
     """All solutions with both coordinates of length at most ``max_len``.
 
-    When the left side has a single run of one variable, that variable is
-    eliminated by unique root extraction and the scan is linear in the ball;
-    otherwise every pair in the ball is tested.
+    Three routes, chosen from the left side.  Single run: when a variable z
+    forms one run, it is eliminated by unique root extraction.  Conjugate
+    pair: when z occurs as ``z^e ... z^-e`` with e = ±1, it is eliminated by
+    solving a conjugacy problem.  Either way the work grows with the ball,
+    not with its square.  Full scan: every other left side tests every pair
+    in the ball.  ``jobs`` splits the candidate values of the kept variable
+    (or of the first coordinate, for the full scan) across processes.
     """
     if max_len < 0:
         raise WordError("the ball radius must be non-negative")
-    shape = _single_run_shape(eq.lhs)
+    route = _elimination(eq.lhs)
     candidates = list(words_upto(eq.alphabet, max_len))
     if jobs > 1:
         chunks = [candidates[i::jobs] for i in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_scan_chunk, [(eq, shape, max_len, c) for c in chunks])
+            parts = pool.map(_scan_chunk, [(eq, route, max_len, c) for c in chunks])
         pairs = [p for part in parts for p in part]
     else:
-        pairs = _scan_chunk((eq, shape, max_len, candidates))
+        pairs = _scan_chunk((eq, route, max_len, candidates))
     pairs = sorted(set(pairs), key=pair_key)
     solutions = tuple((g1, g2, pair_rank(eq, g1, g2)) for g1, g2 in pairs)
     return BruteForceResult(equation=eq, max_len=max_len, solutions=solutions)

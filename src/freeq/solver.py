@@ -22,7 +22,7 @@ returned.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .autf2 import (
@@ -51,7 +51,6 @@ from .words import (
     power,
     primitive_root,
     reduce_word,
-    shortlex_key,
 )
 
 Pair = tuple[str, str]

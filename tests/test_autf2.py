@@ -19,7 +19,6 @@ from freeq.autf2 import (
     is_basis_pair,
     is_primitive,
     moves_to_standard,
-    nielsen_reduce_pair,
     orbit_automorphism,
     whitehead_minimize,
 )
@@ -234,33 +233,3 @@ def test_primitive_words_conjugation_closed():
         g = random_word(rng, 5)
         assert is_primitive(conjugate(w, g)) is not None
 
-
-def test_nielsen_reduce_pair_golden():
-    ab = Alphabet.from_string("ab")
-    basis, moves = nielsen_reduce_pair(ab, "ab", "b")
-    assert basis == ("a", "b")
-    assert len(moves) == 1
-
-
-def test_nielsen_reduce_pair_random():
-    ab = Alphabet.from_string("ab")
-    rng = random.Random(109)
-    for _ in range(80):
-        pair = ("a", "b")
-        for _ in range(rng.randint(0, 6)):
-            g1, g2 = rng.choice(ALL_MOVES).apply(pair)
-            pair = (reduce_word(g1), reduce_word(g2))
-        basis, moves = nielsen_reduce_pair(ab, *pair)
-        assert basis == ("a", "b")
-        out = pair
-        for m in moves:
-            out = m.apply(out)
-        assert out == basis
-
-
-def test_nielsen_reduce_pair_rejects_low_rank():
-    ab = Alphabet.from_string("ab")
-    with pytest.raises(WordError):
-        nielsen_reduce_pair(ab, "aa", "aa")
-    with pytest.raises(WordError):
-        nielsen_reduce_pair(ab, "a", "aa")

@@ -176,6 +176,10 @@ def test_usage_errors_exit_1():
         assert proc.returncode == 1
         proc = run_proc("certify", "--w", "xxyy", "--u", "aabb", "--jobs", jobs)
         assert proc.returncode == 1
+    for command in ("brute", "certify"):
+        proc = run_proc(command, "--w", "XYxy", "--u", "ABab", "-L", "-1")
+        assert proc.returncode == 1
+        assert "the count must be at least 0, not -1" in proc.stderr
     for flag in ("--orbit-cap", "--hnn-budget"):
         for value in ("0", "-5"):
             proc = run_proc("solve", "--w", "xxxyyy", "--u", "aaabbb", flag, value)

@@ -8,12 +8,10 @@ from conftest import naive_member, naive_nielsen_reduce
 from freeq.graphs import (
     NotInSubgroup,
     build_subgroup_graph,
-    express_in_basis,
     graph_from_edges,
 )
 from freeq.words import (
     Alphabet,
-    WordError,
     invert,
     multiply,
     reduce_word,
@@ -91,17 +89,10 @@ def test_graph_from_edges_trims_dead_tails():
     assert not g.contains("b")
 
 
-def test_express_golden():
-    assert express_in_basis(AB, ("ab", "b"), "a") == "xY"
-    assert express_in_basis(AB, ("a", "b"), "ABab") == "XYxy"
-
-
 def test_express_raises_outside():
     basis = build_subgroup_graph(AB, ["aa", "b"]).canonical_basis()
     with pytest.raises(NotInSubgroup):
         basis.express("a")
-    with pytest.raises(WordError):
-        express_in_basis(AB, ("aa", "aa"), "aa")  # not rank two
 
 
 def test_express_is_a_certificate():

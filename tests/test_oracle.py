@@ -4,16 +4,29 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeq.autf2 import SearchBudgetExceeded
 from freeq.oracle import (
+    _conjugate_pair_shape,
     brute_force_solutions,
     certify,
     delta_orbit_closure,
     pair_rank,
 )
 from freeq.solver import STATUS_OK, Budgets, Equation, describe_variety
-from freeq.words import Alphabet, WordError, evaluate, invert, pair_key, parse_word, words_upto
+from freeq.words import (
+    Alphabet,
+    WordError,
+    evaluate,
+    invert,
+    multiply,
+    pair_key,
+    parse_word,
+    power,
+    words_upto,
+)
 
 AB = Alphabet.from_string("ab")
 A = Alphabet.from_string("a")
@@ -51,10 +64,11 @@ def test_brute_golden_trivial():
 
 def test_brute_matches_naive_scan():
     cases = [
-        eq("xyx", "aba"),      # single-run shortcut applies
-        eq("xxyy", "aabb"),    # two runs, full scan
+        eq("xyx", "aba"),      # single run of y
+        eq("xxyy", "aabb"),    # single run of y
         eq("xy", "ab"),
-        eq("xYxy", "abb"),
+        eq("xYxy", "abb"),     # conjugate pair of y
+        eq("xyxy", "abab"),    # full scan
         eq("xxy", "aa", A),    # one-letter alphabet
     ]
     for e in cases:
@@ -63,10 +77,64 @@ def test_brute_matches_naive_scan():
 
 
 def test_brute_parallel_agrees():
-    e = eq("xxyy", "aabb")
-    serial = brute_force_solutions(e, 4)
-    parallel = brute_force_solutions(e, 4, jobs=2)
-    assert serial == parallel
+    for e in (eq("xxyy", "aabb"), eq("XYxy", "ABab")):
+        serial = brute_force_solutions(e, 4)
+        parallel = brute_force_solutions(e, 4, jobs=2)
+        assert serial == parallel
+
+
+def conjugate_pair_word(z, a, e, b, c):
+    """s^a z^e s^b z^-e s^c over the variables, s being the other variable."""
+    s = "x" if z == "y" else "y"
+    return multiply(power(s, a), power(z, e), power(s, b), power(z, -e), power(s, c))
+
+
+def test_conjugate_pair_shape_detection():
+    for w in ("XYxy", "xYxy", "yXYx", "xyXy", "xxYxxy"):
+        shape = _conjugate_pair_shape(w)
+        assert shape is not None, w
+        assert conjugate_pair_word(*shape) == w
+    assert _conjugate_pair_shape("xYxy") == ("y", 1, -1, 1, 0)
+    assert _conjugate_pair_shape("xyXy") == ("x", 0, 1, 1, 1)
+    for w in ("xxyy", "xyxy", "xYxY", "xxyxy"):
+        assert _conjugate_pair_shape(w) is None, w
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from("xy"),
+    st.integers(-2, 2),
+    st.sampled_from((1, -1)),
+    st.sampled_from((-2, -1, 1, 2)),
+    st.integers(-2, 2),
+    st.sampled_from(("planted", "identity", "unsolvable")),
+    st.sampled_from(list(words_upto(AB, 2))),
+    st.sampled_from(list(words_upto(AB, 2))),
+    st.integers(0, 3),
+)
+def test_conjugate_pair_elimination_matches_naive_scan(z, a, e, b, c, kind, g1, g2, max_len):
+    # The conjugacy route (or the single-run route, which some of these
+    # words also fit) must find exactly the pairs of the full double loop.
+    w = conjugate_pair_word(z, a, e, b, c)
+    assert _conjugate_pair_shape(w) is not None
+    u = {"planted": evaluate(w, g1, g2), "identity": "", "unsolvable": "a"}[kind]
+    equation = eq(w, u)
+    expected = naive_scan(equation, max_len)
+    assert set(brute_force_solutions(equation, max_len).pairs()) == expected
+    if kind == "unsolvable" and abs(a + b + c) != 1:
+        # the abelianized left side is (a + b + c) times the value of s
+        assert expected == set()
+    if kind == "planted" and max_len >= 2:
+        assert (g1, g2) in expected
+
+
+@pytest.mark.parametrize(
+    "w,u,max_len,total",
+    [("XYxy", "ABab", 6, 161), ("XYxy", "ABab", 7, 279), ("xYxy", "aBab", 6, 25)],
+)
+def test_brute_conjugate_pair_totals(w, u, max_len, total):
+    # The naive double loop finds the same totals, but is too slow to run here at L=7.
+    assert len(brute_force_solutions(eq(w, u), max_len).solutions) == total
 
 
 def test_brute_sorted_and_tagged():
@@ -138,6 +206,14 @@ def test_certify_rigid_rotation_symmetry():
     e = eq("xxxyy", "aaabb")
     report = certify(e, describe_variety(e), 6)
     assert report.uncovered == ()
+
+
+@pytest.mark.parametrize("w,u,total", [("XYxy", "ABab", 361), ("xYxy", "aBab", 38)])
+def test_certify_conjugate_pair_at_radius_8(w, u, total):
+    e = eq(w, u)
+    report = certify(e, describe_variety(e), 8)
+    assert report.covered
+    assert report.total_solutions == total
 
 
 def test_certify_rank1_only():
