@@ -73,9 +73,6 @@ class AutF2:
     def apply(self, w: str) -> str:
         return evaluate(w, self.image_x, self.image_y)
 
-    def apply_pair(self, pair: Pair) -> Pair:
-        return (self.apply(pair[0]), self.apply(pair[1]))
-
     def compose(self, other: "AutF2") -> "AutF2":
         """self after other: ``(self.compose(other)).apply(w) == self.apply(other.apply(w))``."""
         return _trusted(self.apply(other.image_x), self.apply(other.image_y))

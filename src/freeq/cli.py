@@ -5,9 +5,11 @@ Subcommands: ``classify``, ``solve``, ``gen``, ``verify``, ``brute``,
 error, 2 a bounded search gave no verdict (unresolved), 3 certification
 found uncovered solutions.
 
-With ``--format structured`` the output is a flat, versioned ``key: value``
-listing that is byte-identical across runs with equal flags (timings are
-only shown in the default human format).
+Each command builds one list of ``key: value`` fields, and ``main`` prints
+it.  ``--format structured`` prints the versioned header ``freeq/1`` and
+``command: <name>`` first, and is byte-identical across runs with equal
+flags.  The default human format prints the same fields without the header,
+then one ``elapsed: N.NNs`` line with the command's wall time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from . import __version__
 from .autf2 import SearchBudgetExceeded
@@ -114,26 +117,41 @@ def _equation(args) -> Equation:
     return Equation(alphabet, lhs, rhs)
 
 
-def _emit(lines) -> None:
-    for line in lines:
-        print(line)
-
-
-def _structured(command: str, fields) -> list[str]:
-    lines = [STRUCTURED_HEADER, f"command: {command}"]
-    lines.extend(f"{key}: {value}" for key, value in fields)
-    return lines
-
-
 def _pair_text(pair) -> str:
     return f"{format_word(pair[0])} {format_word(pair[1])}"
 
 
+def _pair_fields(g1: str, g2: str) -> list[tuple[str, str]]:
+    return [("g1", format_word(g1)), ("g2", format_word(g2))]
+
+
+def _equation_fields(eq: Equation) -> list[tuple[str, str]]:
+    return [
+        ("alphabet", str(eq.alphabet)),
+        ("lhs", format_word(eq.lhs)),
+        ("rhs", format_word(eq.rhs)),
+    ]
+
+
+def _rank_fields(counts) -> list[tuple[str, str]]:
+    return [(f"rank{rank}", str(n)) for rank, n in enumerate(counts)]
+
+
+def _classification_fields(cls) -> list[tuple[str, str]]:
+    fields = [("case", cls.kind)]
+    if cls.kind == CASE_HNN:
+        fields.append(("splitting.p", format_word(cls.hnn.p)))
+        fields.append(("splitting.q", format_word(cls.hnn.q)))
+        fields.append(("splitting.t", format_word(cls.hnn.t)))
+    elif cls.kind == CASE_QH:
+        fields.append(("normalizer.x", format_word(cls.normalizer.image_x)))
+        fields.append(("normalizer.y", format_word(cls.normalizer.image_y)))
+        fields.append(("normalizer.target", cls.target))
+    return fields
+
+
 def _description_fields(desc: VarietyDescription) -> list[tuple[str, str]]:
-    fields = [
-        ("alphabet", str(desc.equation.alphabet)),
-        ("lhs", format_word(desc.equation.lhs)),
-        ("rhs", format_word(desc.equation.rhs)),
+    fields = _equation_fields(desc.equation) + [
         ("status", desc.status),
         ("kind", desc.kind),
         ("formula", desc.formula or "-"),
@@ -157,17 +175,7 @@ def _description_fields(desc: VarietyDescription) -> list[tuple[str, str]]:
         fields.append(("parametric.x", format_word(desc.parametric.aut.image_x)))
         fields.append(("parametric.y", format_word(desc.parametric.aut.image_y)))
     if desc.classification is not None:
-        fields.append(("case", desc.classification.kind))
-        if desc.classification.kind == CASE_HNN:
-            hnn = desc.classification.hnn
-            fields.append(("splitting.p", format_word(hnn.p)))
-            fields.append(("splitting.q", format_word(hnn.q)))
-            fields.append(("splitting.t", format_word(hnn.t)))
-        elif desc.classification.kind == CASE_QH:
-            nu = desc.classification.normalizer
-            fields.append(("normalizer.x", format_word(nu.image_x)))
-            fields.append(("normalizer.y", format_word(nu.image_y)))
-            fields.append(("normalizer.target", desc.classification.target))
+        fields += _classification_fields(desc.classification)
     for i, gen in enumerate(desc.generators):
         fields.append((f"generator.{i}", f"{gen.symbol} {gen.name} "
                        f"{format_word(gen.aut.image_x)} {format_word(gen.aut.image_y)}"))
@@ -176,100 +184,32 @@ def _description_fields(desc: VarietyDescription) -> list[tuple[str, str]]:
     return fields
 
 
-def _describe_human(desc: VarietyDescription) -> list[str]:
-    lines = [f"equation: {desc.equation} (alphabet {desc.equation.alphabet})"]
-    if desc.reduced != desc.equation:
-        lines.append(f"reduced to: {desc.reduced}")
-    lines.append(f"status: {desc.status}" + (f" ({desc.note})" if desc.note else ""))
-    lines.append(f"kind: {desc.kind}" + (f", solution formula: {desc.formula}" if desc.formula else ""))
-    if desc.trivial is not None:
-        gens = ", ".join(f"({g[0]}, {g[1]})" for g in desc.trivial.generators)
-        lines.append(f"all solutions are powers (r^n1, r^n2) of a common root; lattice spanned by {gens}")
-    if desc.rank1 is not None:
-        if desc.rank1.is_empty():
-            lines.append("commuting solutions: none")
-        else:
-            b, d = desc.rank1.base, desc.rank1.direction
-            lines.append(
-                f"commuting solutions: root {format_word(desc.rank1.root)}, "
-                f"exponents ({b[0]}{d[0]:+d}n, {b[1]}{d[1]:+d}n)"
-            )
-    if desc.parametric is not None:
-        lines.append(
-            f"every solution is (X(u,z), Y(u,z)) for one free word z: "
-            f"X = {format_word(desc.parametric.aut.image_x)}, "
-            f"Y = {format_word(desc.parametric.aut.image_y)} (x := u, y := z)"
-        )
-    if desc.classification is not None:
-        lines.append(f"case: {desc.classification.kind}")
-        if desc.classification.kind == CASE_HNN and desc.classification.hnn:
-            hnn = desc.classification.hnn
-            lines.append(f"splitting: p={format_word(hnn.p)} q={format_word(hnn.q)} t={format_word(hnn.t)}")
-        if desc.classification.kind == CASE_QH and desc.classification.normalizer:
-            nu = desc.classification.normalizer
-            lines.append(f"normalizer to {desc.classification.target}: x->{format_word(nu.image_x)}, y->{format_word(nu.image_y)}")
-    if desc.generators:
-        lines.append("canonical generators (symbol, name, images):")
-        for gen in desc.generators:
-            lines.append(f"  {gen.symbol}  {gen.name}  x->{format_word(gen.aut.image_x)}, y->{format_word(gen.aut.image_y)}")
-    if desc.minimal:
-        lines.append("minimal rank-two solutions:")
-        for i, sol in enumerate(desc.minimal):
-            lines.append(f"  {i}: g1={format_word(sol[0])} g2={format_word(sol[1])}")
-    elif desc.kind == KIND_JSJ:
-        lines.append("minimal rank-two solutions: none")
-    return lines
+# Each command returns (exit code, fields); fields is None when the command
+# has already reported on stderr and prints nothing.
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     from .solver import classify_jsj
 
     w = parse_word(args.w, "xy")
     cls = classify_jsj(w, _budgets(args))
-    if args.format == "structured":
-        fields = [("lhs", format_word(w)), ("case", cls.kind)]
-        if cls.kind == CASE_HNN:
-            fields += [("splitting.p", cls.hnn.p), ("splitting.q", cls.hnn.q), ("splitting.t", cls.hnn.t)]
-        elif cls.kind == CASE_QH:
-            fields += [
-                ("normalizer.x", format_word(cls.normalizer.image_x)),
-                ("normalizer.y", format_word(cls.normalizer.image_y)),
-                ("normalizer.target", cls.target),
-            ]
-        if cls.note:
-            fields.append(("note", cls.note))
-        _emit(_structured("classify", fields))
-    else:
-        lines = [f"word: {format_word(w)}", f"case: {cls.kind}"]
-        if cls.kind == CASE_HNN:
-            lines.append(f"splitting: p={cls.hnn.p} q={cls.hnn.q} t={cls.hnn.t}")
-        elif cls.kind == CASE_QH:
-            lines.append(
-                f"normalizer to {cls.target}: x->{format_word(cls.normalizer.image_x)}, "
-                f"y->{format_word(cls.normalizer.image_y)}"
-            )
-        if cls.note:
-            lines.append(f"note: {cls.note}")
-        _emit(lines)
-    return EXIT_UNRESOLVED if cls.kind == CASE_UNRESOLVED else EXIT_OK
+    fields = [("lhs", format_word(w))] + _classification_fields(cls)
+    if cls.note:
+        fields.append(("note", cls.note))
+    return (EXIT_UNRESOLVED if cls.kind == CASE_UNRESOLVED else EXIT_OK), fields
 
 
-def _cmd_solve(args) -> int:
-    eq = _equation(args)
-    desc = describe_variety(eq, _budgets(args))
-    if args.format == "structured":
-        _emit(_structured("solve", _description_fields(desc)))
-    else:
-        _emit(_describe_human(desc))
-    return EXIT_OK if desc.status == STATUS_OK else EXIT_UNRESOLVED
+def _cmd_solve(args):
+    desc = describe_variety(_equation(args), _budgets(args))
+    return (EXIT_OK if desc.status == STATUS_OK else EXIT_UNRESOLVED), _description_fields(desc)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     eq = _equation(args)
     desc = describe_variety(eq, _budgets(args))
     if desc.status != STATUS_OK:
         print(f"cannot generate from an unresolved description: {desc.note}", file=sys.stderr)
-        return EXIT_UNRESOLVED
+        return EXIT_UNRESOLVED, None
     if desc.kind == KIND_TRIVIAL:
         if args.root is None:
             raise WordError("generating for a trivial right side needs --root")
@@ -288,146 +228,62 @@ def _cmd_gen(args) -> int:
         else:
             pair = generate_conjugates(desc, args.index, args.n)
     else:
-        raise WordError(f"the solution set is empty; nothing to generate")
+        raise WordError("the solution set is empty; nothing to generate")
     ok, rank = verify_solution(desc.reduced, *pair)
-    if args.format == "structured":
-        _emit(_structured("gen", [
-            ("g1", format_word(pair[0])),
-            ("g2", format_word(pair[1])),
-            ("verified", str(ok).lower()),
-            ("rank", str(rank)),
-        ]))
-    else:
-        _emit([
-            f"g1: {format_word(pair[0])}",
-            f"g2: {format_word(pair[1])}",
-            f"verified: {str(ok).lower()} (rank {rank})",
-        ])
-    return EXIT_OK
+    return EXIT_OK, _pair_fields(*pair) + [("verified", str(ok).lower()), ("rank", str(rank))]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     eq = _equation(args)
     g1 = parse_word(args.g1, eq.alphabet.letters)
     g2 = parse_word(args.g2, eq.alphabet.letters)
     ok, rank = verify_solution(eq, g1, g2)
-    if args.format == "structured":
-        _emit(_structured("verify", [
-            ("g1", format_word(g1)),
-            ("g2", format_word(g2)),
-            ("solution", str(ok).lower()),
-            ("rank", str(rank)),
-        ]))
-    else:
-        _emit([f"solution: {'yes' if ok else 'no'}", f"rank: {rank}"])
-    return EXIT_OK
+    return EXIT_OK, _pair_fields(g1, g2) + [("solution", str(ok).lower()), ("rank", str(rank))]
 
 
 def _ball_radius(args, eq: Equation) -> int:
-    if args.max_len is not None:
-        return args.max_len
-    return len(eq.rhs) + 2
+    return args.max_len if args.max_len is not None else len(eq.rhs) + 2
 
 
-def _cmd_brute(args) -> int:
+def _cmd_brute(args):
     eq = _equation(args)
     radius = _ball_radius(args, eq)
     result = brute_force_solutions(eq, radius, jobs=args.jobs)
-    counts = result.rank_counts()
-    if args.format == "structured":
-        fields = [
-            ("alphabet", str(eq.alphabet)),
-            ("lhs", format_word(eq.lhs)),
-            ("rhs", format_word(eq.rhs)),
-            ("max-len", str(radius)),
-            ("total", str(len(result.solutions))),
-            ("rank0", str(counts[0])),
-            ("rank1", str(counts[1])),
-            ("rank2", str(counts[2])),
-        ]
-        fields += [(f"solution.{i}", f"{_pair_text((g1, g2))} {rank}")
-                   for i, (g1, g2, rank) in enumerate(result.solutions)]
-        _emit(_structured("brute", fields))
-    else:
-        _emit([f"equation: {eq} (alphabet {eq.alphabet}), ball {radius}"])
-        for g1, g2, rank in result.solutions:
-            print(f"  g1={format_word(g1)} g2={format_word(g2)} rank={rank}")
-        _emit([f"total: {len(result.solutions)} (rank 0/1/2: {counts[0]}/{counts[1]}/{counts[2]})"])
-    return EXIT_OK
+    fields = _equation_fields(eq) + [("max-len", str(radius)), ("total", str(len(result.solutions)))]
+    fields += _rank_fields(result.rank_counts())
+    fields += [(f"solution.{i}", f"{_pair_text((g1, g2))} {rank}")
+               for i, (g1, g2, rank) in enumerate(result.solutions)]
+    return EXIT_OK, fields
 
 
-def _cmd_certify(args) -> int:
-    import time
-
+def _cmd_certify(args):
     eq = _equation(args)
-    started = time.monotonic()
     desc = describe_variety(eq, _budgets(args))
     if desc.status != STATUS_OK:
         print(f"describe: unresolved ({desc.note})", file=sys.stderr)
-        return EXIT_UNRESOLVED
-    radius = _ball_radius(args, eq)
-    report = certify(eq, desc, radius, jobs=args.jobs)
-    if args.format == "structured":
-        fields = [
-            ("alphabet", str(eq.alphabet)),
-            ("lhs", format_word(eq.lhs)),
-            ("rhs", format_word(eq.rhs)),
-            ("kind", report.description_kind),
-            ("formula", report.formula or "-"),
-            ("max-len", str(report.max_len)),
-            ("closure-len", str(report.closure_len) if report.closure_len is not None else "-"),
-            ("total", str(report.total_solutions)),
-            ("rank0", str(report.rank_counts[0])),
-            ("rank1", str(report.rank_counts[1])),
-            ("rank2", str(report.rank_counts[2])),
-            ("covered", str(report.covered).lower()),
-        ]
-        if report.family_exact is not None:
-            fields.append(("family-exact", str(report.family_exact).lower()))
-        fields += [(f"uncovered.{i}", _pair_text(p)) for i, p in enumerate(report.uncovered)]
-        _emit(_structured("certify", fields))
-    else:
-        total_elapsed = time.monotonic() - started
-        _emit([
-            f"equation: {eq} (alphabet {eq.alphabet})",
-            f"description: {report.description_kind} / {report.formula or '-'}",
-            f"ball: {report.max_len}" + (
-                f" (orbit closure explored to {report.closure_len})" if report.closure_len else ""
-            ),
-            f"solutions: {report.total_solutions} "
-            f"(rank 0/1/2: {report.rank_counts[0]}/{report.rank_counts[1]}/{report.rank_counts[2]})",
-            f"covered: {str(report.covered).lower()}",
-        ])
-        if report.family_exact is not None:
-            print(f"family matches ball exactly: {str(report.family_exact).lower()}")
-        for pair in report.uncovered:
-            print(f"  uncovered: g1={format_word(pair[0])} g2={format_word(pair[1])}")
-        print(f"elapsed: {total_elapsed:.2f}s")
-    return EXIT_OK if report.covered else EXIT_UNCOVERED
+        return EXIT_UNRESOLVED, None
+    report = certify(eq, desc, _ball_radius(args, eq), jobs=args.jobs)
+    fields = _equation_fields(eq) + [
+        ("kind", report.description_kind),
+        ("formula", report.formula or "-"),
+        ("max-len", str(report.max_len)),
+        ("closure-len", str(report.closure_len) if report.closure_len is not None else "-"),
+        ("total", str(report.total_solutions)),
+    ]
+    fields += _rank_fields(report.rank_counts)
+    fields.append(("covered", str(report.covered).lower()))
+    if report.family_exact is not None:
+        fields.append(("family-exact", str(report.family_exact).lower()))
+    fields += [(f"uncovered.{i}", _pair_text(p)) for i, p in enumerate(report.uncovered)]
+    return (EXIT_OK if report.covered else EXIT_UNCOVERED), fields
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args):
     pair = two_level_member(args.n, args.m)
-    checked = verify_two_level(*pair) if args.verify else None
-    if args.format == "structured":
-        fields = [
-            ("n", str(args.n)),
-            ("m", str(args.m)),
-            ("g1", format_word(pair[0])),
-            ("g2", format_word(pair[1])),
-        ]
-        if checked is not None:
-            fields.append(("verified", str(checked).lower()))
-        _emit(_structured("demo-two-level", fields))
-    else:
-        _emit([
-            f"member (n={args.n}, m={args.m}):",
-            f"g1: {format_word(pair[0])}",
-            f"g2: {format_word(pair[1])}",
-        ])
-        if checked is not None:
-            print(f"nested equation holds: {str(checked).lower()}")
-    return EXIT_OK
+    fields = [("n", str(args.n)), ("m", str(args.m))] + _pair_fields(*pair)
+    if args.verify:
+        fields.append(("verified", str(verify_two_level(*pair)).lower()))
+    return EXIT_OK, fields
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,16 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        code, fields = args.func(args)
     except WordError as exc:
         print(f"freeq: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchBudgetExceeded as exc:
         print(f"freeq: unresolved: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
+    if fields is not None:
+        lines = [f"{key}: {value}" for key, value in fields]
+        if args.format == "structured":
+            lines = [STRUCTURED_HEADER, f"command: {args.command}"] + lines
+        else:
+            lines.append(f"elapsed: {time.monotonic() - started:.2f}s")
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

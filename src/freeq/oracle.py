@@ -23,7 +23,6 @@ the result, never raised.
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass
 
 from .autf2 import SearchBudgetExceeded
@@ -313,7 +312,6 @@ class CertifyReport:
     covered: bool
     uncovered: tuple[Pair, ...]
     family_exact: bool | None
-    elapsed: float
 
 
 def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1) -> CertifyReport:
@@ -326,7 +324,6 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1)
     """
     if desc.status != STATUS_OK:
         raise WordError("cannot certify an unresolved description")
-    started = time.monotonic()
     brute = brute_force_solutions(eq, max_len, jobs=jobs)
     pairs = brute.pairs()
 
@@ -364,5 +361,4 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1)
         covered=not uncovered,
         uncovered=uncovered,
         family_exact=family_exact,
-        elapsed=time.monotonic() - started,
     )

@@ -3,6 +3,8 @@
 import dataclasses
 import functools
 import multiprocessing
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,6 +26,46 @@ def run_proc(*argv):
         capture_output=True,
         text=True,
     )
+
+
+def _load_golden(path):
+    """Map each argv line of ``path`` to its (exit code, structured stdout).
+
+    A case is a ``$ <argv>`` line, an ``exit: <code>`` line, then the
+    stdout of ``freeq <argv> --format structured`` verbatim.
+    """
+    cases = {}
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith("$ "):
+            lines = cases[line[2:].strip()] = []
+        else:
+            lines.append(line)
+    return {argv: (int(lines[0].removeprefix("exit: ")), "".join(lines[1:]))
+            for argv, lines in cases.items()}
+
+
+# Every command and every field branch: hnn, qh, rigid and unresolved
+# classifications; each description shape of solve; each generator route of
+# gen; both verdicts of verify; brute; certify with and without
+# family-exact and uncovered pairs; the two-level demo with and without
+# --verify.
+GOLDEN = _load_golden(pathlib.Path(__file__).with_name("cli_structured_golden.txt"))
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_structured_output_golden(capsys, argv):
+    code, out, _ = run_main(capsys, *argv.split(), "--format", "structured")
+    assert (code, out) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_human_output_is_structured_fields_plus_elapsed(capsys, argv):
+    structured_code, structured, _ = run_main(capsys, *argv.split(), "--format", "structured")
+    human_code, human, _ = run_main(capsys, *argv.split())
+    assert human_code == structured_code
+    *fields, last = human.splitlines(keepends=True)
+    assert fields == structured.splitlines(keepends=True)[2:]
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", last)
 
 
 def test_solve_structured_golden(capsys):
@@ -58,10 +100,10 @@ def test_classify_human(capsys):
 def test_verify(capsys):
     code, out, _ = run_main(capsys, "verify", "--w", "xxyy", "--u", "aabb", "--g1", "a", "--g2", "b")
     assert code == 0
-    assert "solution: yes" in out
+    assert "solution: true" in out
     code, out, _ = run_main(capsys, "verify", "--w", "xxyy", "--u", "aabb", "--g1", "b", "--g2", "a")
     assert code == 0
-    assert "solution: no" in out
+    assert "solution: false" in out
 
 
 def test_gen_hnn_golden(capsys):
@@ -161,7 +203,7 @@ def test_demo_two_level(capsys):
     assert code == 0
     assert "g1: Ba" in out
     assert "g2: Bab" in out
-    assert "holds: true" in out
+    assert "verified: true" in out
 
 
 def test_usage_errors_exit_1():
