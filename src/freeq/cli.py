@@ -80,7 +80,8 @@ def _add_equation_args(parser) -> None:
 
 def _add_budget_args(parser) -> None:
     parser.add_argument("--orbit-cap", type=_positive, default=10**6, metavar="N",
-                        help="visited cyclic forms before an orbit search gives up")
+                        help="visited cyclic forms or solution pairs before an orbit search,"
+                        " the orbit minimization or certify's orbit closure gives up")
     parser.add_argument("--hnn-budget", type=_positive, default=10**4, metavar="N",
                         help="tested bases before the splitting search gives up")
 
@@ -262,7 +263,7 @@ def _cmd_certify(args):
     if desc.status != STATUS_OK:
         print(f"describe: unresolved ({desc.note})", file=sys.stderr)
         return EXIT_UNRESOLVED, None
-    report = certify(eq, desc, _ball_radius(args, eq), jobs=args.jobs)
+    report = certify(eq, desc, _ball_radius(args, eq), jobs=args.jobs, budgets=_budgets(args))
     fields = _equation_fields(eq) + [
         ("kind", report.description_kind),
         ("formula", report.formula or "-"),

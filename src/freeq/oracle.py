@@ -25,7 +25,6 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 
-from .autf2 import SearchBudgetExceeded
 from .graphs import build_subgroup_graph
 from .solver import (
     KIND_EMPTY,
@@ -34,12 +33,13 @@ from .solver import (
     KIND_RANK1_ONLY,
     KIND_TRIVIAL,
     STATUS_OK,
+    Budgets,
     CanonicalGenerator,
     Equation,
     Rank1Family,
     TrivialFamily,
     VarietyDescription,
-    apply_to_solution,
+    orbit_walk,
 )
 from .words import (
     WordError,
@@ -244,30 +244,10 @@ def delta_orbit_closure(
     to pairs whose coordinates both fit in the length ball.  Raises
     :class:`SearchBudgetExceeded` once more than ``max_visited`` pairs would
     be kept."""
-    auts = [g.aut for g in generators] + [g.aut.inverse() for g in generators]
-    seen = set()
-    queue = []
-    for s in seeds:
-        s = (reduce_word(s[0]), reduce_word(s[1]))
-        if len(s[0]) <= max_len and len(s[1]) <= max_len and s not in seen:
-            seen.add(s)
-            queue.append(s)
-    head = 0
-    while head < len(queue):
-        pair = queue[head]
-        head += 1
-        for aut in auts:
-            new = apply_to_solution(aut, pair)
-            if len(new[0]) > max_len or len(new[1]) > max_len:
-                continue
-            if new not in seen:
-                if len(seen) >= max_visited:
-                    raise SearchBudgetExceeded(
-                        f"orbit closure visited {len(seen)} solutions without closing"
-                    )
-                seen.add(new)
-                queue.append(new)
-    return frozenset(seen)
+    seeds = [(reduce_word(g1), reduce_word(g2)) for g1, g2 in seeds]
+    return frozenset(orbit_walk(
+        seeds, generators, lambda p: len(p[0]) <= max_len and len(p[1]) <= max_len,
+        max_visited, lambda n: f"orbit closure visited {n} solutions without closing"))
 
 
 def _rank1_in_ball(family: Rank1Family | None, max_len: int) -> set:
@@ -314,13 +294,15 @@ class CertifyReport:
     family_exact: bool | None
 
 
-def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1) -> CertifyReport:
+def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1,
+            budgets: Budgets = Budgets()) -> CertifyReport:
     """Check that a description covers every brute-force solution in a ball.
 
     Coverage is per the description's kind: lattice membership for the
     commuting families, parameter recovery for a primitive left side, and
     orbit closure (inside a ball widened by twice the right side's length)
-    for the rank-two part.  The report lists uncovered pairs verbatim.
+    for the rank-two part, which ``budgets.orbit_max_visited`` caps.  The
+    report lists uncovered pairs verbatim.
     """
     if desc.status != STATUS_OK:
         raise WordError("cannot certify an unresolved description")
@@ -345,7 +327,8 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1)
     elif desc.kind == KIND_JSJ:
         closure_len = max_len + 2 * len(desc.reduced.rhs)
         covered_set = set(_rank1_in_ball(desc.rank1, max_len))
-        covered_set |= delta_orbit_closure(desc.minimal, desc.generators, closure_len)
+        covered_set |= delta_orbit_closure(desc.minimal, desc.generators, closure_len,
+                                           budgets.orbit_max_visited)
     else:
         raise WordError(f"cannot certify a description of kind {desc.kind!r}")
 

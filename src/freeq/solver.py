@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .autf2 import (
@@ -89,11 +90,12 @@ DELTA_Y = AutF2("x", "xy")
 
 @dataclass(frozen=True)
 class Budgets:
-    """Deterministic caps for the semi-decision searches."""
+    """Deterministic caps for the semi-decision searches: the cyclic forms or
+    solution pairs one orbit search, orbit minimization or certify closure
+    visits, and the bases the edge-splitting search tests."""
 
     orbit_max_visited: int = 10**6
     hnn_max_bases: int = 10**4
-    minimize_widenings: int = 3
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,11 @@ class CanonicalGenerator:
     symbol: str
     name: str
     aut: AutF2
+
+    @cached_property
+    def inverse(self) -> AutF2:
+        """The inverse automorphism, computed once per generator."""
+        return self.aut.inverse()
 
 
 @dataclass(frozen=True)
@@ -353,10 +360,10 @@ def classify_jsj(w: str, budgets: Budgets = Budgets()) -> JsjClassification:
     """
     w = _check_lhs(w)
     try:
-        for target in ("XYxy", "xyXY"):
-            nu = orbit_automorphism(w, target, budgets.orbit_max_visited)
-            if nu is not None:
-                return JsjClassification(kind=CASE_QH, normalizer=nu, target=target)
+        # xyXY is a rotation of XYxy, hence in the same orbit: one target.
+        nu = orbit_automorphism(w, "XYxy", budgets.orbit_max_visited)
+        if nu is not None:
+            return JsjClassification(kind=CASE_QH, normalizer=nu, target="XYxy")
         witness = detect_hnn_splitting(w, budgets)
     except SearchBudgetExceeded as exc:
         return JsjClassification(kind=CASE_UNRESOLVED, note=str(exc))
@@ -479,36 +486,27 @@ def terminal_candidates(eq: Equation):
     return tuple(results)
 
 
-def _orbit_ball(seed: Pair, actions, ball: int, budgets: Budgets):
-    """Explore a solution's orbit inside a total-length ball.
+def orbit_walk(seeds, gens, fits, max_visited: int, trip) -> set[Pair]:
+    """The pairs reached from ``seeds`` through pairs that ``fits`` accepts.
 
-    Returns (best pair, visited set, hit_boundary).
+    A breadth-first search applies every canonical generator in ``gens`` and
+    its inverse to each pair reached; seeds that ``fits`` rejects are
+    dropped.  Visiting more than ``max_visited`` pairs raises
+    :class:`SearchBudgetExceeded` with the message ``trip(count)``.
     """
-    best = seed
-    visited = {seed}
-    queue = [seed]
-    head = 0
-    hit = False
-    while head < len(queue):
-        pair = queue[head]
-        head += 1
+    actions = [g.aut for g in gens] + [g.inverse for g in gens]
+    queue = [s for s in dict.fromkeys(seeds) if fits(s)]
+    visited = set(queue)
+    for pair in queue:  # the list grows while it is walked: breadth first
         for aut in actions:
             new = apply_to_solution(aut, pair)
-            if len(new[0]) + len(new[1]) > ball:
-                hit = True
+            if new in visited or not fits(new):
                 continue
-            if new in visited:
-                continue
-            if len(visited) >= budgets.orbit_max_visited:
-                raise SearchBudgetExceeded(
-                    f"orbit minimization visited {len(visited)} solutions"
-                    f" within the ball of total length {ball}"
-                )
+            if len(visited) >= max_visited:
+                raise SearchBudgetExceeded(trip(len(visited)))
             visited.add(new)
             queue.append(new)
-            if pair_key(new) < pair_key(best):
-                best = new
-    return best, visited, hit
+    return visited
 
 
 def minimal_rank2_solutions(
@@ -519,9 +517,10 @@ def minimal_rank2_solutions(
     """Minimal representatives of the rank-two solutions, one per orbit found.
 
     For each terminal candidate basis, an orbit search matches the left side
-    to the rewritten right side; a hit pulls back to a solution, which is
-    then minimized over the canonical generator orbit within a widening
-    length ball (components are ball-relative).
+    to the rewritten right side; a hit pulls back to a solution.  Each seed
+    not reached from an earlier one is minimized over its orbit under the
+    canonical generators: the ShortLex-least pair reached inside the ball of
+    total length ``max(2|u| + 4, |seed|)``.
     """
     seeds = []
     for pair, rewritten in terminal_candidates(eq):
@@ -532,33 +531,20 @@ def minimal_rank2_solutions(
         if not eq.holds_for(*sol):
             raise AssertionError("terminal candidate produced a non-solution")
         seeds.append(sol)
-    if not seeds:
-        return ()
 
-    actions = [g.aut for g in gens] + [g.aut.inverse() for g in gens]
-    reps = []
+    reps = set()
     claimed: set[Pair] = set()
     for seed in sorted(set(seeds), key=pair_key):
         if seed in claimed:
             continue
         ball = max(2 * len(eq.rhs) + 4, len(seed[0]) + len(seed[1]))
-        previous = None
-        widenings = 0
-        while True:
-            best, visited, hit = _orbit_ball(seed, actions, ball, budgets)
-            if not hit or best == previous:
-                break
-            if widenings >= budgets.minimize_widenings:
-                raise SearchBudgetExceeded(
-                    f"orbit minimization kept improving at the widest ball:"
-                    f" total length {ball} after {widenings} widenings"
-                )
-            previous = best
-            ball *= 2
-            widenings += 1
+        visited = orbit_walk(
+            [seed], gens, lambda p: len(p[0]) + len(p[1]) <= ball, budgets.orbit_max_visited,
+            lambda n: f"orbit minimization visited {n} solutions within the ball of total"
+            f" length {ball}")
         claimed |= visited
-        reps.append(best)
-    return tuple(sorted(set(reps), key=pair_key))
+        reps.add(min(visited, key=pair_key))
+    return tuple(sorted(reps, key=pair_key))
 
 
 def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescription:
@@ -723,8 +709,7 @@ def generate_orbit(desc: VarietyDescription, index: int, sigma: str) -> Pair:
         if c.lower() not in symbols:
             raise WordError(f"unknown canonical generator {c!r}")
         gen = desc.generator_by_symbol(c.lower())
-        aut = gen.aut if c.islower() else gen.aut.inverse()
-        sol = apply_to_solution(aut, sol)
+        sol = apply_to_solution(gen.aut if c.islower() else gen.inverse, sol)
     return _checked(desc.reduced, sol)
 
 

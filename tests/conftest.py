@@ -1,14 +1,30 @@
 """Shared test helpers: random words, a graph-free membership oracle, a
-set-partition oracle for terminal candidates and a rebuild-every-node oracle
-for the edge-splitting search."""
+set-partition oracle for terminal candidates, a rebuild-every-node oracle
+for the edge-splitting search and a widening-ball oracle for the orbit
+minimization."""
 
 import functools
 import itertools
 
-from freeq.autf2 import INVERSION_MOVES, PRODUCT_MOVES, AutF2, SearchBudgetExceeded
+from freeq.autf2 import (
+    INVERSION_MOVES,
+    PRODUCT_MOVES,
+    AutF2,
+    SearchBudgetExceeded,
+    orbit_automorphism,
+)
 from freeq.graphs import build_subgroup_graph, graph_from_edges
-from freeq.solver import Budgets, HnnWitness
-from freeq.words import VARIABLES, conjugate, exponent_sum, invert, multiply, pair_key, reduce_word
+from freeq.solver import Budgets, HnnWitness, apply_to_solution, terminal_candidates
+from freeq.words import (
+    VARIABLES,
+    conjugate,
+    evaluate,
+    exponent_sum,
+    invert,
+    multiply,
+    pair_key,
+    reduce_word,
+)
 
 
 def random_reduced_word(rng, max_len, letters="abAB"):
@@ -148,3 +164,53 @@ def rebuilding_hnn_splitting(w, budgets=Budgets()):
             if sub.rank() == 2 and sub.contains(w):
                 return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t), rewritten=rewritten)
     return None
+
+
+# The orbit-minimization oracle: each unclaimed seed is walked in the ball of
+# total length max(2|u| + 4, |seed|), and the walk is restarted in a ball of
+# twice the length while it reaches the boundary and its best pair changes,
+# at most three times.
+
+
+def _widening_ball_walk(seed, actions, ball):
+    best = seed
+    visited = {seed}
+    queue = [seed]
+    hit = False
+    for pair in queue:  # the list grows while it is walked: breadth first
+        for aut in actions:
+            new = apply_to_solution(aut, pair)
+            if len(new[0]) + len(new[1]) > ball:
+                hit = True
+            elif new not in visited:
+                visited.add(new)
+                queue.append(new)
+                best = min(best, new, key=pair_key)
+    return best, visited, hit
+
+
+def widening_minimal_solutions(eq, gens):
+    seeds = set()
+    for pair, rewritten in terminal_candidates(eq):
+        match = orbit_automorphism(eq.lhs, rewritten)
+        if match is not None:
+            seeds.add((evaluate(match.image_x, *pair), evaluate(match.image_y, *pair)))
+    actions = [g.aut for g in gens] + [g.aut.inverse() for g in gens]
+    reps = set()
+    claimed = set()
+    for seed in sorted(seeds, key=pair_key):
+        if seed in claimed:
+            continue
+        ball = max(2 * len(eq.rhs) + 4, len(seed[0]) + len(seed[1]))
+        previous = None
+        for widenings in range(4):
+            best, visited, hit = _widening_ball_walk(seed, actions, ball)
+            if not hit or best == previous:
+                break
+            if widenings == 3:
+                raise SearchBudgetExceeded(f"orbit minimization kept improving at ball {ball}")
+            previous = best
+            ball *= 2
+        claimed |= visited
+        reps.add(best)
+    return tuple(sorted(reps, key=pair_key))

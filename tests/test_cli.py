@@ -1,7 +1,6 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import dataclasses
-import functools
 import multiprocessing
 import pathlib
 import re
@@ -11,7 +10,6 @@ import sys
 import pytest
 
 import freeq.cli as cli
-import freeq.oracle
 
 
 def run_main(capsys, *argv):
@@ -148,9 +146,8 @@ def test_certify_ok_exit(capsys):
 def test_certify_uncovered_exit(capsys, monkeypatch):
     real_certify = cli.certify
 
-    def broken(eq, desc, max_len, jobs=1):
-        report = real_certify(eq, dataclasses.replace(desc, minimal=()), max_len, jobs=jobs)
-        return report
+    def broken(eq, desc, max_len, **kwargs):
+        return real_certify(eq, dataclasses.replace(desc, minimal=()), max_len, **kwargs)
 
     monkeypatch.setattr(cli, "certify", broken)
     code, out, _ = run_main(capsys, "certify", "--w", "xxyy", "--u", "aabb", "-L", "4")
@@ -159,12 +156,13 @@ def test_certify_uncovered_exit(capsys, monkeypatch):
     assert "uncovered" in out
 
 
-def test_certify_closure_budget_exits_unresolved(capsys, monkeypatch):
-    tight = functools.partial(freeq.oracle.delta_orbit_closure, max_visited=1)
-    monkeypatch.setattr(freeq.oracle, "delta_orbit_closure", tight)
-    code, _, err = run_main(capsys, "certify", "--w", "xxyy", "--u", "aabb", "-L", "4")
+def test_certify_closure_budget_exits_unresolved(capsys):
+    # describe visits 13 pairs, so only the closure (63 pairs) trips the cap
+    code, _, err = run_main(
+        capsys, "certify", "--w", "xxyy", "--u", "aabb", "-L", "8", "--orbit-cap", "30"
+    )
     assert code == 2
-    assert "orbit closure visited 1 solutions" in err
+    assert "orbit closure visited 30 solutions" in err
 
 
 def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):

@@ -5,7 +5,11 @@ import random
 import sys
 
 import pytest
-from conftest import partition_terminal_candidates, rebuilding_hnn_splitting
+from conftest import (
+    partition_terminal_candidates,
+    rebuilding_hnn_splitting,
+    widening_minimal_solutions,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,9 +60,11 @@ from freeq.words import (
     WordError,
     commutator,
     conjugate,
+    cyclic_normal_form,
     evaluate,
     multiply,
     pair_key,
+    parse_word,
     power,
     reduce_word,
     words_upto,
@@ -256,12 +262,46 @@ def test_orbit_minimization_visited_trip_names_count():
     assert desc.note == "orbit minimization visited 10 solutions within the ball of total length 12"
 
 
-def test_orbit_minimization_widening_trip_names_ball():
-    desc = describe("xxyyxy", "aabbab", budgets=Budgets(minimize_widenings=0))
-    assert desc.status == STATUS_UNRESOLVED
-    assert desc.note == (
-        "orbit minimization kept improving at the widest ball: total length 16 after 0 widenings"
-    )
+JSJ_ANCHORS = (("XYxy", "ABab"), ("xxyy", "aabb"), ("xYxy", "aBab"), ("xxxyyy", "aaabbb"))
+LARGE_U = (("[x,y]", "[aab,ba]"), ("xxyy", "(aab)^2(bab)^2"), ("[x,y]", "[aab,bba]"))
+
+
+def _minimization_corpus():
+    """The JSJ anchors, the |u| = 10-12 equations, and two planted equations
+    u = w(g1, g2) (|g1|, |g2| <= 2) per cyclic normal form w with |w| <= 5."""
+    equations = [eq(w, u) for w, u in JSJ_ANCHORS]
+    equations += [eq(parse_word(w, "xy"), parse_word(u, "ab")) for w, u in LARGE_U]
+    rng = random.Random(149)
+    small = list(words_upto(AB, 2))
+    forms = {cyclic_normal_form(w) for w in words_upto(VARIABLES, 5)}
+    for w in sorted(f for f in forms if {c.lower() for c in f} == {"x", "y"}):
+        for _ in range(2):
+            equations.append(eq(w, evaluate(w, rng.choice(small), rng.choice(small))))
+    return equations
+
+
+def test_minimal_solutions_match_widening_oracle():
+    """Walking each seed once, in the ball it starts with, gives the minimal
+    sets that restarting in doubled balls gives."""
+    compared = 0
+    for e in _minimization_corpus():
+        desc = describe_variety(e)
+        if desc.kind != KIND_JSJ:
+            continue
+        assert desc.status == STATUS_OK, e
+        assert desc.minimal == widening_minimal_solutions(desc.reduced, desc.generators), e
+        compared += 1
+    assert compared == 70
+
+
+def test_canonical_generator_inverse_is_cached():
+    for w, u in JSJ_ANCHORS:
+        desc = describe(w, u)
+        for g in desc.generators:
+            assert g.aut.compose(g.inverse).is_identity()
+            assert g.inverse is g.inverse
+        c = desc.generator_by_symbol("c")
+        assert generate_orbit(desc, 0, "C") == apply_to_solution(c.aut.inverse(), desc.minimal[0])
 
 
 def test_hnn_description_golden():
