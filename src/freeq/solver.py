@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .autf2 import (
@@ -307,6 +307,45 @@ def reduce_proper_power(eq: Equation) -> Equation | None:
     return Equation(eq.alphabet, root_w, power(root_u, e // n))
 
 
+_BASIS_MOVES = PRODUCT_MOVES + INVERSION_MOVES
+
+
+class _BasisWalk:
+    """The breadth-first walk over basis pairs of total length at most ``bound``.
+
+    Pairs are reached from (x, y) under elementary Nielsen moves.  The walk
+    holds the pairs in breadth-first order, the exponent sums ``(p_x, p_y)``
+    of the first component of each, the set of pairs reached and the index
+    of the next pair to expand.  It grows only as far as a caller reads it.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.pairs: list[Pair] = [("x", "y")]
+        self.sums: list[tuple[int, int]] = [(1, 0)]
+        self.visited = set(self.pairs)
+        self.head = 0
+
+    def reaches(self, i: int) -> bool:
+        """Whether node ``i`` exists: expand heads until it does or the walk ends."""
+        pairs = self.pairs
+        while len(pairs) <= i and self.head < len(pairs):
+            pair = pairs[self.head]
+            self.head += 1
+            for move in _BASIS_MOVES:
+                new = move.apply(pair)
+                if len(new[0]) + len(new[1]) <= self.bound and new not in self.visited:
+                    self.visited.add(new)
+                    pairs.append(new)
+                    self.sums.append((exponent_sum(new[0], "x"), exponent_sum(new[0], "y")))
+        return i < len(pairs)
+
+
+@lru_cache(maxsize=8)
+def _basis_walk(bound: int) -> _BasisWalk:
+    return _BasisWalk(bound)
+
+
 def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | None:
     """Search basis pairs (p, t) for an edge splitting of w.
 
@@ -317,38 +356,30 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
     without a witness returns None; exceeding the tested-basis budget raises
     :class:`SearchBudgetExceeded`.
 
-    The rewritten word is carried along the search: the pair reached by
-    ``move`` from (p, t) is the basis ``AutF2(p, t) . move.as_aut()``, so its
-    rewritten word is the inverse move applied to the rewritten word of
-    (p, t).  The inverse moves are computed once per call.
+    The walk depends only on the bound, so it is held per bound and shared
+    by every call, and it grows only as far as a call reads it.  The
+    t-exponent is tested on the abelianization: with ``phi = AutF2(p, t)``
+    the rewritten word is ``phi^-1(w)``, whose y-exponent sum is zero exactly
+    when ``p_x * w_y == p_y * w_x``.  Only the witness rewrites ``w``.
     """
     w = reduce_word(w)
-    bound = max(len(w), 2)
-    moves = PRODUCT_MOVES + INVERSION_MOVES
-    undo = [move.as_aut().inverse() for move in moves]
-    start: Pair = ("x", "y")
-    queue = [(start, w)]
-    visited = {start}
-    tested = 0
-    head = 0
-    while head < len(queue):
-        (p, t), rewritten = queue[head]
-        head += 1
-        tested += 1
-        if tested > budgets.hnn_max_bases:
+    wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
+    walk = _basis_walk(max(len(w), 2))
+    i = 0
+    while walk.reaches(i):
+        if i >= budgets.hnn_max_bases:
             raise SearchBudgetExceeded(
                 f"edge-splitting search tested {budgets.hnn_max_bases} bases without a verdict"
             )
-        if exponent_sum(rewritten, "y") == 0:
+        px, py = walk.sums[i]
+        if px * wy == py * wx:
+            p, t = walk.pairs[i]
             q = conjugate(p, t)
             sub = build_subgroup_graph(VARIABLES, [p, q])
             if sub.rank() == 2 and sub.contains(w):
-                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t), rewritten=rewritten)
-        for move, inverse_move in zip(moves, undo):
-            new = move.apply((p, t))
-            if len(new[0]) + len(new[1]) <= bound and new not in visited:
-                visited.add(new)
-                queue.append((new, inverse_move.apply(rewritten)))
+                basis = AutF2(p, t)
+                return HnnWitness(p=p, q=q, t=t, basis_aut=basis, rewritten=basis.inverse().apply(w))
+        i += 1
     return None
 
 

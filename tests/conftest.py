@@ -130,9 +130,9 @@ def partition_terminal_candidates(eq):
 
 # The edge-splitting oracle: the breadth-first order over bases of
 # ``solver.detect_hnn_splitting``, but each basis is built by the validating
-# ``AutF2(p, t)`` and ``w`` is rewritten through its inverse from scratch
-# instead of being carried along.  The order depends only on the length
-# bound, so the bases and their inverses are listed once per bound.
+# ``AutF2(p, t)`` and ``w`` is rewritten through its inverse at every basis,
+# where the search tests only the abelianization.  The order depends only on
+# the length bound, so the bases and their inverses are listed once per bound.
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,12 +22,15 @@ from freeq.autf2 import (
     orbit_automorphism,
     whitehead_minimize,
 )
+from freeq.solver import _basis_walk
 from freeq.words import (
+    VARIABLES,
     Alphabet,
     WordError,
     conjugate,
     cyclic_length,
     cyclic_normal_form,
+    exponent_sum,
     invert,
     multiply,
     reduce_word,
@@ -124,6 +127,26 @@ def test_abelianized_determinant_is_unit():
     for _ in range(150):
         (p, q), (r, s) = random_aut(rng).abelianized()
         assert p * s - q * r in (1, -1)
+
+
+def test_abelian_splitting_test_matches_rewritten_y_exponent():
+    """With phi = AutF2(p, t), phi^-1(w) has zero y-exponent exactly when
+    p_x w_y == p_y w_x: the test the edge-splitting search makes at every
+    basis of its walk, checked on every basis of the bound-6 walk."""
+    walk = _basis_walk(6)
+    n = 0
+    while walk.reaches(n):
+        n += 1
+    sample = ["xxxyyy", "XYxy", "xYxy", "xxyXy"]
+    sample += random.Random(89).sample(list(words_upto(VARIABLES, 5)), 12)
+    for (p, t), (px, py) in zip(walk.pairs, walk.sums):
+        assert (px, py) == (exponent_sum(p, "x"), exponent_sum(p, "y"))
+        basis_inverse = AutF2(p, t).inverse()
+        for w in sample:
+            wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
+            rewritten = basis_inverse.apply(w)
+            assert (px * wy == py * wx) == (exponent_sum(rewritten, "y") == 0), (p, t, w)
+    assert n == len(walk.pairs) == 904
 
 
 def test_moves_round_trip():

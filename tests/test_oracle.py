@@ -1,7 +1,6 @@
 """Brute-force enumeration and certification against descriptions."""
 
 import dataclasses
-import random
 
 import pytest
 from hypothesis import given, settings

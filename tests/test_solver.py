@@ -13,7 +13,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeq.autf2 import AutF2, SearchBudgetExceeded, inner
+from freeq.autf2 import SearchBudgetExceeded
 from freeq.graphs import build_subgroup_graph
 from freeq.solver import (
     Budgets,
@@ -37,6 +37,7 @@ from freeq.solver import (
     KIND_TRIVIAL,
     STATUS_OK,
     STATUS_UNRESOLVED,
+    _basis_walk,
     apply_to_solution,
     classify_jsj,
     describe_variety,
@@ -232,6 +233,41 @@ def test_hnn_search_matches_rebuilding_oracle():
         assert witness == rebuilding_hnn_splitting(w), w
         outcomes.add(witness is None)
     assert outcomes == {True, False}
+
+
+def _reduced_words(min_size, max_size):
+    """Freely reduced words in x, y of a length in [min_size, max_size]."""
+
+    def spell(first_and_steps):
+        first, steps = first_and_steps
+        word = first
+        for k in steps:
+            word += [c for c in "xyXY" if c != word[-1].swapcase()][k]
+        return word
+
+    steps = st.lists(st.integers(0, 2), min_size=min_size - 1, max_size=max_size - 1)
+    return st.tuples(st.sampled_from("xyXY"), steps).map(spell)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_reduced_words(7, 8).filter(lambda w: {c.lower() for c in w} == {"x", "y"}))
+def test_hnn_search_matches_rebuilding_oracle_at_lengths_7_and_8(w):
+    assert detect_hnn_splitting(w) == rebuilding_hnn_splitting(w)
+
+
+def test_hnn_basis_walk_is_shared_and_grows_lazily():
+    """A call that trips after one basis expands at most one head of the
+    shared walk, and a later call on the partly grown walk answers as a call
+    on a fresh walk and as the rebuilding oracle do."""
+    w = "xxxxyyyy"
+    _basis_walk.cache_clear()
+    with pytest.raises(SearchBudgetExceeded, match="tested 1 bases"):
+        detect_hnn_splitting(w, Budgets(hnn_max_bases=1))
+    assert _basis_walk(len(w)).head <= 1
+    after_trip = detect_hnn_splitting(w)
+    _basis_walk.cache_clear()
+    assert after_trip == detect_hnn_splitting(w) == rebuilding_hnn_splitting(w)
+    assert after_trip is None
 
 
 def _hnn_outcome(search, w, budgets):
