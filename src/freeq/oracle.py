@@ -7,7 +7,7 @@ rank of the subgroup the pair generates.  It takes one of three routes, using
 only word arithmetic:
 
 - single run, ``s^a z^k s^b``: for each value of ``s``, ``z`` is the unique
-  k-th root of ``s^-a u s^-b``;
+  k-th root of ``s^-a u s^-b``, found by one period test on the peeled core;
 - conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: for each value of
   ``s``, ``z^-e`` conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z``
   form one coset of a cyclic centralizer;
@@ -44,6 +44,7 @@ from .solver import (
 from .words import (
     WordError,
     conjugating_word,
+    cyclic_reduce,
     evaluate,
     invert,
     multiply,
@@ -105,25 +106,43 @@ def _single_run_shape(w: str) -> tuple[str, int, int, int] | None:
     return None
 
 
-def _kth_root(w: str, k: int) -> str | None:
-    """The unique g with g^k == w, if it exists (k non-zero)."""
-    if w == "":
-        return ""
+def _kth_root(v: str, k: int) -> str | None:
+    """The unique g with g^k == v for a reduced v (k non-zero), if it exists.
+
+    With v = c^-1 h c peeled once, any root is c^-1 r c with r^|k| == h, so
+    one period test on the peeled core h decides it."""
     if k < 0:
-        w, k = invert(w), -k
-    root, e = primitive_root(w)
-    if e % k != 0:
+        v, k = invert(v), -k
+    core, conj = cyclic_reduce(v)
+    period, rest = divmod(len(core), k)
+    if rest or core[:period] * k != core:
         return None
-    return power(root, e // k)
+    return v[:len(conj)] + core[:period] + conj
+
+
+def _join(v: str, w: str) -> str:
+    """The product of two reduced words, cancelling only at the junction."""
+    j = 0
+    n = min(len(v), len(w))
+    while j < n and v[-1 - j] == w[j].swapcase():
+        j += 1
+    return v[:len(v) - j] + w[j:]
 
 
 def _solve_single_run(eq: Equation, shape, max_len: int, candidates) -> list[Pair]:
-    """Solve s^a z^k s^b = u by unique k-th roots, one per candidate s-value."""
+    """Solve s^a z^k s^b = u by unique k-th roots, one per candidate s-value.
+
+    Each candidate g = c^-1 h c is peeled once, so g^-a = c^-1 h^-a c and
+    g^-b are spelled without reduction, and g^-a u g^-b cancels only at its
+    two junctions."""
     z, a, k, b = shape
     out = []
     for g in candidates:
-        rhs = multiply(power(g, -a), eq.rhs, power(g, -b))
-        other = _kth_root(rhs, k)
+        core, conj = cyclic_reduce(g)
+        head = g[:len(conj)]
+        left = head + power(core, -a) + conj if a else ""
+        right = head + power(core, -b) + conj if b else ""
+        other = _kth_root(_join(_join(left, eq.rhs), right), k)
         if other is None or len(other) > max_len:
             continue
         pair = (g, other) if z == "y" else (other, g)

@@ -2,8 +2,16 @@
 
 A word over a free group is a plain Python string: a lowercase letter is a
 generator, the matching uppercase letter is its inverse, and the empty string
-is the identity.  Every function here both expects and returns freely reduced
-words, so strings can be compared directly for equality in the group.
+is the identity.  Every function here returns freely reduced words, so strings
+can be compared directly for equality in the group.
+
+Reduction happens once, at the trust boundary: ``reduce_word``, ``multiply``,
+``evaluate``, ``substitute`` and ``parse_word`` reduce whatever they are given,
+and so do the constructors built on them (``solver.Equation``,
+``solver.verify_solution``, ``autf2.AutF2``).  Past that boundary the word
+functions trust their input: ``power``, ``cyclic_reduce``, ``primitive_root``
+and ``conjugating_word`` assume freely reduced words and peel them by index
+without reducing again.
 
 Two single-character letters are reserved as equation variables: ``x`` and
 ``y``.  Coefficient alphabets may use any other lowercase letters; the
@@ -122,9 +130,14 @@ def multiply(*words: str) -> str:
 
 
 def power(w: str, n: int) -> str:
+    """``w^n`` for a reduced ``w``: with ``w = c^-1 . core . c`` peeled once,
+    ``w^n = c^-1 . core^n . c`` needs no reduction."""
+    if n == 0:
+        return ""
     if n < 0:
         w, n = invert(w), -n
-    return reduce_word(w * n)
+    i = _conjugator_length(w)
+    return w[:i] + w[i:len(w) - i] * n + w[len(w) - i:]
 
 
 def conjugate(w: str, g: str) -> str:
@@ -137,17 +150,24 @@ def commutator(g: str, h: str) -> str:
     return reduce_word(invert(g) + invert(h) + g + h)
 
 
+def _conjugator_length(w: str) -> int:
+    """The length of ``c`` in the split ``w = c^-1 . core . c`` of a reduced
+    word, with the core cyclically reduced."""
+    n = len(w)
+    i = 0
+    while 2 * i + 1 < n and w[i] == w[n - 1 - i].swapcase():
+        i += 1
+    return i
+
+
 def cyclic_reduce(w: str) -> tuple[str, str]:
-    """Split ``w`` as ``c^-1 . core . c`` with the core cyclically reduced.
+    """Split a reduced ``w`` as ``c^-1 . core . c`` with the core cyclically
+    reduced.
 
     Returns ``(core, c)``; e.g. ``cyclic_reduce("Aba") == ("b", "a")``.
     """
-    w = reduce_word(w)
-    conj = ""
-    while len(w) >= 2 and w[0] == w[-1].swapcase():
-        conj = w[-1] + conj
-        w = w[1:-1]
-    return w, conj
+    i = _conjugator_length(w)
+    return w[i:len(w) - i], w[len(w) - i:]
 
 
 def cyclic_core(w: str) -> str:
@@ -195,20 +215,19 @@ def exponent_sum(w: str, letter: str) -> int:
 
 
 def primitive_root(w: str) -> tuple[str, int]:
-    """Write ``w = r^e`` with ``r`` not a proper power; returns ``(r, e)``.
+    """Write a reduced ``w = r^e`` with ``r`` not a proper power; returns
+    ``(r, e)``.
 
     E.g. ``primitive_root("abab") == ("ab", 2)``.  The root of a cyclically
     non-reduced word is the matching conjugate of its core's root.
     """
-    w = reduce_word(w)
     if not w:
         raise WordError("the identity has no primitive root")
     core, conj = cyclic_reduce(w)
     n = len(core)
     for p in range(1, n + 1):
         if n % p == 0 and core[:p] * (n // p) == core:
-            root = reduce_word(invert(conj) + core[:p] + conj)
-            return root, n // p
+            return w[:len(conj)] + core[:p] + conj, n // p
     raise AssertionError("unreachable: every word is a power of its length-1 period")
 
 
@@ -247,31 +266,30 @@ def substitute(word: str, images: Mapping[str, str]) -> str:
     return reduce_word("".join(parts))
 
 
-def words_of_length(alphabet: Alphabet, n: int) -> Iterator[str]:
-    """All freely reduced words of length exactly ``n``, in ShortLex order."""
-    if n == 0:
-        yield ""
-        return
+def _levels(alphabet: Alphabet, max_len: int) -> Iterator[list[str]]:
+    """The freely reduced words of each length ``0..max_len``, one list per
+    length in ShortLex order.  Each level extends every word of the previous
+    one by every signed letter in rank order except the inverse of its last
+    letter, which keeps the order ShortLex."""
     signed = alphabet.signed_letters()
+    follow = {"": signed, **{c: tuple(d for d in signed if d != c.swapcase()) for c in signed}}
+    level = [""]
+    for n in range(max_len + 1):
+        if n:
+            level = [w + c for w in level for c in follow[w[-1:]]]
+        yield level
 
-    def extend(prefix: list[str]) -> Iterator[str]:
-        if len(prefix) == n:
-            yield "".join(prefix)
-            return
-        banned = prefix[-1].swapcase() if prefix else None
-        for c in signed:
-            if c != banned:
-                prefix.append(c)
-                yield from extend(prefix)
-                prefix.pop()
 
-    yield from extend([])
+def words_of_length(alphabet: Alphabet, n: int) -> list[str]:
+    """All freely reduced words of length exactly ``n``, in ShortLex order."""
+    *_, level = _levels(alphabet, n)
+    return level
 
 
 def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[str]:
     """All freely reduced words of length at most ``max_len``, ShortLex order."""
-    for n in range(max_len + 1):
-        yield from words_of_length(alphabet, n)
+    for level in _levels(alphabet, max_len):
+        yield from level
 
 
 def count_words_upto(alphabet: Alphabet, max_len: int) -> int:

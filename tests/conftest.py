@@ -1,4 +1,5 @@
-"""Shared test helpers: random words, a graph-free membership oracle, a
+"""Shared test helpers: random words, reduce-based oracles for the word
+functions that peel by index, a graph-free membership oracle, a
 set-partition oracle for terminal candidates, a rebuild-every-node oracle
 for the edge-splitting search and a widening-ball oracle for the orbit
 minimization."""
@@ -17,6 +18,7 @@ from freeq.graphs import build_subgroup_graph, graph_from_edges
 from freeq.solver import Budgets, HnnWitness, apply_to_solution, terminal_candidates
 from freeq.words import (
     VARIABLES,
+    WordError,
     conjugate,
     evaluate,
     exponent_sum,
@@ -29,6 +31,69 @@ from freeq.words import (
 
 def random_reduced_word(rng, max_len, letters="abAB"):
     return reduce_word("".join(rng.choice(letters) for _ in range(rng.randint(1, max_len))))
+
+
+# Reduce-based oracles for the word functions that trust reduced input: each
+# re-reduces its argument and its result, and peels the conjugator one
+# letter pair at a time.
+
+
+def reducing_power(w, n):
+    if n < 0:
+        w, n = invert(w), -n
+    return reduce_word(w * n)
+
+
+def reducing_cyclic_reduce(w):
+    w = reduce_word(w)
+    conj = ""
+    while len(w) >= 2 and w[0] == w[-1].swapcase():
+        conj = w[-1] + conj
+        w = w[1:-1]
+    return w, conj
+
+
+def reducing_primitive_root(w):
+    w = reduce_word(w)
+    if not w:
+        raise WordError("the identity has no primitive root")
+    core, conj = reducing_cyclic_reduce(w)
+    n = len(core)
+    for p in range(1, n + 1):
+        if n % p == 0 and core[:p] * (n // p) == core:
+            return reduce_word(invert(conj) + core[:p] + conj), n // p
+    raise AssertionError("unreachable: every word is a power of its length-1 period")
+
+
+def reducing_kth_root(w, k):
+    if w == "":
+        return ""
+    if k < 0:
+        w, k = invert(w), -k
+    root, e = reducing_primitive_root(w)
+    if e % k != 0:
+        return None
+    return reducing_power(root, e // k)
+
+
+def recursive_words_of_length(alphabet, n):
+    if n == 0:
+        yield ""
+        return
+    signed = alphabet.signed_letters()
+
+    def extend(prefix):
+        if len(prefix) == n:
+            yield "".join(prefix)
+            return
+        banned = prefix[-1].swapcase() if prefix else None
+        for c in signed:
+            if c != banned:
+                prefix.append(c)
+                yield from extend(prefix)
+                prefix.pop()
+
+    yield from extend([])
 
 
 # A naive membership oracle that shares no code with the folding machinery:

@@ -3,12 +3,15 @@
 import dataclasses
 
 import pytest
+from conftest import reducing_kth_root
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeq.autf2 import SearchBudgetExceeded
 from freeq.oracle import (
     _conjugate_pair_shape,
+    _kth_root,
+    _single_run_shape,
     brute_force_solutions,
     certify,
     delta_orbit_closure,
@@ -29,6 +32,7 @@ from freeq.words import (
 
 AB = Alphabet.from_string("ab")
 A = Alphabet.from_string("a")
+ABC = Alphabet.from_string("abc")
 
 
 def eq(w, u, alphabet=AB):
@@ -80,6 +84,46 @@ def test_brute_parallel_agrees():
         serial = brute_force_solutions(e, 4)
         parallel = brute_force_solutions(e, 4, jobs=2)
         assert serial == parallel
+
+
+def single_run_word(z, a, k, b):
+    """s^a z^k s^b over the variables, s being the other variable."""
+    s = "x" if z == "y" else "y"
+    return multiply(power(s, a), power(z, k), power(s, b))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from("xy"),
+    st.integers(-3, 3),
+    st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+    st.integers(-3, 3),
+    st.sampled_from(("planted", "identity", "letter")),
+    st.sampled_from(list(words_upto(AB, 2))),
+    st.sampled_from(list(words_upto(AB, 2))),
+    st.integers(0, 3),
+)
+def test_single_run_elimination_matches_naive_scan(z, a, k, b, kind, g1, g2, max_len):
+    # The root route must find exactly the pairs of the full double loop.
+    w = single_run_word(z, a, k, b)
+    assert _single_run_shape(w) is not None
+    u = {"planted": evaluate(w, g1, g2), "identity": "", "letter": "a"}[kind]
+    equation = eq(w, u)
+    expected = naive_scan(equation, max_len)
+    assert set(brute_force_solutions(equation, max_len).pairs()) == expected
+    if kind == "planted" and max_len >= 2:
+        assert (g1, g2) in expected
+
+
+@pytest.mark.parametrize("alphabet,bound", [(AB, 8), (ABC, 5)])
+def test_kth_root_matches_reducing_oracle(alphabet, bound):
+    # One period test on the peeled core decides what the primitive root
+    # decided on every word; on w^(k*m) both find the unique root w^m.
+    for w in words_upto(alphabet, bound):
+        for k in (-4, -3, -2, -1, 1, 2, 3, 4):
+            assert _kth_root(w, k) == reducing_kth_root(w, k), (w, k)
+            for m in (-1, 2):
+                assert _kth_root(power(w, k * m), k) == power(w, m), (w, k, m)
 
 
 def conjugate_pair_word(z, a, e, b, c):
@@ -134,6 +178,19 @@ def test_conjugate_pair_elimination_matches_naive_scan(z, a, e, b, c, kind, g1, 
 def test_brute_conjugate_pair_totals(w, u, max_len, total):
     # The naive double loop finds the same totals, but is too slow to run here at L=7.
     assert len(brute_force_solutions(eq(w, u), max_len).solutions) == total
+
+
+@pytest.mark.parametrize(
+    "w,u,max_len,total",
+    [("xxxyyy", "aaabbb", 11, 3), ("xxyy", "aaaa", 10, 19), ("xxyy", "aabb", 9, 25)],
+)
+def test_certify_single_run_at_larger_balls(w, u, max_len, total):
+    # Radii past the benchmark's; the totals match the reduce-based root
+    # route (``reducing_kth_root`` in conftest.py).
+    e = eq(w, u)
+    report = certify(e, describe_variety(e), max_len)
+    assert report.covered
+    assert report.total_solutions == total
 
 
 def test_brute_sorted_and_tagged():

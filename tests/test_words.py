@@ -3,6 +3,12 @@
 import random
 
 import pytest
+from conftest import (
+    recursive_words_of_length,
+    reducing_cyclic_reduce,
+    reducing_power,
+    reducing_primitive_root,
+)
 
 from freeq.words import (
     Alphabet,
@@ -35,6 +41,7 @@ from freeq.words import (
 )
 
 AB = Alphabet.from_string("ab")
+ABC = Alphabet.from_string("abc")
 
 
 def random_word(rng, alphabet, max_len):
@@ -199,6 +206,28 @@ def test_word_enumeration():
     ball = list(words_upto(AB, 3))
     assert len(ball) == count_words_upto(AB, 3) == 1 + 4 + 12 + 36
     assert ball == sorted(ball, key=shortlex_key)
+
+
+@pytest.mark.parametrize("alphabet,bound", [(AB, 8), (ABC, 5)])
+def test_peeling_word_functions_match_reducing_oracles(alphabet, bound):
+    # power, cyclic_reduce and primitive_root trust reduced input and peel it
+    # by index; on every reduced word of the ball they agree with the
+    # re-reducing versions.
+    for w in words_upto(alphabet, bound):
+        assert cyclic_reduce(w) == reducing_cyclic_reduce(w), w
+        if w:
+            assert primitive_root(w) == reducing_primitive_root(w), w
+        for n in range(-4, 5):
+            assert power(w, n) == reducing_power(w, n), (w, n)
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet.from_string("a"), AB, ABC])
+def test_level_enumeration_matches_recursive_oracle(alphabet):
+    for n in range(8):
+        assert words_of_length(alphabet, n) == list(recursive_words_of_length(alphabet, n))
+        ball = list(words_upto(alphabet, n))
+        assert ball == [w for m in range(n + 1) for w in recursive_words_of_length(alphabet, m)]
+        assert len(ball) == count_words_upto(alphabet, n)
 
 
 def test_shortlex_order():
