@@ -15,7 +15,6 @@ then one ``elapsed: N.NNs`` line with the command's wall time.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -100,11 +99,6 @@ def _count(text: str, least: int = 0) -> int:
 def _positive(text: str) -> int:
     """A count that must be at least 1."""
     return _count(text, 1)
-
-
-def _jobs(text: str) -> int:
-    """A worker count: at least 1, at most the number of CPUs."""
-    return min(_positive(text), os.cpu_count() or 1)
 
 
 def _budgets(args) -> Budgets:
@@ -249,7 +243,7 @@ def _ball_radius(args, eq: Equation) -> int:
 def _cmd_brute(args):
     eq = _equation(args)
     radius = _ball_radius(args, eq)
-    result = brute_force_solutions(eq, radius, jobs=args.jobs)
+    result = brute_force_solutions(eq, radius)
     fields = _equation_fields(eq) + [("max-len", str(radius)), ("total", str(len(result.solutions)))]
     fields += _rank_fields(result.rank_counts())
     fields += [(f"solution.{i}", f"{_pair_text((g1, g2))} {rank}")
@@ -263,7 +257,7 @@ def _cmd_certify(args):
     if desc.status != STATUS_OK:
         print(f"describe: unresolved ({desc.note})", file=sys.stderr)
         return EXIT_UNRESOLVED, None
-    report = certify(eq, desc, _ball_radius(args, eq), jobs=args.jobs, budgets=_budgets(args))
+    report = certify(eq, desc, _ball_radius(args, eq), budgets=_budgets(args))
     fields = _equation_fields(eq) + [
         ("kind", report.description_kind),
         ("formula", report.formula or "-"),
@@ -326,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute", help="enumerate all solutions in a length ball")
     _add_equation_args(p)
     p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
-    p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at most the CPU count)")
     _add_format(p)
     p.set_defaults(func=_cmd_brute)
 
@@ -334,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_equation_args(p)
     _add_budget_args(p)
     p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
-    p.add_argument("--jobs", type=_jobs, default=1, help="parallel workers (at most the CPU count)")
     _add_format(p)
     p.set_defaults(func=_cmd_certify)
 

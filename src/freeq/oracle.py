@@ -3,15 +3,18 @@
 The brute-force enumerator is the independent route against which the
 descriptive machinery is certified: it finds every pair of reduced coefficient
 words inside a length ball that solves the equation, tagging each with the
-rank of the subgroup the pair generates.  It takes one of three routes, using
-only word arithmetic:
+rank of the subgroup the pair generates.  The left side picks one of three
+routes; each walks the values of a kept variable ``s`` once and names the
+values of the other variable ``z`` to test, using only word arithmetic, and
+one loop confirms every candidate pair:
 
 - single run, ``s^a z^k s^b``: for each value of ``s``, ``z`` is the unique
   k-th root of ``s^-a u s^-b``, found by one period test on the peeled core;
 - conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: for each value of
   ``s``, ``z^-e`` conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z``
   form one coset of a cyclic centralizer;
-- full scan: every other left side tests every pair in the ball.
+- abelianization filter: for every other left side, ``z`` ranges over the
+  ball words whose exponent sums ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows.
 
 ``certify`` then replays a variety description against the enumeration:
 every brute solution must be reproduced by the description's families
@@ -22,7 +25,7 @@ the result, never raised.
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 from dataclasses import dataclass
 
 from .graphs import build_subgroup_graph
@@ -45,7 +48,8 @@ from .words import (
     WordError,
     conjugating_word,
     cyclic_reduce,
-    evaluate,
+    evaluate,  # not called here; bench/test_bench.py patches oracle.evaluate
+    exponent_sum,
     invert,
     multiply,
     pair_key,
@@ -92,9 +96,9 @@ def _variable_runs(w: str) -> list[tuple[str, int]]:
 
 
 def _single_run_shape(w: str) -> tuple[str, int, int, int] | None:
-    """Detect the shape s^a z^k s^b (one run of the variable z); returns
-    (z, a, k, b) or None."""
-    runs = _variable_runs(reduce_word(w))
+    """Detect the shape s^a z^k s^b (one run of the variable z) in a reduced
+    ``w``; returns (z, a, k, b) or None."""
+    runs = _variable_runs(w)
     for z, s in (("y", "x"), ("x", "y")):
         inner = [k for v, k in runs if v == z]
         if len(inner) == 1:
@@ -129,33 +133,28 @@ def _join(v: str, w: str) -> str:
     return v[:len(v) - j] + w[j:]
 
 
-def _solve_single_run(eq: Equation, shape, max_len: int, candidates) -> list[Pair]:
-    """Solve s^a z^k s^b = u by unique k-th roots, one per candidate s-value.
+def _single_run_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
+    """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
 
-    Each candidate g = c^-1 h c is peeled once, so g^-a = c^-1 h^-a c and
+    Each value g = c^-1 h c of s is peeled once, so g^-a = c^-1 h^-a c and
     g^-b are spelled without reduction, and g^-a u g^-b cancels only at its
     two junctions."""
     z, a, k, b = shape
-    out = []
-    for g in candidates:
+    for g in ball:
         core, conj = cyclic_reduce(g)
         head = g[:len(conj)]
         left = head + power(core, -a) + conj if a else ""
         right = head + power(core, -b) + conj if b else ""
-        other = _kth_root(_join(_join(left, eq.rhs), right), k)
-        if other is None or len(other) > max_len:
-            continue
-        pair = (g, other) if z == "y" else (other, g)
-        if eq.holds_for(*pair):
-            out.append(pair)
-    return out
+        root = _kth_root(_join(_join(left, eq.rhs), right), k)
+        if root is not None and len(root) <= max_len:
+            yield (g, root) if z == "y" else (root, g)
 
 
 def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
     """Detect the shape s^a z^e s^b z^-e s^c with e = ±1 (the variable z
-    occurs exactly twice, as single letters of opposite sign); returns
-    (z, a, e, b, c) or None."""
-    runs = _variable_runs(reduce_word(w))
+    occurs exactly twice, as single letters of opposite sign) in a reduced
+    ``w``; returns (z, a, e, b, c) or None."""
+    runs = _variable_runs(w)
     for z, s in (("y", "x"), ("x", "y")):
         inner = [k for v, k in runs if v == z]
         if len(inner) != 2 or abs(inner[0]) != 1 or inner[1] != -inner[0]:
@@ -169,19 +168,18 @@ def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
     return None
 
 
-def _solve_conjugate_pair(eq: Equation, shape, max_len: int, candidates) -> list[Pair]:
-    """Solve s^a z^e s^b z^-e s^c = u by conjugacy, one candidate s-value g at
-    a time.  With B = g^b and V = g^-a u g^-c, h' = z^-e satisfies
-    h'^-1 B h' = V.  For B != 1 the solutions are h' = r^k h, where
-    h = conjugating_word(B, V) and r is the primitive root of B, whose cyclic
-    group is the centralizer of B.  As |r^k h| >= |k| - |h|, the sweep
-    |k| <= max_len + |h| finds every z in the ball."""
+def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
+    """Candidates for s^a z^e s^b z^-e s^c = u, by conjugacy.  With
+    B = g^b and V = g^-a u g^-c, h' = z^-e satisfies h'^-1 B h' = V.  For
+    B != 1 the solutions are h' = r^k h, where h = conjugating_word(B, V) and
+    r is the primitive root of B, whose cyclic group is the centralizer of B.
+    As |r^k h| >= |k| - |h|, the sweep |k| <= max_len + |h| finds every z in
+    the ball."""
     z, a, e, b, c = shape
-    out = []
-    for g in candidates:
+    for g in ball:
         target = multiply(power(g, -a), eq.rhs, power(g, -c))
         if not g:
-            others = words_upto(eq.alphabet, max_len) if not target else ()
+            others = () if target else ball
         else:
             base = power(g, b)
             h = conjugating_word(base, target)
@@ -191,65 +189,64 @@ def _solve_conjugate_pair(eq: Equation, shape, max_len: int, candidates) -> list
             span = max_len + len(h)
             others = (power(multiply(power(root, k), h), -e) for k in range(-span, span + 1))
         for other in others:
-            if len(other) > max_len:
-                continue
-            pair = (g, other) if z == "y" else (other, g)
-            if eq.holds_for(*pair):
-                out.append(pair)
-    return out
+            if len(other) <= max_len:
+                yield (g, other) if z == "y" else (other, g)
 
 
-def _elimination(w: str):
-    """The route that eliminates one variable of ``w``, as (solve, shape),
-    or None when every pair must be scanned."""
-    for detect, solve in (
-        (_single_run_shape, _solve_single_run),
-        (_conjugate_pair_shape, _solve_conjugate_pair),
-    ):
-        shape = detect(w)
+def _abelian_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
+    """Candidates for every other left side, by the abelianization ``ab``
+    (the exponent sums over the coefficient letters): ``w_s·ab(g) + w_z·ab(z)
+    = ab(u)``, so the value g of s fixes the one bucket of the ball that z
+    comes from.  When both exponent sums are zero, every pair is a candidate
+    if ``ab(u) = 0``, and none otherwise."""
+    z, ws, wz = shape
+    letters = eq.alphabet.letters
+
+    def ab(v: str) -> tuple[int, ...]:
+        return tuple(exponent_sum(v, c) for c in letters)
+
+    target = ab(eq.rhs)
+    if wz == 0:
+        if not any(target):
+            yield from itertools.product(ball, repeat=2)
+        return
+    keys = [ab(v) for v in ball]
+    buckets: dict[tuple[int, ...], list[str]] = {}
+    for v, key in zip(ball, keys):
+        buckets.setdefault(key, []).append(v)
+    for g, key in zip(ball, keys):
+        need = [t - ws * n for t, n in zip(target, key)]
+        if not any(n % wz for n in need):
+            for other in buckets.get(tuple(n // wz for n in need), ()):
+                yield (g, other) if z == "y" else (other, g)
+
+
+def _candidates(eq: Equation, max_len: int, ball: list[str]):
+    """The pairs (g1, g2) in the ball that the left side's route names.  Each
+    route takes the shape (z, ...), z being the eliminated variable."""
+    for detect, candidates in ((_single_run_shape, _single_run_candidates),
+                               (_conjugate_pair_shape, _conjugate_pair_candidates)):
+        shape = detect(eq.lhs)
         if shape is not None:
-            return solve, shape
-    return None
+            return candidates(eq, shape, max_len, ball)
+    wx, wy = exponent_sum(eq.lhs, "x"), exponent_sum(eq.lhs, "y")
+    # z is y unless only x has a non-zero exponent sum; the shape is (z, w_s, w_z).
+    shape = ("x", wy, wx) if wy == 0 and wx != 0 else ("y", wx, wy)
+    return _abelian_candidates(eq, shape, max_len, ball)
 
 
-def _scan_chunk(args) -> list[Pair]:
-    eq, route, max_len, chunk = args
-    if route is not None:
-        solve, shape = route
-        return solve(eq, shape, max_len, chunk)
-    everything = list(words_upto(eq.alphabet, max_len))
-    out = []
-    for g1 in chunk:
-        for g2 in everything:
-            if eq.holds_for(g1, g2):
-                out.append((g1, g2))
-    return out
-
-
-def brute_force_solutions(eq: Equation, max_len: int, jobs: int = 1) -> BruteForceResult:
+def brute_force_solutions(eq: Equation, max_len: int) -> BruteForceResult:
     """All solutions with both coordinates of length at most ``max_len``.
 
-    Three routes, chosen from the left side.  Single run: when a variable z
-    forms one run, it is eliminated by unique root extraction.  Conjugate
-    pair: when z occurs as ``z^e ... z^-e`` with e = ±1, it is eliminated by
-    solving a conjugacy problem.  Either way the work grows with the ball,
-    not with its square.  Full scan: every other left side tests every pair
-    in the ball.  ``jobs`` splits the candidate values of the kept variable
-    (or of the first coordinate, for the full scan) across processes.
+    The left side's route (see the module docstring) names, for each value
+    g of a kept variable s, the values of the other variable z to test; one
+    loop confirms each candidate pair with ``Equation.holds_for``.
     """
     if max_len < 0:
         raise WordError("the ball radius must be non-negative")
-    route = _elimination(eq.lhs)
-    candidates = list(words_upto(eq.alphabet, max_len))
-    if jobs > 1:
-        chunks = [candidates[i::jobs] for i in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_scan_chunk, [(eq, route, max_len, c) for c in chunks])
-        pairs = [p for part in parts for p in part]
-    else:
-        pairs = _scan_chunk((eq, route, max_len, candidates))
-    pairs = sorted(set(pairs), key=pair_key)
-    solutions = tuple((g1, g2, pair_rank(eq, g1, g2)) for g1, g2 in pairs)
+    ball = list(words_upto(eq.alphabet, max_len))
+    pairs = {pair for pair in _candidates(eq, max_len, ball) if eq.holds_for(*pair)}
+    solutions = tuple((g1, g2, pair_rank(eq, g1, g2)) for g1, g2 in sorted(pairs, key=pair_key))
     return BruteForceResult(equation=eq, max_len=max_len, solutions=solutions)
 
 
@@ -313,7 +310,7 @@ class CertifyReport:
     family_exact: bool | None
 
 
-def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1,
+def certify(eq: Equation, desc: VarietyDescription, max_len: int,
             budgets: Budgets = Budgets()) -> CertifyReport:
     """Check that a description covers every brute-force solution in a ball.
 
@@ -325,7 +322,7 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int, jobs: int = 1,
     """
     if desc.status != STATUS_OK:
         raise WordError("cannot certify an unresolved description")
-    brute = brute_force_solutions(eq, max_len, jobs=jobs)
+    brute = brute_force_solutions(eq, max_len)
     pairs = brute.pairs()
 
     closure_len: int | None = None

@@ -36,7 +36,7 @@ from .autf2 import (
     is_primitive,
     orbit_automorphism,
 )
-from .graphs import build_subgroup_graph, graph_from_edges
+from .graphs import CoreGraph, build_subgroup_graph, graph_from_edges
 from .words import (
     VARIABLES,
     Alphabet,
@@ -315,8 +315,9 @@ class _BasisWalk:
 
     Pairs are reached from (x, y) under elementary Nielsen moves.  The walk
     holds the pairs in breadth-first order, the exponent sums ``(p_x, p_y)``
-    of the first component of each, the set of pairs reached and the index
-    of the next pair to expand.  It grows only as far as a caller reads it.
+    of the first component of each, the set of pairs reached, the index of
+    the next pair to expand and the graphs ``edge_group`` built.  It grows
+    only as far as a caller reads it.
     """
 
     def __init__(self, bound: int) -> None:
@@ -325,6 +326,14 @@ class _BasisWalk:
         self.sums: list[tuple[int, int]] = [(1, 0)]
         self.visited = set(self.pairs)
         self.head = 0
+        self.graphs: dict[int, CoreGraph] = {}
+
+    def edge_group(self, i: int) -> CoreGraph:
+        """The graph of ``<p, t^-1 p t>`` for node ``i = (p, t)``, built once."""
+        if i not in self.graphs:
+            p, t = self.pairs[i]
+            self.graphs[i] = build_subgroup_graph(VARIABLES, [p, conjugate(p, t)])
+        return self.graphs[i]
 
     def reaches(self, i: int) -> bool:
         """Whether node ``i`` exists: expand heads until it does or the walk ends."""
@@ -352,15 +361,16 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
     Pairs are enumerated breadth-first from (x, y) under elementary Nielsen
     moves, expanding only within total length max(|w|, 2).  A pair is a
     witness when w, rewritten over (p, t), has zero t-exponent, and w lies in
-    the rank-two subgroup <p, t^-1 p t>.  Exhausting the bounded space
-    without a witness returns None; exceeding the tested-basis budget raises
-    :class:`SearchBudgetExceeded`.
+    <p, t^-1 p t> (rank two: the image of <x, Yxy> under (p, t)).  Exhausting
+    the bounded space without a witness returns None; exceeding the
+    tested-basis budget raises :class:`SearchBudgetExceeded`.
 
     The walk depends only on the bound, so it is held per bound and shared
-    by every call, and it grows only as far as a call reads it.  The
-    t-exponent is tested on the abelianization: with ``phi = AutF2(p, t)``
-    the rewritten word is ``phi^-1(w)``, whose y-exponent sum is zero exactly
-    when ``p_x * w_y == p_y * w_x``.  Only the witness rewrites ``w``.
+    by every call, and it grows only as far as a call reads it; so is the
+    subgroup graph of each basis that passes the t-exponent test.  That test
+    is on the abelianization: with ``phi = AutF2(p, t)`` the rewritten word
+    is ``phi^-1(w)``, whose y-exponent sum is zero exactly when
+    ``p_x * w_y == p_y * w_x``.  Only the witness rewrites ``w``.
     """
     w = reduce_word(w)
     wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
@@ -372,13 +382,11 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
                 f"edge-splitting search tested {budgets.hnn_max_bases} bases without a verdict"
             )
         px, py = walk.sums[i]
-        if px * wy == py * wx:
+        if px * wy == py * wx and walk.edge_group(i).contains(w):
             p, t = walk.pairs[i]
-            q = conjugate(p, t)
-            sub = build_subgroup_graph(VARIABLES, [p, q])
-            if sub.rank() == 2 and sub.contains(w):
-                basis = AutF2(p, t)
-                return HnnWitness(p=p, q=q, t=t, basis_aut=basis, rewritten=basis.inverse().apply(w))
+            basis = AutF2(p, t)
+            return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=basis,
+                              rewritten=basis.inverse().apply(w))
         i += 1
     return None
 

@@ -100,10 +100,6 @@ def pair_key(pair: tuple[str, str]):
     return (len(pair[0]) + len(pair[1]), shortlex_key(pair[0]), shortlex_key(pair[1]))
 
 
-def invert_letter(c: str) -> str:
-    return c.swapcase()
-
-
 def reduce_word(w: str) -> str:
     """Freely reduce, cancelling adjacent inverse letters until none remain."""
     out: list[str] = []

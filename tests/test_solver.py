@@ -13,6 +13,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freeq.solver as solver
 from freeq.autf2 import SearchBudgetExceeded
 from freeq.graphs import build_subgroup_graph
 from freeq.solver import (
@@ -268,6 +269,34 @@ def test_hnn_basis_walk_is_shared_and_grows_lazily():
     _basis_walk.cache_clear()
     assert after_trip == detect_hnn_splitting(w) == rebuilding_hnn_splitting(w)
     assert after_trip is None
+
+
+def test_hnn_edge_groups_have_rank_two():
+    # <p, t^-1 p t> is the image of <x, Yxy> under the automorphism (p, t).
+    walk = _basis_walk(6)
+    i = 0
+    while walk.reaches(i):
+        p, t = walk.pairs[i]
+        assert build_subgroup_graph(VARIABLES, [p, conjugate(p, t)]).rank() == 2, (p, t)
+        i += 1
+    assert i > 100
+
+
+@pytest.mark.parametrize("w", ["xxxyyy", "xxyyxy"])
+def test_hnn_edge_groups_are_built_once_per_walk(monkeypatch, w):
+    built = []
+
+    def counting(alphabet, generators):
+        built.append(tuple(generators))
+        return build_subgroup_graph(alphabet, generators)
+
+    monkeypatch.setattr(solver, "build_subgroup_graph", counting)
+    _basis_walk.cache_clear()
+    cold = detect_hnn_splitting(w)
+    assert built
+    built.clear()
+    assert detect_hnn_splitting(w) == cold == rebuilding_hnn_splitting(w)
+    assert built == []
 
 
 def _hnn_outcome(search, w, budgets):
