@@ -12,9 +12,10 @@ Validation happens once, where images come from outside.  The results of
 without a basis check: a product of automorphisms is an automorphism, and
 an elementary Nielsen move or a conjugation is one by construction.
 
-The same move bookkeeping drives automorphism inversion and the
-Whitehead-automorphism search used to decide whether two words lie in the
-same orbit of the automorphism group.
+The same shortening inverts an automorphism: its trail of moves, followed
+by the inverse of the signed permutation where the trail ends, which is read
+off letter by letter.  The Whitehead-automorphism search decides whether two
+words lie in the same orbit of the automorphism group.
 """
 
 from __future__ import annotations
@@ -78,11 +79,14 @@ class AutF2:
         return _trusted(self.apply(other.image_x), self.apply(other.image_y))
 
     def inverse(self) -> "AutF2":
-        moves = moves_to_standard((self.image_x, self.image_y))
+        """Greedy shortening carries the images to a signed permutation P
+        through moves M1..Mk, so ``self . M1 ... Mk == P`` and the inverse is
+        ``M1 ... Mk . P^-1``."""
+        end, trail = _greedy_shorten((self.image_x, self.image_y))
         inv = IDENTITY
-        for m in moves:
+        for m in trail:
             inv = inv.compose(m.as_aut())
-        return inv
+        return inv.compose(_trusted(*_permutation_inverse(end)))
 
     def is_identity(self) -> bool:
         return self.image_x == "x" and self.image_y == "y"
@@ -170,54 +174,16 @@ def _greedy_shorten(pair: Pair) -> tuple[Pair, list[NielsenMove]]:
         trail.append(move)
 
 
-def _standard_fixups() -> dict[Pair, tuple[NielsenMove, ...]]:
-    """Move sequences sending each signed permutation pair to exactly (x, y).
+def _permutation_inverse(pair: Pair) -> Pair | None:
+    """The images of the inverse of the signed letter permutation with images
+    ``pair``, or None when ``pair`` is not a signed permutation of (x, y).
 
-    Found once by breadth-first search bounded at total length four (the
-    swap detour passes through length-three pairs).
+    Read off letter by letter: if ``x -> Y``, then ``y -> X``.
     """
-    moves = PRODUCT_MOVES + INVERSION_MOVES
-    table: dict[Pair, tuple[NielsenMove, ...]] = {}
-    starts = [
-        (a, b)
-        for a in ("x", "X", "y", "Y")
-        for b in ("x", "X", "y", "Y")
-        if a.lower() != b.lower()
-    ]
-    for start in starts:
-        queue = deque([(start, ())])
-        seen = {start}
-        while queue:
-            pair, trail = queue.popleft()
-            if pair == ("x", "y"):
-                table[start] = trail
-                break
-            for move in moves:
-                new = move.apply(pair)
-                if len(new[0]) + len(new[1]) <= 4 and new not in seen:
-                    seen.add(new)
-                    queue.append((new, trail + (move,)))
-        else:
-            raise AssertionError(f"no fixup path from {start}")
-    return table
-
-
-_FIXUPS = _standard_fixups()
-
-
-def moves_to_standard(pair: Pair) -> tuple[NielsenMove, ...]:
-    """A move sequence carrying the basis pair to exactly ``("x", "y")``.
-
-    Raises :class:`NotAnAutomorphism` when the pair is not a free basis of
-    F(x, y) — greedy shortening of a basis pair cannot stall above total
-    length two, so stalling higher (or ending anywhere other than a signed
-    permutation pair) is a disproof.
-    """
-    cur, trail = _greedy_shorten(pair)
-    fix = _FIXUPS.get(cur)
-    if fix is None:
-        raise NotAnAutomorphism(f"({pair[0]!r}, {pair[1]!r}) is not a free basis")
-    return tuple(trail) + fix
+    if sorted(c.lower() for c in pair) != ["x", "y"]:
+        return None
+    inv = {img.lower(): var if img.islower() else var.upper() for var, img in zip("xy", pair)}
+    return inv["x"], inv["y"]
 
 
 def is_basis_pair(w1: str, w2: str) -> bool:
@@ -226,8 +192,8 @@ def is_basis_pair(w1: str, w2: str) -> bool:
     b = exponent_sum(w1, "y") * exponent_sum(w2, "x")
     if abs(a - b) != 1:
         return False
-    cur, _ = _greedy_shorten((w1, w2))
-    return cur in _FIXUPS
+    end, _ = _greedy_shorten((w1, w2))
+    return _permutation_inverse(end) is not None
 
 
 IDENTITY = AutF2("x", "y")

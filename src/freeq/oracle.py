@@ -16,6 +16,10 @@ one loop confirms every candidate pair:
 - abelianization filter: for every other left side, ``z`` ranges over the
   ball words whose exponent sums ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows.
 
+A proper-power left side ``v^n`` first becomes ``v = r``, r being the unique
+n-th root of ``u``, and ``v`` picks the route.  Every pair is confirmed on the
+original equation.
+
 ``certify`` then replays a variety description against the enumeration:
 every brute solution must be reproduced by the description's families
 (lattice members, parameter recovery, or the orbit closure of the minimal
@@ -28,7 +32,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import build_subgroup_graph
 from .solver import (
     KIND_EMPTY,
     KIND_JSJ,
@@ -53,6 +56,7 @@ from .words import (
     invert,
     multiply,
     pair_key,
+    pair_rank,
     power,
     primitive_root,
     reduce_word,
@@ -76,10 +80,6 @@ class BruteForceResult:
         for _, _, rank in self.solutions:
             counts[rank] += 1
         return tuple(counts)
-
-
-def pair_rank(eq: Equation, g1: str, g2: str) -> int:
-    return build_subgroup_graph(eq.alphabet, [g1, g2]).rank()
 
 
 def _variable_runs(w: str) -> list[tuple[str, int]]:
@@ -223,7 +223,15 @@ def _abelian_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
 
 def _candidates(eq: Equation, max_len: int, ball: list[str]):
     """The pairs (g1, g2) in the ball that the left side's route names.  Each
-    route takes the shape (z, ...), z being the eliminated variable."""
+    route takes the shape (z, ...), z being the eliminated variable.  A
+    proper-power left side names no pair when u has no n-th root."""
+    if eq.lhs:
+        root, n = primitive_root(eq.lhs)
+        if n > 1:
+            rhs = _kth_root(eq.rhs, n)
+            if rhs is None:
+                return ()
+            eq = Equation(eq.alphabet, root, rhs)
     for detect, candidates in ((_single_run_shape, _single_run_candidates),
                                (_conjugate_pair_shape, _conjugate_pair_candidates)):
         shape = detect(eq.lhs)
@@ -246,7 +254,7 @@ def brute_force_solutions(eq: Equation, max_len: int) -> BruteForceResult:
         raise WordError("the ball radius must be non-negative")
     ball = list(words_upto(eq.alphabet, max_len))
     pairs = {pair for pair in _candidates(eq, max_len, ball) if eq.holds_for(*pair)}
-    solutions = tuple((g1, g2, pair_rank(eq, g1, g2)) for g1, g2 in sorted(pairs, key=pair_key))
+    solutions = tuple((g1, g2, pair_rank(g1, g2)) for g1, g2 in sorted(pairs, key=pair_key))
     return BruteForceResult(equation=eq, max_len=max_len, solutions=solutions)
 
 

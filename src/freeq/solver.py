@@ -49,6 +49,7 @@ from .words import (
     invert,
     multiply,
     pair_key,
+    pair_rank,
     power,
     primitive_root,
     reduce_word,
@@ -121,12 +122,14 @@ class Equation:
 
 
 def verify_solution(eq: Equation, g1: str, g2: str) -> tuple[bool, int]:
-    """Check a candidate pair; returns (is-solution, rank of the pair)."""
+    """Check a candidate pair; returns (is-solution, rank of <g1, g2>).
+
+    The words are checked and reduced here, at the trust boundary; the rank
+    is then read off by ``pair_rank``.
+    """
     g1 = reduce_word(eq.alphabet.check_word(g1))
     g2 = reduce_word(eq.alphabet.check_word(g2))
-    ok = eq.holds_for(g1, g2)
-    rank = build_subgroup_graph(eq.alphabet, [g1, g2]).rank()
-    return ok, rank
+    return eq.holds_for(g1, g2), pair_rank(g1, g2)
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,7 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
                 f"edge-splitting search tested {budgets.hnn_max_bases} bases without a verdict"
             )
         px, py = walk.sums[i]
-        if px * wy == py * wx and walk.edge_group(i).contains(w):
+        if px * wy == py * wx and walk.edge_group(i).trace(w) == 0:
             p, t = walk.pairs[i]
             basis = AutF2(p, t)
             return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=basis,

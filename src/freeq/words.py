@@ -11,7 +11,8 @@ and so do the constructors built on them (``solver.Equation``,
 ``solver.verify_solution``, ``autf2.AutF2``).  Past that boundary the word
 functions trust their input: ``power``, ``cyclic_reduce``, ``primitive_root``
 and ``conjugating_word`` assume freely reduced words and peel them by index
-without reducing again.
+without reducing again, and ``pair_rank`` reads the rank of a pair of reduced
+words off whether they commute.
 
 Two single-character letters are reserved as equation variables: ``x`` and
 ``y``.  Coefficient alphabets may use any other lowercase letters; the
@@ -201,6 +202,17 @@ def conjugating_word(v: str, w: str) -> str | None:
         if core_v[i:] + core_v[:i] == core_w:
             return multiply(invert(cv), core_v[:i], cw)
     return None
+
+
+def pair_rank(g1: str, g2: str) -> int:
+    """The rank of the subgroup ``<g1, g2>`` for reduced words.
+
+    By Nielsen–Schreier the subgroup is free, so its rank is 0 when both
+    words are trivial, 1 when they commute, and 2 otherwise.
+    """
+    if not g1 and not g2:
+        return 0
+    return 1 if multiply(g1, g2) == multiply(g2, g1) else 2
 
 
 def exponent_sum(w: str, letter: str) -> int:

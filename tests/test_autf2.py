@@ -18,7 +18,6 @@ from freeq.autf2 import (
     inner,
     is_basis_pair,
     is_primitive,
-    moves_to_standard,
     orbit_automorphism,
     whitehead_minimize,
 )
@@ -149,17 +148,15 @@ def test_abelian_splitting_test_matches_rewritten_y_exponent():
     assert n == len(walk.pairs) == 904
 
 
-def test_moves_round_trip():
+def test_inverse_of_signed_permutations():
+    # The inverse of a signed permutation is read off letter by letter; alone
+    # and behind a random automorphism it composes to the identity both ways.
     rng = random.Random(79)
-    for _ in range(200):
-        pair = ("x", "y")
-        for _ in range(rng.randint(0, 7)):
-            pair = rng.choice(ALL_MOVES).apply(pair)
-        moves = moves_to_standard(pair)
-        out = pair
-        for m in moves:
-            out = m.apply(out)
-        assert out == ("x", "y")
+    for perm in TYPE1_AUTOMORPHISMS:
+        for aut in (perm, random_aut(rng).compose(perm), perm.compose(random_aut(rng))):
+            inv = aut.inverse()
+            assert inv.compose(aut) == IDENTITY, aut
+            assert aut.compose(inv) == IDENTITY, aut
 
 
 def test_move_matches_its_automorphism():
@@ -180,6 +177,8 @@ def test_is_basis_pair():
     assert not is_basis_pair("xx", "y")
     assert not is_basis_pair("xy", "yx")
     assert not is_basis_pair("XYxy", "y")
+    # unimodular abelianization, but shortening stalls short of a permutation
+    assert not is_basis_pair("x", "yyxY")
     rng = random.Random(89)
     for _ in range(100):
         a = random_aut(rng)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeq.autf2 import SearchBudgetExceeded
+from freeq.graphs import build_subgroup_graph
 from freeq.oracle import (
     _conjugate_pair_shape,
     _kth_root,
@@ -15,7 +16,6 @@ from freeq.oracle import (
     brute_force_solutions,
     certify,
     delta_orbit_closure,
-    pair_rank,
 )
 from freeq.solver import STATUS_OK, Budgets, Equation, describe_variety
 from freeq.words import (
@@ -26,6 +26,7 @@ from freeq.words import (
     invert,
     multiply,
     pair_key,
+    pair_rank,
     parse_word,
     power,
     words_upto,
@@ -47,12 +48,11 @@ def naive_scan(e, max_len):
 
 
 def test_pair_rank():
-    e = eq("xy", "ab")
-    assert pair_rank(e, "", "") == 0
-    assert pair_rank(e, "a", "aa") == 1
-    assert pair_rank(e, "a", "") == 1
-    assert pair_rank(e, "a", "b") == 2
-    assert pair_rank(e, "ab", "ba") == 2
+    assert pair_rank("", "") == 0
+    assert pair_rank("a", "aa") == 1
+    assert pair_rank("a", "") == 1
+    assert pair_rank("a", "b") == 2
+    assert pair_rank("ab", "ba") == 2
 
 
 def test_brute_golden_commutator():
@@ -167,7 +167,8 @@ def test_conjugate_pair_elimination_matches_naive_scan(z, a, e, b, c, kind, g1, 
 
 
 # Reduced left sides with |w| <= 6 in both variables that take neither
-# elimination route, so the abelianization filter picks the values of z.
+# elimination route by their shape.  The abelianization filter picks the
+# values of z, except for proper powers such as xyxy, which go by their root.
 FILTERED_WORDS = [
     w for w in words_upto(Alphabet.from_string("xy"), 6)
     if "x" in w.lower() and "y" in w.lower()
@@ -186,6 +187,27 @@ FILTERED_WORDS = [
 @example("xyyxYY", "planted", "ab", "b", 3)  # w_y = 0: z is x
 @example("xyyxYY", "letter", "", "", 3)
 def test_abelianization_filter_matches_naive_scan(w, kind, g1, g2, max_len):
+    u = {"planted": evaluate(w, g1, g2), "identity": "", "letter": "a"}[kind]
+    equation = eq(w, u)
+    expected = naive_scan(equation, max_len)
+    assert set(brute_force_solutions(equation, max_len).pairs()) == expected
+    if kind == "planted" and max_len >= 2:
+        assert (g1, g2) in expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from([v for v in words_upto(Alphabet.from_string("xy"), 3)
+                     if "x" in v.lower() and "y" in v.lower()]),
+    st.integers(2, 3),
+    st.sampled_from(("planted", "identity", "letter")),
+    st.sampled_from(list(words_upto(AB, 2))),
+    st.sampled_from(list(words_upto(AB, 2))),
+    st.integers(0, 3),
+)
+def test_proper_power_route_matches_naive_scan(v, n, kind, g1, g2, max_len):
+    # v^n = u holds exactly when v is the unique n-th root of u.
+    w = power(v, n)
     u = {"planted": evaluate(w, g1, g2), "identity": "", "letter": "a"}[kind]
     equation = eq(w, u)
     expected = naive_scan(equation, max_len)
@@ -228,6 +250,14 @@ def test_certify_full_scan_at_larger_ball():
     assert report.total_solutions == 485
 
 
+def test_certify_abelianization_filter_at_larger_ball():
+    # xyyxYY takes neither elimination route and is no proper power.
+    e = eq("xyyxYY", "abbaBB")
+    report = certify(e, describe_variety(e), 6)
+    assert report.covered
+    assert report.total_solutions == 1
+
+
 @pytest.mark.parametrize(
     "w,u,max_len,total",
     [("XYxy", "ABab", 6, 161), ("XYxy", "ABab", 7, 279), ("xYxy", "aBab", 6, 25)],
@@ -255,7 +285,7 @@ def test_brute_sorted_and_tagged():
     pairs = result.pairs()
     assert list(pairs) == sorted(pairs, key=pair_key)
     for g1, g2, rank in result.solutions:
-        assert rank == pair_rank(eq("xxyy", "aabb"), g1, g2)
+        assert rank == build_subgroup_graph(AB, [g1, g2]).rank()
     counts = result.rank_counts()
     assert sum(counts) == len(result.solutions)
 

@@ -10,6 +10,7 @@ from conftest import (
     reducing_primitive_root,
 )
 
+from freeq.graphs import build_subgroup_graph
 from freeq.words import (
     Alphabet,
     ParseError,
@@ -30,6 +31,7 @@ from freeq.words import (
     is_reduced,
     multiply,
     pair_key,
+    pair_rank,
     parse_word,
     power,
     primitive_root,
@@ -147,6 +149,19 @@ def test_exponent_sum():
     assert exponent_sum("aabA", "b") == 1
     assert exponent_sum("ABab", "a") == 0
     assert exponent_sum("", "a") == 0
+
+
+def test_pair_rank_matches_subgroup_graph_rank():
+    # The commutation test reads off the rank that folding computes.
+    ball = list(words_upto(AB, 3))
+    pairs = [(g1, g2) for g1 in ball for g2 in ball]
+    pairs += [(power(r, i), power(r, j)) for r in ball for i in range(-3, 4) for j in range(-3, 4)]
+    for g1, g2 in pairs:
+        assert pair_rank(g1, g2) == build_subgroup_graph(AB, [g1, g2]).rank(), (g1, g2)
+    ball = list(words_upto(ABC, 2))
+    for g1 in ball:
+        for g2 in ball:
+            assert pair_rank(g1, g2) == build_subgroup_graph(ABC, [g1, g2]).rank(), (g1, g2)
 
 
 def test_primitive_root():
