@@ -205,7 +205,9 @@ def _cmd_gen(args):
     if desc.status != STATUS_OK:
         print(f"cannot generate from an unresolved description: {desc.note}", file=sys.stderr)
         return EXIT_UNRESOLVED, None
-    if desc.kind == KIND_TRIVIAL:
+    if args.sigma is not None:
+        pair = generate_orbit(desc, args.index, args.sigma)
+    elif desc.kind == KIND_TRIVIAL:
         if args.root is None:
             raise WordError("generating for a trivial right side needs --root")
         root = parse_word(args.root, eq.alphabet.letters)
@@ -216,9 +218,7 @@ def _cmd_gen(args):
     elif desc.kind == KIND_RANK1_ONLY:
         pair = generate_rank1(desc, args.n)
     elif desc.kind == KIND_JSJ:
-        if args.sigma is not None:
-            pair = generate_orbit(desc, args.index, args.sigma)
-        elif desc.classification.kind == CASE_HNN and args.m is not None:
+        if args.m is not None:
             pair = generate_hnn(desc, args.index, args.n, args.m)
         else:
             pair = generate_conjugates(desc, args.index, args.n)

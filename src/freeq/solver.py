@@ -36,7 +36,7 @@ from .autf2 import (
     is_primitive,
     orbit_automorphism,
 )
-from .graphs import CoreGraph, build_subgroup_graph, graph_from_edges
+from .graphs import CoreGraph, build_subgroup_graph
 from .words import (
     VARIABLES,
     Alphabet,
@@ -46,7 +46,6 @@ from .words import (
     conjugating_word,
     evaluate,
     exponent_sum,
-    invert,
     multiply,
     pair_key,
     pair_rank,
@@ -190,13 +189,13 @@ class ParametricFamily:
 
 @dataclass(frozen=True)
 class HnnWitness:
-    """An edge splitting: w lies in <p, q> with q = t^-1 p t, balanced in t."""
+    """An edge splitting: w lies in <p, q> with q = t^-1 p t, balanced in t.
+    The edge twist is ``y -> xy`` conjugated by ``basis_aut``."""
 
     p: str
     q: str
     t: str
     basis_aut: AutF2  # x -> p, y -> t
-    rewritten: str  # w over the basis (p, t)
 
 
 @dataclass(frozen=True)
@@ -373,7 +372,7 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
     subgroup graph of each basis that passes the t-exponent test.  That test
     is on the abelianization: with ``phi = AutF2(p, t)`` the rewritten word
     is ``phi^-1(w)``, whose y-exponent sum is zero exactly when
-    ``p_x * w_y == p_y * w_x``.  Only the witness rewrites ``w``.
+    ``p_x * w_y == p_y * w_x``; no basis is inverted and ``w`` is never rewritten.
     """
     w = reduce_word(w)
     wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
@@ -387,9 +386,7 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
         px, py = walk.sums[i]
         if px * wy == py * wx and walk.edge_group(i).trace(w) == 0:
             p, t = walk.pairs[i]
-            basis = AutF2(p, t)
-            return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=basis,
-                              rewritten=basis.inverse().apply(w))
+            return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=AutF2(p, t))
         i += 1
     return None
 
@@ -428,22 +425,16 @@ def _symmetry_generators(w: str) -> list[AutF2]:
     conjugator) fixes ``w`` exactly.  These capture the finite part of the
     stabilizer — e.g. for ``xxyy`` the swap-and-rotate symmetry, whose
     abelianization has determinant -1 and is therefore not a product of
-    conjugations and twists.
+    conjugations and twists.  Each composite has the abelianization of its
+    ``pi``, so none repeats and none is the identity.
     """
     out = []
-    seen = set()
     for perm in TYPE1_AUTOMORPHISMS:
         if perm.is_identity():
             continue
-        image = perm.apply(w)
-        h = conjugating_word(image, w)
-        if h is None:
-            continue
-        sigma = inner(h).compose(perm)
-        key = (sigma.image_x, sigma.image_y)
-        if key not in seen and not sigma.is_identity():
-            seen.add(key)
-            out.append(sigma)
+        h = conjugating_word(perm.apply(w), w)
+        if h is not None:
+            out.append(inner(h).compose(perm))
     return out
 
 
@@ -492,7 +483,8 @@ def terminal_candidates(eq: Equation):
     existing vertex whose slot for the letter is free.  A join raises the
     rank by one, so at rank two only existing edges are followed, and the
     last letter must join the basepoint.  A folded quotient is fixed by its
-    graph, so each one is reached exactly once.  Returns
+    graph, so each one is reached exactly once, and is used as built: no
+    vertex but the basepoint has degree below two, so none is trimmed.  Returns
     ``(basis_pair, rewritten_u)`` entries sorted by the basis pair.
     """
     u = eq.rhs
@@ -511,7 +503,7 @@ def terminal_candidates(eq: Equation):
         if i == m:
             if v == 0 and rank == 2:
                 edges = [(s, c, t) for (s, c), t in step.items() if c.islower()]
-                basis = graph_from_edges(eq.alphabet, n, edges).canonical_basis()
+                basis = CoreGraph(eq.alphabet, n, edges).canonical_basis()
                 results.append((basis.generators, basis.express(u)))
             continue
         if rank == 2:
@@ -556,36 +548,30 @@ def minimal_rank2_solutions(
     gens: tuple[CanonicalGenerator, ...],
     budgets: Budgets = Budgets(),
 ) -> tuple[Pair, ...]:
-    """Minimal representatives of the rank-two solutions, one per orbit found.
+    """Minimal rank-two solutions: one per candidate subgroup whose rewritten
+    right side lies in the orbit of the left side.
 
     For each terminal candidate basis, an orbit search matches the left side
-    to the rewritten right side; a hit pulls back to a solution.  Each seed
-    not reached from an earlier one is minimized over its orbit under the
-    canonical generators: the ShortLex-least pair reached inside the ball of
-    total length ``max(2|u| + 4, |seed|)``.
+    to the rewritten right side; a hit pulls back to a seed, minimized over
+    its orbit under the canonical generators: the ShortLex-least pair reached
+    inside the ball of total length ``max(2|u| + 4, |seed|)``.  Precomposing
+    with an automorphism keeps ``<g1, g2>``, so walks from distinct
+    candidates never meet.
     """
-    seeds = []
+    reps = []
     for pair, rewritten in terminal_candidates(eq):
         match = orbit_automorphism(eq.lhs, rewritten, budgets.orbit_max_visited)
         if match is None:
             continue
-        sol = (evaluate(match.image_x, *pair), evaluate(match.image_y, *pair))
-        if not eq.holds_for(*sol):
+        seed = apply_to_solution(match, pair)
+        if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
-        seeds.append(sol)
-
-    reps = set()
-    claimed: set[Pair] = set()
-    for seed in sorted(set(seeds), key=pair_key):
-        if seed in claimed:
-            continue
         ball = max(2 * len(eq.rhs) + 4, len(seed[0]) + len(seed[1]))
         visited = orbit_walk(
             [seed], gens, lambda p: len(p[0]) + len(p[1]) <= ball, budgets.orbit_max_visited,
             lambda n: f"orbit minimization visited {n} solutions within the ball of total"
             f" length {ball}")
-        claimed |= visited
-        reps.add(min(visited, key=pair_key))
+        reps.append(min(visited, key=pair_key))
     return tuple(sorted(reps, key=pair_key))
 
 
@@ -715,28 +701,17 @@ def generate_conjugates(desc: VarietyDescription, index: int, n: int) -> Pair:
 
 
 def generate_hnn(desc: VarietyDescription, index: int, n: int, m: int) -> Pair:
-    """Edge-splitting item: conjugate the edge group and twist the stable letter.
+    """Edge-splitting item: the orbit word ``t^m c^n`` applied to a minimal
+    solution.
 
-    With p, t the splitting basis evaluated at the solution, the new pair
-    substitutes ``p -> u^-n p u^n`` and ``t -> u^-n (t q^m) u^n`` into the
-    expression of the solution over (p, t).
+    With p, t the splitting basis evaluated at the solution, ``t^m``
+    substitutes ``t -> t q^m`` and ``c^n`` conjugates both by ``u^n``; the
+    two commute.
     """
     if desc.classification is None or desc.classification.kind != CASE_HNN:
         raise WordError("this description has no edge-splitting family")
-    sol = _minimal_solution(desc, index)
-    witness = desc.classification.hnn
-    basis = witness.basis_aut
-    inv = basis.inverse()
-    p_val = evaluate(basis.image_x, *sol)
-    t_val = evaluate(basis.image_y, *sol)
-    q_val = multiply(invert(t_val), p_val, t_val)
-    c = power(desc.reduced.rhs, n)
-    new_p = conjugate(p_val, c)
-    new_t = conjugate(multiply(t_val, power(q_val, m)), c)
-    return _checked(
-        desc.reduced,
-        (evaluate(inv.image_x, new_p, new_t), evaluate(inv.image_y, new_p, new_t)),
-    )
+    sigma = ("t" if m >= 0 else "T") * abs(m) + ("c" if n >= 0 else "C") * abs(n)
+    return generate_orbit(desc, index, sigma)
 
 
 def generate_orbit(desc: VarietyDescription, index: int, sigma: str) -> Pair:
@@ -759,7 +734,6 @@ def generate_orbit(desc: VarietyDescription, index: int, sigma: str) -> Pair:
 # The two-level worked family
 
 
-MEGA_ALPHABET = Alphabet.from_string("ab")
 FIRST_LEVEL_LHS = multiply(power(commutator("x", "y"), 2), "x")
 
 

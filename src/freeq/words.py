@@ -6,13 +6,13 @@ is the identity.  Every function here returns freely reduced words, so strings
 can be compared directly for equality in the group.
 
 Reduction happens once, at the trust boundary: ``reduce_word``, ``multiply``,
-``evaluate``, ``substitute`` and ``parse_word`` reduce whatever they are given,
-and so do the constructors built on them (``solver.Equation``,
-``solver.verify_solution``, ``autf2.AutF2``).  Past that boundary the word
-functions trust their input: ``power``, ``cyclic_reduce``, ``primitive_root``
-and ``conjugating_word`` assume freely reduced words and peel them by index
-without reducing again, and ``pair_rank`` reads the rank of a pair of reduced
-words off whether they commute.
+``evaluate`` and ``parse_word`` reduce whatever they are given, and so do the
+constructors built on them (``solver.Equation``, ``solver.verify_solution``,
+``autf2.AutF2``).  Past that boundary the word functions trust their input:
+``power``, ``cyclic_reduce``, ``primitive_root`` and ``conjugating_word``
+assume freely reduced words and peel them by index without reducing again,
+and ``pair_rank`` reads the rank of a pair of reduced words off whether they
+commute.
 
 Two single-character letters are reserved as equation variables: ``x`` and
 ``y``.  Coefficient alphabets may use any other lowercase letters; the
@@ -23,7 +23,7 @@ rejected where coefficients are meaningful, i.e. at the equation layer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 VARIABLE_LETTERS = ("x", "y")
 
@@ -110,10 +110,6 @@ def reduce_word(w: str) -> str:
         else:
             out.append(c)
     return "".join(out)
-
-
-def is_reduced(w: str) -> bool:
-    return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
 
 
 def invert(w: str) -> str:
@@ -261,42 +257,18 @@ def evaluate(word: str, gx: str, gy: str) -> str:
     return reduce_word("".join(parts))
 
 
-def substitute(word: str, images: Mapping[str, str]) -> str:
-    """General substitution: each lowercase letter in ``images`` maps to its
-    image, its uppercase partner to the inverse image; other letters are fixed."""
-    parts = []
-    for c in word:
-        base = c.lower()
-        if base in images:
-            parts.append(images[base] if c.islower() else invert(images[base]))
-        else:
-            parts.append(c)
-    return reduce_word("".join(parts))
+def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[str]:
+    """All freely reduced words of length at most ``max_len``, ShortLex order.
 
-
-def _levels(alphabet: Alphabet, max_len: int) -> Iterator[list[str]]:
-    """The freely reduced words of each length ``0..max_len``, one list per
-    length in ShortLex order.  Each level extends every word of the previous
-    one by every signed letter in rank order except the inverse of its last
-    letter, which keeps the order ShortLex."""
+    The words of each length extend every word one shorter by every signed
+    letter in rank order except the inverse of its last letter, which keeps
+    the order ShortLex."""
     signed = alphabet.signed_letters()
     follow = {"": signed, **{c: tuple(d for d in signed if d != c.swapcase()) for c in signed}}
     level = [""]
     for n in range(max_len + 1):
         if n:
             level = [w + c for w in level for c in follow[w[-1:]]]
-        yield level
-
-
-def words_of_length(alphabet: Alphabet, n: int) -> list[str]:
-    """All freely reduced words of length exactly ``n``, in ShortLex order."""
-    *_, level = _levels(alphabet, n)
-    return level
-
-
-def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[str]:
-    """All freely reduced words of length at most ``max_len``, ShortLex order."""
-    for level in _levels(alphabet, max_len):
         yield from level
 
 

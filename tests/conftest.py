@@ -1,8 +1,8 @@
-"""Shared test helpers: random words, reduce-based oracles for the word
-functions that peel by index, a graph-free membership oracle, a
-set-partition oracle for terminal candidates, a rebuild-every-node oracle
-for the edge-splitting search and a widening-ball oracle for the orbit
-minimization."""
+"""Shared test helpers: random words, substitution, reduce-based oracles for
+the word functions that peel by index, a graph-free membership oracle, a
+set-partition oracle and a refolding oracle for terminal candidates, a
+rebuild-every-node oracle for the edge-splitting search and a widening-ball
+oracle for the orbit minimization."""
 
 import functools
 import itertools
@@ -31,6 +31,23 @@ from freeq.words import (
 
 def random_reduced_word(rng, max_len, letters="abAB"):
     return reduce_word("".join(rng.choice(letters) for _ in range(rng.randint(1, max_len))))
+
+
+def is_reduced(w):
+    return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
+
+
+def substitute(word, images):
+    """Each lowercase letter in ``images`` maps to its image, its uppercase
+    partner to the inverse image; other letters are fixed.  Reduced."""
+    parts = []
+    for c in word:
+        base = c.lower()
+        if base in images:
+            parts.append(images[base] if c.islower() else invert(images[base]))
+        else:
+            parts.append(c)
+    return reduce_word("".join(parts))
 
 
 # Reduce-based oracles for the word functions that trust reduced input: each
@@ -193,6 +210,42 @@ def partition_terminal_candidates(eq):
     return tuple(results)
 
 
+# The refolding oracle: the folding walk of ``solver.terminal_candidates``,
+# but each terminal edge map is refolded, trimmed and relabelled by
+# ``graph_from_edges`` before its basis is read, where the walk uses it as
+# built.
+
+
+def refolding_terminal_candidates(eq):
+    u = eq.rhs
+    m = len(u)
+    results = []
+    stack = [(0, 0, 1, 0, {})]
+    while stack:
+        i, v, n, rank, step = stack.pop()
+        while i < m and (v, u[i]) in step:
+            v = step[v, u[i]]
+            i += 1
+        if i == m:
+            if v == 0 and rank == 2:
+                edges = [(s, c, t) for (s, c), t in step.items() if c.islower()]
+                basis = graph_from_edges(eq.alphabet, n, edges).canonical_basis()
+                results.append((basis.generators, basis.express(u)))
+            continue
+        if rank == 2:
+            continue
+        c, back = u[i], u[i].swapcase()
+        for t in (0,) if i == m - 1 else range(n + 1):
+            if (t, back) in step:
+                continue
+            grown = dict(step)
+            grown[v, c] = t
+            grown[t, back] = v
+            stack.append((i + 1, t, n + (t == n), rank + (t < n), grown))
+    results.sort(key=lambda item: pair_key(item[0]))
+    return tuple(results)
+
+
 # The edge-splitting oracle: the breadth-first order over bases of
 # ``solver.detect_hnn_splitting``, but each basis is built by the validating
 # ``AutF2(p, t)`` and ``w`` is rewritten through its inverse at every basis,
@@ -227,7 +280,7 @@ def rebuilding_hnn_splitting(w, budgets=Budgets()):
             q = conjugate(p, t)
             sub = build_subgroup_graph(VARIABLES, [p, q])
             if sub.rank() == 2 and sub.contains(w):
-                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t), rewritten=rewritten)
+                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t))
     return None
 
 

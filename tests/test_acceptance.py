@@ -10,7 +10,7 @@ import random
 import time
 
 import pytest
-from conftest import naive_member, naive_nielsen_reduce
+from conftest import is_reduced, naive_member, naive_nielsen_reduce, substitute
 
 from freeq.autf2 import WHITEHEAD_AUTOMORPHISMS, is_primitive
 from freeq.graphs import build_subgroup_graph
@@ -29,11 +29,9 @@ from freeq.words import (
     cyclic_normal_form,
     evaluate,
     invert,
-    is_reduced,
     multiply,
     power,
     reduce_word,
-    substitute,
     words_upto,
 )
 

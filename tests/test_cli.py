@@ -193,6 +193,12 @@ def test_usage_errors_exit_1():
         proc = run_proc(command, "--w", "XYxy", "--u", "ABab", "-L", "-1")
         assert proc.returncode == 1
         assert "the count must be at least 0, not -1" in proc.stderr
+    # gen refuses a flag its description cannot use: --sigma without rank-two
+    # solutions, --m without an edge twist.
+    for unused in (("--w", "xy", "--u", "ab", "--sigma", "c"),
+                   ("--w", "xxxyyy", "--u", "aaabbb", "--m", "2")):
+        proc = run_proc("gen", *unused)
+        assert proc.returncode == 1, unused
     for flag in ("--orbit-cap", "--hnn-budget"):
         for value in ("0", "-5"):
             proc = run_proc("solve", "--w", "xxxyyy", "--u", "aaabbb", flag, value)

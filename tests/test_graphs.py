@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import naive_member, naive_nielsen_reduce
+from conftest import naive_member, naive_nielsen_reduce, substitute
 
 from freeq.graphs import (
     NotInSubgroup,
@@ -15,7 +15,6 @@ from freeq.words import (
     invert,
     multiply,
     reduce_word,
-    substitute,
     words_upto,
 )
 

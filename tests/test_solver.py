@@ -8,13 +8,14 @@ import pytest
 from conftest import (
     partition_terminal_candidates,
     rebuilding_hnn_splitting,
+    refolding_terminal_candidates,
     widening_minimal_solutions,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeq.solver as solver
-from freeq.autf2 import SearchBudgetExceeded
+from freeq.autf2 import SearchBudgetExceeded, orbit_automorphism
 from freeq.graphs import build_subgroup_graph
 from freeq.solver import (
     Budgets,
@@ -64,6 +65,7 @@ from freeq.words import (
     conjugate,
     cyclic_normal_form,
     evaluate,
+    invert,
     multiply,
     pair_key,
     parse_word,
@@ -359,6 +361,27 @@ def test_minimal_solutions_match_widening_oracle():
     assert compared == 70
 
 
+def test_seeds_generate_their_candidate_subgroups():
+    """Each seed generates its candidate's subgroup, and distinct candidates
+    are distinct subgroups, so the seeds' orbit walks never meet."""
+    matched = 0
+    for e in _minimization_corpus():
+        desc = describe_variety(e)
+        if desc.kind != KIND_JSJ:
+            continue
+        candidates = terminal_candidates(desc.reduced)
+        graphs = {build_subgroup_graph(AB, pair) for pair, _ in candidates}
+        assert len(graphs) == len(candidates), e
+        for pair, rewritten in candidates:
+            match = orbit_automorphism(desc.reduced.lhs, rewritten)
+            if match is None:
+                continue
+            seed = apply_to_solution(match, pair)
+            assert build_subgroup_graph(AB, seed) == build_subgroup_graph(AB, pair), (e, pair)
+            matched += 1
+    assert matched >= 70
+
+
 def test_canonical_generator_inverse_is_cached():
     for w, u in JSJ_ANCHORS:
         desc = describe(w, u)
@@ -463,6 +486,22 @@ def test_terminal_candidates_match_partition_oracle(u):
     assert terminal_candidates(e) == partition_terminal_candidates(e)
 
 
+def test_terminal_candidates_match_refolding_oracle():
+    """Reading the basis off the walk's edge map as built gives the tuple
+    that refolding, trimming and relabelling the map first gives."""
+    for u in words_upto(AB, 6):
+        if u:
+            e = eq("xxyy", u)
+            assert terminal_candidates(e) == refolding_terminal_candidates(e), u
+    rng = random.Random(163)
+    for _ in range(4):
+        u = ""
+        while not 16 <= len(u) <= 24:
+            u = reduce_word("".join(rng.choice("abAB") for _ in range(rng.randint(16, 30))))
+        e = eq("xxyy", u)
+        assert terminal_candidates(e) == refolding_terminal_candidates(e), u
+
+
 def test_terminal_candidates_walk_is_not_recursive():
     """A walk over |u| = 300 runs inside 100 spare stack frames."""
     limit = sys.getrecursionlimit()
@@ -472,6 +511,33 @@ def test_terminal_candidates_walk_is_not_recursive():
     finally:
         sys.setrecursionlimit(limit)
     assert len(candidates) == 299
+
+
+def _substituted_hnn_member(desc, n, m):
+    """The edge-splitting family by hand: with p, t the splitting basis at
+    the minimal solution and q = t^-1 p t, substitute p -> u^-n p u^n and
+    t -> u^-n (t q^m) u^n into the solution's expression over (p, t)."""
+    basis = desc.classification.hnn.basis_aut
+    inv = basis.inverse()
+    sol = desc.minimal[0]
+    p_val = evaluate(basis.image_x, *sol)
+    t_val = evaluate(basis.image_y, *sol)
+    q_val = multiply(invert(t_val), p_val, t_val)
+    c = power(desc.reduced.rhs, n)
+    new_p = conjugate(p_val, c)
+    new_t = conjugate(multiply(t_val, power(q_val, m)), c)
+    return (evaluate(inv.image_x, new_p, new_t), evaluate(inv.image_y, new_p, new_t))
+
+
+@pytest.mark.parametrize("w,u", [("xxyy", "aabb"), ("xYxy", "aBab")])
+def test_generate_hnn_is_the_orbit_word_t_m_c_n(w, u):
+    desc = describe(w, u)
+    for n in range(-3, 4):
+        for m in range(-3, 4):
+            sigma = ("t" if m >= 0 else "T") * abs(m) + ("c" if n >= 0 else "C") * abs(n)
+            member = generate_hnn(desc, 0, n, m)
+            assert member == generate_orbit(desc, 0, sigma), (n, m)
+            assert member == _substituted_hnn_member(desc, n, m), (n, m)
 
 
 def test_generate_hnn_golden():

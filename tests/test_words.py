@@ -4,10 +4,12 @@ import random
 
 import pytest
 from conftest import (
+    is_reduced,
     recursive_words_of_length,
     reducing_cyclic_reduce,
     reducing_power,
     reducing_primitive_root,
+    substitute,
 )
 
 from freeq.graphs import build_subgroup_graph
@@ -28,7 +30,6 @@ from freeq.words import (
     exponent_sum,
     format_word,
     invert,
-    is_reduced,
     multiply,
     pair_key,
     pair_rank,
@@ -37,8 +38,6 @@ from freeq.words import (
     primitive_root,
     reduce_word,
     shortlex_key,
-    substitute,
-    words_of_length,
     words_upto,
 )
 
@@ -211,13 +210,6 @@ def test_substitute():
 
 
 def test_word_enumeration():
-    assert list(words_of_length(AB, 0)) == [""]
-    assert list(words_of_length(AB, 1)) == ["a", "A", "b", "B"]
-    for n in range(5):
-        words = list(words_of_length(AB, n))
-        assert len(words) == (1 if n == 0 else 4 * 3 ** (n - 1))
-        assert len(set(words)) == len(words)
-        assert all(is_reduced(w) and len(w) == n for w in words)
     ball = list(words_upto(AB, 3))
     assert len(ball) == count_words_upto(AB, 3) == 1 + 4 + 12 + 36
     assert ball == sorted(ball, key=shortlex_key)
@@ -239,7 +231,6 @@ def test_peeling_word_functions_match_reducing_oracles(alphabet, bound):
 @pytest.mark.parametrize("alphabet", [Alphabet.from_string("a"), AB, ABC])
 def test_level_enumeration_matches_recursive_oracle(alphabet):
     for n in range(8):
-        assert words_of_length(alphabet, n) == list(recursive_words_of_length(alphabet, n))
         ball = list(words_upto(alphabet, n))
         assert ball == [w for m in range(n + 1) for w in recursive_words_of_length(alphabet, m)]
         assert len(ball) == count_words_upto(alphabet, n)
