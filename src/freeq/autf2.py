@@ -1,21 +1,19 @@
 """Automorphisms of the free group of rank two.
 
 An automorphism is stored by its images of ``x`` and ``y``.  The public
-constructor ``AutF2(ix, iy)`` validates that the image pair is a free basis,
-which in rank two can be decided greedily: a basis pair of total length
-above two always admits an elementary Nielsen transformation that strictly
-shortens it, so repeated shortening ends at a signed permutation of
-``(x, y)`` exactly when the pair was a basis.
+constructor ``AutF2(ix, iy)`` validates that the image pair is a free basis
+by Nielsen's test: ``(u, v)`` is a basis exactly when ``[u, v]`` is
+conjugate to ``[x, y]`` or its inverse.
 
 Validation happens once, where images come from outside.  The results of
 ``compose``, ``inverse``, ``inner`` and ``NielsenMove.as_aut`` are trusted
 without a basis check: a product of automorphisms is an automorphism, and
 an elementary Nielsen move or a conjugation is one by construction.
 
-The same shortening inverts an automorphism: its trail of moves, followed
-by the inverse of the signed permutation where the trail ends, which is read
-off letter by letter.  The Whitehead-automorphism search decides whether two
-words lie in the same orbit of the automorphism group.
+Inversion shortens the images by Nielsen moves down to a signed permutation
+of ``(x, y)``; the inverse is that trail of moves followed by the inverse of
+the permutation.  Whitehead minimization decides primitivity, and a search
+over Whitehead automorphisms decides whether two words share an orbit.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from math import gcd
 from .words import (
     VARIABLES,
     WordError,
+    commutator,
     conjugate,
     conjugating_word,
     cyclic_length,
@@ -35,7 +34,6 @@ from .words import (
     exponent_sum,
     invert,
     multiply,
-    pair_key,
     reduce_word,
     shortlex_key,
 )
@@ -152,48 +150,42 @@ INVERSION_MOVES: tuple[NielsenMove, ...] = (
 
 
 def _greedy_shorten(pair: Pair) -> tuple[Pair, list[NielsenMove]]:
-    """Apply strictly length-decreasing product moves until none remain.
-
-    Deterministic: among all shortening moves, the one with the smallest
-    resulting pair (by total length, then ShortLex, then move index) is taken.
-    """
-    cur = (reduce_word(pair[0]), reduce_word(pair[1]))
+    """Shorten a basis pair to a signed permutation by the first strictly
+    shortening product move at each step; a basis pair of total length above
+    two always has one.  Any such trail gives ``inverse`` the unique inverse."""
     trail: list[NielsenMove] = []
-    while True:
-        total = len(cur[0]) + len(cur[1])
-        best = None
-        for idx, move in enumerate(PRODUCT_MOVES):
-            new = move.apply(cur)
+    while (total := len(pair[0]) + len(pair[1])) > 2:
+        for move in PRODUCT_MOVES:
+            new = move.apply(pair)
             if len(new[0]) + len(new[1]) < total:
-                cand = (pair_key(new), idx)
-                if best is None or cand < best[0]:
-                    best = (cand, move, new)
-        if best is None:
-            return cur, trail
-        _, move, cur = best
-        trail.append(move)
+                pair = new
+                trail.append(move)
+                break
+        else:
+            raise AssertionError(f"no product move shortens the pair {pair!r}")
+    return pair, trail
 
 
-def _permutation_inverse(pair: Pair) -> Pair | None:
+def _permutation_inverse(pair: Pair) -> Pair:
     """The images of the inverse of the signed letter permutation with images
-    ``pair``, or None when ``pair`` is not a signed permutation of (x, y).
-
-    Read off letter by letter: if ``x -> Y``, then ``y -> X``.
-    """
-    if sorted(c.lower() for c in pair) != ["x", "y"]:
-        return None
+    ``pair``, read off letter by letter: if ``x -> Y``, then ``y -> X``."""
     inv = {img.lower(): var if img.islower() else var.upper() for var, img in zip("xy", pair)}
     return inv["x"], inv["y"]
 
 
+# The cyclic words of [x, y] and [y, x].
+_BASIS_COMMUTATORS = frozenset({cyclic_normal_form("XYxy"), cyclic_normal_form("YXyx")})
+
+
 def is_basis_pair(w1: str, w2: str) -> bool:
-    """Do the two words form a free basis of F(x, y)?"""
+    """Do the two words form a free basis of F(x, y)?  After the cheap
+    determinant check on the abelianization, Nielsen's test: ``[w1, w2]`` is
+    conjugate to ``[x, y]`` or ``[y, x]``."""
     a = exponent_sum(w1, "x") * exponent_sum(w2, "y")
     b = exponent_sum(w1, "y") * exponent_sum(w2, "x")
     if abs(a - b) != 1:
         return False
-    end, _ = _greedy_shorten((w1, w2))
-    return _permutation_inverse(end) is not None
+    return cyclic_normal_form(commutator(w1, w2)) in _BASIS_COMMUTATORS
 
 
 IDENTITY = AutF2("x", "y")
@@ -336,8 +328,13 @@ def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> Au
 
 
 def is_primitive(w: str) -> AutF2 | None:
-    """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive."""
-    if reduce_word(w) == "":
+    """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive.
+
+    By Whitehead, ``w`` is primitive exactly when its minimization ends at one
+    letter ``m``; the first signed permutation taking ``m`` to ``x`` then gives
+    the automorphism ``orbit_automorphism(w, "x")`` would find."""
+    m, aut = whitehead_minimize(w)
+    if len(m) != 1:
         return None
-    return orbit_automorphism(w, "x")
+    return next(p for p in TYPE1_AUTOMORPHISMS if p.apply(m) == "x").compose(aut)
 

@@ -199,31 +199,41 @@ def _cmd_solve(args):
     return (EXIT_OK if desc.status == STATUS_OK else EXIT_UNRESOLVED), _description_fields(desc)
 
 
+# The gen flags each kind of description can use; any other flag is refused.
+_GEN_FLAGS = ("index", "n", "m", "z", "root", "sigma")
+_GEN_FLAGS_BY_KIND = {KIND_TRIVIAL: ("root", "n", "m"), KIND_PARAMETRIC: ("z",),
+                      KIND_RANK1_ONLY: ("n",), KIND_JSJ: ("index", "n", "m", "sigma")}
+
+
 def _cmd_gen(args):
     eq = _equation(args)
     desc = describe_variety(eq, _budgets(args))
     if desc.status != STATUS_OK:
         print(f"cannot generate from an unresolved description: {desc.note}", file=sys.stderr)
         return EXIT_UNRESOLVED, None
-    if args.sigma is not None:
-        pair = generate_orbit(desc, args.index, args.sigma)
-    elif desc.kind == KIND_TRIVIAL:
+    if desc.kind not in _GEN_FLAGS_BY_KIND:
+        raise WordError("the solution set is empty; nothing to generate")
+    unused = [f"--{flag}" for flag in _GEN_FLAGS
+              if getattr(args, flag) is not None and flag not in _GEN_FLAGS_BY_KIND[desc.kind]]
+    if unused:
+        raise WordError(f"a {desc.kind} description cannot use {', '.join(unused)}")
+    index, n = args.index or 0, args.n or 0
+    if desc.kind == KIND_TRIVIAL:
         if args.root is None:
             raise WordError("generating for a trivial right side needs --root")
         root = parse_word(args.root, eq.alphabet.letters)
-        pair = generate_trivial(desc, root, args.n, args.m if args.m is not None else 0)
+        pair = generate_trivial(desc, root, n, args.m if args.m is not None else 0)
     elif desc.kind == KIND_PARAMETRIC:
         z = parse_word(args.z if args.z is not None else "1", eq.alphabet.letters)
         pair = generate_parametric(desc, z)
     elif desc.kind == KIND_RANK1_ONLY:
-        pair = generate_rank1(desc, args.n)
-    elif desc.kind == KIND_JSJ:
-        if args.m is not None:
-            pair = generate_hnn(desc, args.index, args.n, args.m)
-        else:
-            pair = generate_conjugates(desc, args.index, args.n)
+        pair = generate_rank1(desc, n)
+    elif args.sigma is not None:
+        pair = generate_orbit(desc, index, args.sigma)
+    elif args.m is not None:
+        pair = generate_hnn(desc, index, n, args.m)
     else:
-        raise WordError("the solution set is empty; nothing to generate")
+        pair = generate_conjugates(desc, index, n)
     ok, rank = verify_solution(desc.reduced, *pair)
     return EXIT_OK, _pair_fields(*pair) + [("verified", str(ok).lower()), ("rank", str(rank))]
 
@@ -301,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate one solution from the description")
     _add_equation_args(p)
     _add_budget_args(p)
-    p.add_argument("--index", type=int, default=0, help="which minimal solution to start from")
-    p.add_argument("--n", type=int, default=0, help="family parameter n")
+    p.add_argument("--index", type=int, default=None, help="which minimal solution (default 0)")
+    p.add_argument("--n", type=int, default=None, help="family parameter n (default 0)")
     p.add_argument("--m", type=int, default=None, help="family parameter m")
     p.add_argument("--z", default=None, help="free word parameter (parametric kind)")
     p.add_argument("--root", default=None, help="root word (trivial right side)")

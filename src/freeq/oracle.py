@@ -53,7 +53,7 @@ from .words import (
     cyclic_reduce,
     evaluate,  # not called here; bench/test_bench.py patches oracle.evaluate
     exponent_sum,
-    invert,
+    kth_root,
     multiply,
     pair_key,
     pair_rank,
@@ -110,20 +110,6 @@ def _single_run_shape(w: str) -> tuple[str, int, int, int] | None:
     return None
 
 
-def _kth_root(v: str, k: int) -> str | None:
-    """The unique g with g^k == v for a reduced v (k non-zero), if it exists.
-
-    With v = c^-1 h c peeled once, any root is c^-1 r c with r^|k| == h, so
-    one period test on the peeled core h decides it."""
-    if k < 0:
-        v, k = invert(v), -k
-    core, conj = cyclic_reduce(v)
-    period, rest = divmod(len(core), k)
-    if rest or core[:period] * k != core:
-        return None
-    return v[:len(conj)] + core[:period] + conj
-
-
 def _join(v: str, w: str) -> str:
     """The product of two reduced words, cancelling only at the junction."""
     j = 0
@@ -145,7 +131,7 @@ def _single_run_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
         head = g[:len(conj)]
         left = head + power(core, -a) + conj if a else ""
         right = head + power(core, -b) + conj if b else ""
-        root = _kth_root(_join(_join(left, eq.rhs), right), k)
+        root = kth_root(_join(_join(left, eq.rhs), right), k)
         if root is not None and len(root) <= max_len:
             yield (g, root) if z == "y" else (root, g)
 
@@ -228,7 +214,7 @@ def _candidates(eq: Equation, max_len: int, ball: list[str]):
     if eq.lhs:
         root, n = primitive_root(eq.lhs)
         if n > 1:
-            rhs = _kth_root(eq.rhs, n)
+            rhs = kth_root(eq.rhs, n)
             if rhs is None:
                 return ()
             eq = Equation(eq.alphabet, root, rhs)

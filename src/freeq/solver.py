@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from .autf2 import (
@@ -46,6 +46,8 @@ from .words import (
     conjugating_word,
     evaluate,
     exponent_sum,
+    invert,
+    kth_root,
     multiply,
     pair_key,
     pair_rank,
@@ -86,6 +88,8 @@ _FORMULA_BY_CASE = {
 
 DELTA_X = AutF2("yx", "y")
 DELTA_Y = AutF2("x", "xy")
+DELTA_X_INVERSE = AutF2("Yx", "y")
+DELTA_Y_INVERSE = AutF2("x", "Xy")
 
 
 @dataclass(frozen=True)
@@ -209,14 +213,13 @@ class JsjClassification:
 
 @dataclass(frozen=True)
 class CanonicalGenerator:
+    """An automorphism fixing the left side, built with its inverse: the
+    reversed product of its factors' inverses."""
+
     symbol: str
     name: str
     aut: AutF2
-
-    @cached_property
-    def inverse(self) -> AutF2:
-        """The inverse automorphism, computed once per generator."""
-        return self.aut.inverse()
+    inverse: AutF2
 
 
 @dataclass(frozen=True)
@@ -301,12 +304,10 @@ def reduce_proper_power(eq: Equation) -> Equation | None:
     root_w, n = primitive_root(eq.lhs)
     if n <= 1:
         return eq
-    if not eq.rhs:
-        return Equation(eq.alphabet, root_w, "")
-    root_u, e = primitive_root(eq.rhs)
-    if e % n != 0:
+    root_u = kth_root(eq.rhs, n)
+    if root_u is None:
         return None
-    return Equation(eq.alphabet, root_w, power(root_u, e // n))
+    return Equation(eq.alphabet, root_w, root_u)
 
 
 _BASIS_MOVES = PRODUCT_MOVES + INVERSION_MOVES
@@ -417,16 +418,16 @@ def classify_jsj(w: str, budgets: Budgets = Budgets()) -> JsjClassification:
 _SYMMETRY_SYMBOLS = "pqruvz"
 
 
-def _symmetry_generators(w: str) -> list[AutF2]:
-    """Finite symmetries of w: signed letter permutations fixed up by an inner.
+def _symmetry_generators(w: str) -> list[tuple[AutF2, AutF2]]:
+    """Finite symmetries of w with inverses: signed letter permutations fixed up by an inner.
 
     For every non-identity signed permutation ``pi`` whose image of ``w`` is
     conjugate to ``w``, the composite ``inner(h) . pi`` (with ``h`` the
-    conjugator) fixes ``w`` exactly.  These capture the finite part of the
-    stabilizer — e.g. for ``xxyy`` the swap-and-rotate symmetry, whose
-    abelianization has determinant -1 and is therefore not a product of
-    conjugations and twists.  Each composite has the abelianization of its
-    ``pi``, so none repeats and none is the identity.
+    conjugator) fixes ``w`` exactly, and ``pi^-1 . inner(h^-1)`` inverts it.
+    These capture the finite part of the stabilizer — e.g. for ``xxyy`` the
+    swap-and-rotate symmetry, whose abelianization has determinant -1 and is
+    therefore not a product of conjugations and twists.  Each composite has
+    the abelianization of its ``pi``, so none repeats and none is the identity.
     """
     out = []
     for perm in TYPE1_AUTOMORPHISMS:
@@ -434,7 +435,7 @@ def _symmetry_generators(w: str) -> list[AutF2]:
             continue
         h = conjugating_word(perm.apply(w), w)
         if h is not None:
-            out.append(inner(h).compose(perm))
+            out.append((inner(h).compose(perm), perm.inverse().compose(inner(invert(h)))))
     return out
 
 
@@ -447,20 +448,20 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
     twist subgroup sits at finite index in the full stabilizer).
     """
     w = reduce_word(w)
-    gens = [CanonicalGenerator("c", "conjugation-by-lhs", inner(w))]
+    gens = [CanonicalGenerator("c", "conjugation-by-lhs", inner(w), inner(invert(w)))]
     if cls.kind == CASE_HNN:
-        basis = cls.hnn.basis_aut
-        twist = basis.compose(AutF2("x", "xy")).compose(basis.inverse())
-        gens.append(CanonicalGenerator("t", "edge-twist", twist))
+        basis, basis_inverse = cls.hnn.basis_aut, cls.hnn.basis_aut.inverse()
+        gens.append(CanonicalGenerator("t", "edge-twist",
+                                       basis.compose(DELTA_Y).compose(basis_inverse),
+                                       basis.compose(DELTA_Y_INVERSE).compose(basis_inverse)))
     elif cls.kind == CASE_QH:
-        nu = cls.normalizer
-        nui = nu.inverse()
-        gens.append(CanonicalGenerator("d", "boundary-twist-x", nui.compose(DELTA_X).compose(nu)))
-        gens.append(CanonicalGenerator("e", "boundary-twist-y", nui.compose(DELTA_Y).compose(nu)))
-    for i, sigma in enumerate(_symmetry_generators(w)):
-        if i >= len(_SYMMETRY_SYMBOLS):
-            break
-        gens.append(CanonicalGenerator(_SYMMETRY_SYMBOLS[i], f"symmetry-{i}", sigma))
+        nu, nui = cls.normalizer, cls.normalizer.inverse()
+        gens.append(CanonicalGenerator("d", "boundary-twist-x", nui.compose(DELTA_X).compose(nu),
+                                       nui.compose(DELTA_X_INVERSE).compose(nu)))
+        gens.append(CanonicalGenerator("e", "boundary-twist-y", nui.compose(DELTA_Y).compose(nu),
+                                       nui.compose(DELTA_Y_INVERSE).compose(nu)))
+    for i, (symbol, pair) in enumerate(zip(_SYMMETRY_SYMBOLS, _symmetry_generators(w))):
+        gens.append(CanonicalGenerator(symbol, f"symmetry-{i}", *pair))
     for g in gens:
         if g.aut.apply(w) != w:
             raise AssertionError(f"canonical generator {g.name} does not fix the left side")
@@ -589,13 +590,7 @@ def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescr
             trivial=solve_trivial_rhs(eq),
         )
 
-    try:
-        to_x = is_primitive(w)
-    except SearchBudgetExceeded as exc:
-        return VarietyDescription(
-            equation=eq, reduced=eq, status=STATUS_UNRESOLVED,
-            kind=KIND_PARAMETRIC, formula="", note=str(exc),
-        )
+    to_x = is_primitive(w)
     if to_x is not None:
         family = ParametricFamily(aut=to_x, recover_y=to_x.inverse().image_y)
         g1, g2 = family.member(eq.rhs, "")

@@ -9,10 +9,11 @@ Reduction happens once, at the trust boundary: ``reduce_word``, ``multiply``,
 ``evaluate`` and ``parse_word`` reduce whatever they are given, and so do the
 constructors built on them (``solver.Equation``, ``solver.verify_solution``,
 ``autf2.AutF2``).  Past that boundary the word functions trust their input:
-``power``, ``cyclic_reduce``, ``primitive_root`` and ``conjugating_word``
-assume freely reduced words and peel them by index without reducing again,
-and ``pair_rank`` reads the rank of a pair of reduced words off whether they
-commute.
+``power``, ``cyclic_reduce``, ``primitive_root``, ``kth_root`` and
+``conjugating_word`` assume freely reduced words and peel them by index
+without reducing again, and ``pair_rank`` reads the rank of a pair of reduced
+words off whether they commute.  Rotations of a cyclic core are found in
+the doubled core, by one ``find`` or as its least window.
 
 Two single-character letters are reserved as equation variables: ``x`` and
 ``y``.  Coefficient alphabets may use any other lowercase letters; the
@@ -23,6 +24,7 @@ rejected where coefficients are meaningful, i.e. at the equation layer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import ascii_lowercase, ascii_uppercase
 from typing import Iterable, Iterator
 
 VARIABLE_LETTERS = ("x", "y")
@@ -86,14 +88,14 @@ class Alphabet:
 VARIABLES = Alphabet(VARIABLE_LETTERS)
 
 
-def letter_rank(c: str) -> tuple[str, bool]:
-    """Sort key for a single signed letter: base letter first, inverse second."""
-    return (c.lower(), c.isupper())
+# Respells the letters a, A, b, B, ... by characters in increasing order.
+_SHORTLEX_RANK = str.maketrans("".join(c + c.upper() for c in ascii_lowercase),
+                               ascii_uppercase + ascii_lowercase)
 
 
 def shortlex_key(w: str):
     """ShortLex sort key: length, then letter ranks (a < A < b < B < ...)."""
-    return (len(w), tuple(letter_rank(c) for c in w))
+    return (len(w), w.translate(_SHORTLEX_RANK))
 
 
 def pair_key(pair: tuple[str, str]):
@@ -173,12 +175,11 @@ def cyclic_length(w: str) -> int:
 
 def cyclic_normal_form(w: str) -> str:
     """Canonical representative of the cyclic word: the ShortLex-least rotation
-    of the cyclic core."""
+    of the cyclic core, the least window of the translated doubled core."""
     core = cyclic_core(w)
-    if not core:
-        return ""
-    rotations = (core[i:] + core[:i] for i in range(len(core)))
-    return min(rotations, key=shortlex_key)
+    ranked = (core + core).translate(_SHORTLEX_RANK)
+    i = min(range(len(core)), key=lambda i: ranked[i:i + len(core)], default=0)
+    return core[i:] + core[:i]
 
 
 def conjugating_word(v: str, w: str) -> str | None:
@@ -186,18 +187,17 @@ def conjugating_word(v: str, w: str) -> str | None:
 
     Found by matching rotations of the cyclic cores: if ``core(v)`` rotated by
     ``i`` equals ``core(w)``, then ``h = cv^-1 . core(v)[:i] . cw`` works,
-    where ``cv, cw`` are the peeling conjugators of the two words.
+    where ``cv, cw`` are the peeling conjugators of the two words; the least
+    ``i`` is where ``core(w)`` first occurs in the doubled ``core(v)``.
     """
     core_v, cv = cyclic_reduce(v)
     core_w, cw = cyclic_reduce(w)
     if len(core_v) != len(core_w):
         return None
-    if not core_v:
-        return ""
-    for i in range(len(core_v)):
-        if core_v[i:] + core_v[:i] == core_w:
-            return multiply(invert(cv), core_v[:i], cw)
-    return None
+    i = (core_v + core_v).find(core_w)
+    if i < 0:
+        return None
+    return multiply(invert(cv), core_v[:i], cw)
 
 
 def pair_rank(g1: str, g2: str) -> int:
@@ -228,11 +228,21 @@ def primitive_root(w: str) -> tuple[str, int]:
     if not w:
         raise WordError("the identity has no primitive root")
     core, conj = cyclic_reduce(w)
-    n = len(core)
-    for p in range(1, n + 1):
-        if n % p == 0 and core[:p] * (n // p) == core:
-            return w[:len(conj)] + core[:p] + conj, n // p
-    raise AssertionError("unreachable: every word is a power of its length-1 period")
+    p = (core + core).find(core, 1)  # the least period, a divisor of len(core)
+    return w[:len(conj)] + core[:p] + conj, len(core) // p
+
+
+def kth_root(w: str, k: int) -> str | None:
+    """The unique ``g`` with ``g^k == w`` for a reduced ``w`` (``k`` non-zero),
+    or None.  With ``w = c^-1 h c`` peeled once, any root is ``c^-1 r c`` with
+    ``r^|k| == h``, so one period test on the peeled core ``h`` decides it."""
+    if k < 0:
+        w, k = invert(w), -k
+    core, conj = cyclic_reduce(w)
+    period, rest = divmod(len(core), k)
+    if rest or core[:period] * k != core:
+        return None
+    return w[:len(conj)] + core[:period] + conj
 
 
 def evaluate(word: str, gx: str, gy: str) -> str:

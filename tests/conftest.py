@@ -1,8 +1,9 @@
 """Shared test helpers: random words, substitution, reduce-based oracles for
-the word functions that peel by index, a graph-free membership oracle, a
-set-partition oracle and a refolding oracle for terminal candidates, a
-rebuild-every-node oracle for the edge-splitting search and a widening-ball
-oracle for the orbit minimization."""
+the word functions that peel by index, rotation-loop oracles for the word
+functions that find rotations in one pass, a greedy-shortening oracle for the
+basis check, a graph-free membership oracle, a set-partition oracle and a
+refolding oracle for terminal candidates, a rebuild-every-node oracle for the
+edge-splitting search and a widening-ball oracle for the orbit minimization."""
 
 import functools
 import itertools
@@ -91,6 +92,60 @@ def reducing_kth_root(w, k):
     if e % k != 0:
         return None
     return reducing_power(root, e // k)
+
+
+# Rotation-loop oracles: each tries the rotations of a cyclic core one by one
+# and ranks letters by a (base letter, is inverse) tuple.
+
+
+def letter_tuple_shortlex_key(w):
+    return (len(w), tuple((c.lower(), c.isupper()) for c in w))
+
+
+def rotating_cyclic_normal_form(w):
+    core = reducing_cyclic_reduce(w)[0]
+    if not core:
+        return ""
+    rotations = (core[i:] + core[:i] for i in range(len(core)))
+    return min(rotations, key=letter_tuple_shortlex_key)
+
+
+def rotating_conjugating_word(v, w):
+    core_v, cv = reducing_cyclic_reduce(v)
+    core_w, cw = reducing_cyclic_reduce(w)
+    if len(core_v) != len(core_w):
+        return None
+    if not core_v:
+        return ""
+    for i in range(len(core_v)):
+        if core_v[i:] + core_v[:i] == core_w:
+            return multiply(invert(cv), core_v[:i], cw)
+    return None
+
+
+# The greedy basis check: shorten the pair by product moves, taking the
+# smallest resulting pair (total length, then ShortLex, then move index),
+# until no move shortens it; the pair was a basis exactly when it stops at a
+# signed permutation of (x, y).
+
+
+def greedy_is_basis_pair(w1, w2):
+    if abs(exponent_sum(w1, "x") * exponent_sum(w2, "y")
+           - exponent_sum(w1, "y") * exponent_sum(w2, "x")) != 1:
+        return False
+    cur = (reduce_word(w1), reduce_word(w2))
+    while True:
+        total = len(cur[0]) + len(cur[1])
+        best = None
+        for idx, move in enumerate(PRODUCT_MOVES):
+            new = move.apply(cur)
+            if len(new[0]) + len(new[1]) < total:
+                cand = (pair_key(new), idx)
+                if best is None or cand < best[0]:
+                    best = (cand, new)
+        if best is None:
+            return sorted(c.lower() for c in cur) == ["x", "y"]
+        cur = best[1]
 
 
 def recursive_words_of_length(alphabet, n):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import greedy_is_basis_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,12 @@ def test_is_basis_pair():
     for _ in range(100):
         a = random_aut(rng)
         assert is_basis_pair(a.image_x, a.image_y)
+    # The commutator test agrees with greedy shortening on every pair of the
+    # radius-4 ball.
+    ball = list(words_upto(XY, 4))
+    for w1 in ball:
+        for w2 in ball:
+            assert is_basis_pair(w1, w2) == greedy_is_basis_pair(w1, w2), (w1, w2)
 
 
 def test_whitehead_counts():
@@ -241,10 +248,14 @@ def test_is_primitive():
     assert is_primitive("XYxy") is None
     rng = random.Random(103)
     for _ in range(40):
-        w = random_aut(rng).apply("x")
+        w = random_aut(rng).apply(rng.choice("xXyY"))
         witness = is_primitive(w)
         assert witness is not None
         assert witness.apply(w) == "x"
+        assert witness == orbit_automorphism(w, "x"), w
+    # Whitehead minimization finds the automorphism the orbit search finds.
+    for w in words_upto(XY, 7):
+        assert is_primitive(w) == orbit_automorphism(w, "x"), w
 
 
 def test_primitive_words_conjugation_closed():

@@ -194,11 +194,20 @@ def test_usage_errors_exit_1():
         assert proc.returncode == 1
         assert "the count must be at least 0, not -1" in proc.stderr
     # gen refuses a flag its description cannot use: --sigma without rank-two
-    # solutions, --m without an edge twist.
+    # solutions, --m without an edge twist, and each flag named below on a
+    # kind that has no use for it.
     for unused in (("--w", "xy", "--u", "ab", "--sigma", "c"),
                    ("--w", "xxxyyy", "--u", "aaabbb", "--m", "2")):
         proc = run_proc("gen", *unused)
         assert proc.returncode == 1, unused
+    for unused, named in ((("--w", "xy", "--u", "ab", "--m", "2"), "--m"),
+                          (("--w", "xxyy", "--u", "aaaa", "--z", "ab"), "--z"),
+                          (("--w", "xxyy", "--u", "aabb", "--z", "ab", "--root", "a"),
+                           "--z, --root"),
+                          (("--w", "xy", "--u", "ab", "--index", "3"), "--index")):
+        proc = run_proc("gen", *unused)
+        assert proc.returncode == 1, unused
+        assert f"cannot use {named}" in proc.stderr, unused
     for flag in ("--orbit-cap", "--hnn-budget"):
         for value in ("0", "-5"):
             proc = run_proc("solve", "--w", "xxxyyy", "--u", "aaabbb", flag, value)

@@ -11,7 +11,6 @@ from freeq.autf2 import SearchBudgetExceeded
 from freeq.graphs import build_subgroup_graph
 from freeq.oracle import (
     _conjugate_pair_shape,
-    _kth_root,
     _single_run_shape,
     brute_force_solutions,
     certify,
@@ -24,6 +23,7 @@ from freeq.words import (
     evaluate,
     exponent_sum,
     invert,
+    kth_root,
     multiply,
     pair_key,
     pair_rank,
@@ -116,9 +116,9 @@ def test_kth_root_matches_reducing_oracle(alphabet, bound):
     # decided on every word; on w^(k*m) both find the unique root w^m.
     for w in words_upto(alphabet, bound):
         for k in (-4, -3, -2, -1, 1, 2, 3, 4):
-            assert _kth_root(w, k) == reducing_kth_root(w, k), (w, k)
+            assert kth_root(w, k) == reducing_kth_root(w, k), (w, k)
             for m in (-1, 2):
-                assert _kth_root(power(w, k * m), k) == power(w, m), (w, k, m)
+                assert kth_root(power(w, k * m), k) == power(w, m), (w, k, m)
 
 
 def conjugate_pair_word(z, a, e, b, c):

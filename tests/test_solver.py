@@ -24,7 +24,9 @@ from freeq.solver import (
     CASE_RIGID,
     CASE_UNRESOLVED,
     DELTA_X,
+    DELTA_X_INVERSE,
     DELTA_Y,
+    DELTA_Y_INVERSE,
     Equation,
     FIRST_LEVEL_LHS,
     FORMULA_CONJUGATES,
@@ -107,8 +109,9 @@ def test_holds_for_and_verify():
 
 
 def test_delta_twists_fix_the_commutator():
-    for delta in (DELTA_X, DELTA_Y):
+    for delta, inverse in ((DELTA_X, DELTA_X_INVERSE), (DELTA_Y, DELTA_Y_INVERSE)):
         assert delta.apply("XYxy") == "XYxy"
+        assert inverse == delta.inverse()
 
 
 def test_lhs_rejection():
@@ -382,12 +385,21 @@ def test_seeds_generate_their_candidate_subgroups():
     assert matched >= 70
 
 
-def test_canonical_generator_inverse_is_cached():
+def test_canonical_generator_inverses_match_greedy_inversion():
+    """Each generator's inverse, built from the inverses of its factors,
+    is the inverse that greedy shortening computes."""
+    compared = 0
+    for e in _minimization_corpus():
+        desc = describe_variety(e)
+        if desc.kind != KIND_JSJ:
+            continue
+        for g in desc.generators:
+            assert g.inverse == g.aut.inverse(), (e, g.name)
+            assert g.aut.compose(g.inverse).is_identity()
+        compared += 1
+    assert compared == 70
     for w, u in JSJ_ANCHORS:
         desc = describe(w, u)
-        for g in desc.generators:
-            assert g.aut.compose(g.inverse).is_identity()
-            assert g.inverse is g.inverse
         c = desc.generator_by_symbol("c")
         assert generate_orbit(desc, 0, "C") == apply_to_solution(c.aut.inverse(), desc.minimal[0])
 

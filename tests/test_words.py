@@ -5,12 +5,18 @@ import random
 import pytest
 from conftest import (
     is_reduced,
+    letter_tuple_shortlex_key,
     recursive_words_of_length,
     reducing_cyclic_reduce,
+    reducing_kth_root,
     reducing_power,
     reducing_primitive_root,
+    rotating_conjugating_word,
+    rotating_cyclic_normal_form,
     substitute,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeq.graphs import build_subgroup_graph
 from freeq.words import (
@@ -30,6 +36,7 @@ from freeq.words import (
     exponent_sum,
     format_word,
     invert,
+    kth_root,
     multiply,
     pair_key,
     pair_rank,
@@ -226,6 +233,48 @@ def test_peeling_word_functions_match_reducing_oracles(alphabet, bound):
             assert primitive_root(w) == reducing_primitive_root(w), w
         for n in range(-4, 5):
             assert power(w, n) == reducing_power(w, n), (w, n)
+
+
+# Reduced words over letters from both ends of the alphabet, often proper
+# powers of a conjugate so that the rotation and root searches meet periodic
+# cores and peeled conjugators.
+_letters = st.text(alphabet="aAbBxXyY", max_size=12).map(reduce_word)
+_words = st.one_of(
+    _letters,
+    st.tuples(_letters, _letters, st.integers(1, 4)).map(
+        lambda t: conjugate(power(t[0], t[2]), t[1])),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_words, _words, st.integers(0, 30))
+def test_rotation_word_functions_match_rotation_loops(v, h, shift):
+    # cyclic_normal_form, conjugating_word and primitive_root find their
+    # rotation in one pass over the doubled core; the oracles try every
+    # rotation in turn.
+    assert cyclic_normal_form(v) == rotating_cyclic_normal_form(v)
+    core = cyclic_core(v)
+    if core:
+        k = shift % len(core)
+        rotated = conjugate(core[k:] + core[:k], h)
+        assert conjugating_word(v, rotated) == rotating_conjugating_word(v, rotated)
+        assert primitive_root(v) == reducing_primitive_root(v)
+    assert conjugating_word(v, h) == rotating_conjugating_word(v, h)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_words, _words)
+def test_shortlex_key_orders_as_letter_tuples(v, w):
+    assert (shortlex_key(v) < shortlex_key(w)) == (
+        letter_tuple_shortlex_key(v) < letter_tuple_shortlex_key(w))
+    assert (shortlex_key(v) == shortlex_key(w)) == (v == w)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_words, st.integers(-5, 5).filter(bool), st.integers(-3, 3))
+def test_kth_root_matches_reducing_oracle_on_powers(w, k, m):
+    for v in (w, power(w, k * m)):
+        assert kth_root(v, k) == reducing_kth_root(v, k), (v, k)
 
 
 @pytest.mark.parametrize("alphabet", [Alphabet.from_string("a"), AB, ABC])
