@@ -12,7 +12,8 @@ an elementary Nielsen move or a conjugation is one by construction.
 
 Inversion shortens the images by Nielsen moves down to a signed permutation
 of ``(x, y)``; the inverse is that trail of moves followed by the inverse of
-the permutation.  Whitehead minimization decides primitivity, and a search
+the permutation.  Whitehead minimization decides primitivity, Nielsen's
+commutator test decides membership in the orbit of ``[x, y]``, and a search
 over Whitehead automorphisms decides whether two words share an orbit.
 """
 
@@ -338,3 +339,16 @@ def is_primitive(w: str) -> AutF2 | None:
         return None
     return next(p for p in TYPE1_AUTOMORPHISMS if p.apply(m) == "x").compose(aut)
 
+
+def commutator_normalizer(w: str) -> AutF2 | None:
+    """The automorphism ``orbit_automorphism(w, "XYxy")`` finds, with no search:
+    by Nielsen, the orbit of ``[x, y]`` is the conjugates of ``[x, y]^±1``, and
+    the first signed permutation matching the minimized words cyclically,
+    fixed up by a conjugation, joins the two Whitehead minimizers."""
+    if cyclic_normal_form(w) not in _BASIS_COMMUTATORS:
+        return None
+    m1, a1 = whitehead_minimize(w)
+    m2, a2 = whitehead_minimize("XYxy")
+    p = next(p for p in TYPE1_AUTOMORPHISMS if cyclic_normal_form(p.apply(m1)) == m2)
+    h = conjugating_word(p.apply(m1), m2)
+    return a2.inverse().compose(inner(h).compose(p.compose(a1)))

@@ -79,8 +79,8 @@ def _add_equation_args(parser) -> None:
 
 def _add_budget_args(parser) -> None:
     parser.add_argument("--orbit-cap", type=_positive, default=10**6, metavar="N",
-                        help="visited cyclic forms or solution pairs before an orbit search,"
-                        " the orbit minimization or certify's orbit closure gives up")
+                        help="visited cyclic forms or solution pairs before an orbit search"
+                        " or one orbit walk (describe's or certify's) gives up")
     parser.add_argument("--hnn-budget", type=_positive, default=10**4, metavar="N",
                         help="tested bases before the splitting search gives up")
 
@@ -217,6 +217,9 @@ def _cmd_gen(args):
               if getattr(args, flag) is not None and flag not in _GEN_FLAGS_BY_KIND[desc.kind]]
     if unused:
         raise WordError(f"a {desc.kind} description cannot use {', '.join(unused)}")
+    ignored = [f"--{flag}" for flag in ("n", "m") if getattr(args, flag) is not None]
+    if args.sigma is not None and ignored:
+        raise WordError(f"--sigma cannot be combined with {', '.join(ignored)}")
     index, n = args.index or 0, args.n or 0
     if desc.kind == KIND_TRIVIAL:
         if args.root is None:
@@ -272,7 +275,6 @@ def _cmd_certify(args):
         ("kind", report.description_kind),
         ("formula", report.formula or "-"),
         ("max-len", str(report.max_len)),
-        ("closure-len", str(report.closure_len) if report.closure_len is not None else "-"),
         ("total", str(report.total_solutions)),
     ]
     fields += _rank_fields(report.rank_counts)

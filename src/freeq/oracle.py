@@ -22,9 +22,9 @@ original equation.
 
 ``certify`` then replays a variety description against the enumeration:
 every brute solution must be reproduced by the description's families
-(lattice members, parameter recovery, or the orbit closure of the minimal
-solutions under the canonical generators).  Uncovered pairs are reported in
-the result, never raised.
+(lattice members, parameter recovery, or for a rank-two solution, the orbit
+walk of ``describe`` from the solution itself reaching a minimal solution).
+Uncovered pairs are reported in the result, never raised.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .solver import (
     KIND_TRIVIAL,
     STATUS_OK,
     Budgets,
-    CanonicalGenerator,
     Equation,
     Rank1Family,
     TrivialFamily,
@@ -59,7 +58,6 @@ from .words import (
     pair_rank,
     power,
     primitive_root,
-    reduce_word,
     words_upto,
 )
 
@@ -244,22 +242,6 @@ def brute_force_solutions(eq: Equation, max_len: int) -> BruteForceResult:
     return BruteForceResult(equation=eq, max_len=max_len, solutions=solutions)
 
 
-def delta_orbit_closure(
-    seeds,
-    generators: tuple[CanonicalGenerator, ...],
-    max_len: int,
-    max_visited: int = 10**6,
-) -> frozenset:
-    """Orbit of the seed solutions under the canonical generators, restricted
-    to pairs whose coordinates both fit in the length ball.  Raises
-    :class:`SearchBudgetExceeded` once more than ``max_visited`` pairs would
-    be kept."""
-    seeds = [(reduce_word(g1), reduce_word(g2)) for g1, g2 in seeds]
-    return frozenset(orbit_walk(
-        seeds, generators, lambda p: len(p[0]) <= max_len and len(p[1]) <= max_len,
-        max_visited, lambda n: f"orbit closure visited {n} solutions without closing"))
-
-
 def _rank1_in_ball(family: Rank1Family | None, max_len: int) -> set:
     # A reduced power r^n has length |n|*|core(r)| + 2|conjugator|, so |n| can
     # never exceed the ball radius; sweeping that far and filtering by actual
@@ -296,7 +278,6 @@ class CertifyReport:
     description_kind: str
     formula: str
     max_len: int
-    closure_len: int | None
     total_solutions: int
     rank_counts: tuple[int, int, int]
     covered: bool
@@ -309,17 +290,17 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int,
     """Check that a description covers every brute-force solution in a ball.
 
     Coverage is per the description's kind: lattice membership for the
-    commuting families, parameter recovery for a primitive left side, and
-    orbit closure (inside a ball widened by twice the right side's length)
-    for the rank-two part, which ``budgets.orbit_max_visited`` caps.  The
-    report lists uncovered pairs verbatim.
+    commuting families, parameter recovery for a primitive left side, and for
+    a rank-two P, ``describe``'s ``orbit_walk`` from P reaching a minimal M
+    (the path is a word σ in the generators with ``P = M·σ⁻¹``).  A walk that
+    reaches one covers all it visits.  ``budgets.orbit_max_visited`` caps
+    each walk.  The report lists uncovered pairs verbatim.
     """
     if desc.status != STATUS_OK:
         raise WordError("cannot certify an unresolved description")
     brute = brute_force_solutions(eq, max_len)
     pairs = brute.pairs()
 
-    closure_len: int | None = None
     family_exact: bool | None = None
     if desc.kind == KIND_EMPTY:
         covered_set = set()
@@ -335,10 +316,14 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int,
     elif desc.kind == KIND_RANK1_ONLY:
         covered_set = _rank1_in_ball(desc.rank1, max_len)
     elif desc.kind == KIND_JSJ:
-        closure_len = max_len + 2 * len(desc.reduced.rhs)
-        covered_set = set(_rank1_in_ball(desc.rank1, max_len))
-        covered_set |= delta_orbit_closure(desc.minimal, desc.generators, closure_len,
-                                           budgets.orbit_max_visited)
+        covered_set = _rank1_in_ball(desc.rank1, max_len)
+        minimal = set(desc.minimal)
+        for g1, g2, rank in brute.solutions:
+            if rank == 2 and minimal and (g1, g2) not in covered_set:
+                walk = orbit_walk((g1, g2), desc.generators, desc.reduced.rhs,
+                                  budgets.orbit_max_visited)
+                if not minimal.isdisjoint(walk):
+                    covered_set |= walk
     else:
         raise WordError(f"cannot certify a description of kind {desc.kind!r}")
 
@@ -348,7 +333,6 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int,
         description_kind=desc.kind,
         formula=desc.formula,
         max_len=max_len,
-        closure_len=closure_len,
         total_solutions=len(pairs),
         rank_counts=brute.rank_counts(),
         covered=not uncovered,

@@ -32,6 +32,7 @@ from .autf2 import (
     INVERSION_MOVES,
     PRODUCT_MOVES,
     SearchBudgetExceeded,
+    commutator_normalizer,
     inner,
     is_primitive,
     orbit_automorphism,
@@ -94,9 +95,9 @@ DELTA_Y_INVERSE = AutF2("x", "Xy")
 
 @dataclass(frozen=True)
 class Budgets:
-    """Deterministic caps for the semi-decision searches: the cyclic forms or
-    solution pairs one orbit search, orbit minimization or certify closure
-    visits, and the bases the edge-splitting search tests."""
+    """Deterministic caps for the semi-decision searches: the cyclic forms
+    one orbit search visits or the solution pairs one orbit walk visits, and
+    the bases the edge-splitting search tests."""
 
     orbit_max_visited: int = 10**6
     hnn_max_bases: int = 10**4
@@ -395,15 +396,15 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
 def classify_jsj(w: str, budgets: Budgets = Budgets()) -> JsjClassification:
     """Orbit-of-commutator / edge-splitting / rigid trichotomy for w.
 
-    The commutator test runs first; a word in the orbit of [x, y] (or its
-    inverse) is never reported as split even though it also admits splittings.
+    The commutator test runs first, with no search; a word in the orbit of [x, y]
+    (or its inverse) is never reported as split though it also admits splittings.
     """
     w = _check_lhs(w)
+    # xyXY is a rotation of XYxy, hence in the same orbit: one target.
+    nu = commutator_normalizer(w)
+    if nu is not None:
+        return JsjClassification(kind=CASE_QH, normalizer=nu, target="XYxy")
     try:
-        # xyXY is a rotation of XYxy, hence in the same orbit: one target.
-        nu = orbit_automorphism(w, "XYxy", budgets.orbit_max_visited)
-        if nu is not None:
-            return JsjClassification(kind=CASE_QH, normalizer=nu, target="XYxy")
         witness = detect_hnn_splitting(w, budgets)
     except SearchBudgetExceeded as exc:
         return JsjClassification(kind=CASE_UNRESOLVED, note=str(exc))
@@ -521,24 +522,26 @@ def terminal_candidates(eq: Equation):
     return tuple(results)
 
 
-def orbit_walk(seeds, gens, fits, max_visited: int, trip) -> set[Pair]:
-    """The pairs reached from ``seeds`` through pairs that ``fits`` accepts.
+def orbit_walk(seed: Pair, gens, rhs: str, max_visited: int) -> set[Pair]:
+    """The pairs reached from ``seed`` inside the ball of total length
+    ``max(2|u| + 4, |seed|)``, ``u`` being the right side ``rhs``.
 
     A breadth-first search applies every canonical generator in ``gens`` and
-    its inverse to each pair reached; seeds that ``fits`` rejects are
-    dropped.  Visiting more than ``max_visited`` pairs raises
-    :class:`SearchBudgetExceeded` with the message ``trip(count)``.
+    its inverse to each pair reached.  Visiting more than ``max_visited``
+    pairs raises :class:`SearchBudgetExceeded`.
     """
+    ball = max(2 * len(rhs) + 4, len(seed[0]) + len(seed[1]))
     actions = [g.aut for g in gens] + [g.inverse for g in gens]
-    queue = [s for s in dict.fromkeys(seeds) if fits(s)]
-    visited = set(queue)
+    queue = [seed]
+    visited = {seed}
     for pair in queue:  # the list grows while it is walked: breadth first
         for aut in actions:
             new = apply_to_solution(aut, pair)
-            if new in visited or not fits(new):
+            if new in visited or len(new[0]) + len(new[1]) > ball:
                 continue
             if len(visited) >= max_visited:
-                raise SearchBudgetExceeded(trip(len(visited)))
+                raise SearchBudgetExceeded(f"orbit minimization visited {len(visited)}"
+                                           f" solutions within the ball of total length {ball}")
             visited.add(new)
             queue.append(new)
     return visited
@@ -554,10 +557,9 @@ def minimal_rank2_solutions(
 
     For each terminal candidate basis, an orbit search matches the left side
     to the rewritten right side; a hit pulls back to a seed, minimized over
-    its orbit under the canonical generators: the ShortLex-least pair reached
-    inside the ball of total length ``max(2|u| + 4, |seed|)``.  Precomposing
-    with an automorphism keeps ``<g1, g2>``, so walks from distinct
-    candidates never meet.
+    its orbit under the canonical generators: the ShortLex-least pair that
+    ``orbit_walk`` reaches.  Precomposing with an automorphism keeps
+    ``<g1, g2>``, so walks from distinct candidates never meet.
     """
     reps = []
     for pair, rewritten in terminal_candidates(eq):
@@ -567,12 +569,7 @@ def minimal_rank2_solutions(
         seed = apply_to_solution(match, pair)
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
-        ball = max(2 * len(eq.rhs) + 4, len(seed[0]) + len(seed[1]))
-        visited = orbit_walk(
-            [seed], gens, lambda p: len(p[0]) + len(p[1]) <= ball, budgets.orbit_max_visited,
-            lambda n: f"orbit minimization visited {n} solutions within the ball of total"
-            f" length {ball}")
-        reps.append(min(visited, key=pair_key))
+        reps.append(min(orbit_walk(seed, gens, eq.rhs, budgets.orbit_max_visited), key=pair_key))
     return tuple(sorted(reps, key=pair_key))
 
 

@@ -3,7 +3,8 @@ the word functions that peel by index, rotation-loop oracles for the word
 functions that find rotations in one pass, a greedy-shortening oracle for the
 basis check, a graph-free membership oracle, a set-partition oracle and a
 refolding oracle for terminal candidates, a rebuild-every-node oracle for the
-edge-splitting search and a widening-ball oracle for the orbit minimization."""
+edge-splitting search, a widening-ball oracle for the orbit minimization
+and an orbit-closure oracle for certify's rank-two coverage."""
 
 import functools
 import itertools
@@ -16,17 +17,21 @@ from freeq.autf2 import (
     orbit_automorphism,
 )
 from freeq.graphs import build_subgroup_graph, graph_from_edges
-from freeq.solver import Budgets, HnnWitness, apply_to_solution, terminal_candidates
+from freeq.oracle import _rank1_in_ball
+from freeq.solver import Budgets, Equation, HnnWitness, apply_to_solution, terminal_candidates
 from freeq.words import (
     VARIABLES,
+    Alphabet,
     WordError,
     conjugate,
+    cyclic_normal_form,
     evaluate,
     exponent_sum,
     invert,
     multiply,
     pair_key,
     reduce_word,
+    words_upto,
 )
 
 
@@ -387,3 +392,46 @@ def widening_minimal_solutions(eq, gens):
         claimed |= visited
         reps.add(best)
     return tuple(sorted(reps, key=pair_key))
+
+
+# The coverage oracle: the orbit of the minimal solutions under the canonical
+# generators, kept while both coordinates fit in a per-coordinate ball; at
+# radius L + 2|u| it is the rank-two coverage certify used before it walked
+# from each brute solution.
+
+
+def delta_orbit_closure(seeds, generators, max_len):
+    def fits(pair):
+        return len(pair[0]) <= max_len and len(pair[1]) <= max_len
+
+    actions = [g.aut for g in generators] + [g.inverse for g in generators]
+    queue = [s for s in seeds if fits(s)]
+    visited = set(queue)
+    for pair in queue:  # the list grows while it is walked: breadth first
+        for aut in actions:
+            new = apply_to_solution(aut, pair)
+            if new not in visited and fits(new):
+                visited.add(new)
+                queue.append(new)
+    return frozenset(visited)
+
+
+def closure_uncovered(brute, desc):
+    """The brute solutions of a jsj description that neither the rank-one
+    family nor the orbit closure at radius L + 2|u| covers."""
+    covered = _rank1_in_ball(desc.rank1, brute.max_len)
+    covered |= delta_orbit_closure(desc.minimal, desc.generators,
+                                   brute.max_len + 2 * len(desc.reduced.rhs))
+    return tuple(p for p in brute.pairs() if p not in covered)
+
+
+PROBE_PLANTS = (("a", "b"), ("ab", "b"), ("a", "ba"), ("aB", "b"), ("ab", "ba"))
+
+
+def probe_equations(max_w):
+    """The planted probe: every cyclic normal form w with |w| <= max_w in
+    both variables, with u = w(g1, g2) for each planted pair (g1, g2)."""
+    lhs = [w for w in words_upto(VARIABLES, max_w)
+           if "x" in w.lower() and "y" in w.lower() and cyclic_normal_form(w) == w]
+    ab = Alphabet.from_string("ab")
+    return [Equation(ab, w, evaluate(w, *plant)) for w in lhs for plant in PROBE_PLANTS]

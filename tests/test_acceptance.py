@@ -10,11 +10,17 @@ import random
 import time
 
 import pytest
-from conftest import is_reduced, naive_member, naive_nielsen_reduce, substitute
+from conftest import (
+    delta_orbit_closure,
+    is_reduced,
+    naive_member,
+    naive_nielsen_reduce,
+    substitute,
+)
 
 from freeq.autf2 import WHITEHEAD_AUTOMORPHISMS, is_primitive
 from freeq.graphs import build_subgroup_graph
-from freeq.oracle import brute_force_solutions, certify, delta_orbit_closure
+from freeq.oracle import brute_force_solutions, certify
 from freeq.solver import (
     Equation,
     FORMULA_CONJUGATES,

@@ -16,6 +16,7 @@ from freeq.autf2 import (
     TYPE1_AUTOMORPHISMS,
     TYPE2_AUTOMORPHISMS,
     WHITEHEAD_AUTOMORPHISMS,
+    commutator_normalizer,
     inner,
     is_basis_pair,
     is_primitive,
@@ -256,6 +257,14 @@ def test_is_primitive():
     # Whitehead minimization finds the automorphism the orbit search finds.
     for w in words_upto(XY, 7):
         assert is_primitive(w) == orbit_automorphism(w, "x"), w
+
+
+def test_commutator_normalizer():
+    assert commutator_normalizer("XYxy") == IDENTITY
+    assert commutator_normalizer("xxyy") is None
+    # Nielsen's test finds the automorphism the orbit search finds.
+    for w in words_upto(XY, 7):
+        assert commutator_normalizer(w) == orbit_automorphism(w, "XYxy"), w
 
 
 def test_primitive_words_conjugation_closed():

@@ -155,13 +155,14 @@ def test_certify_uncovered_exit(capsys, monkeypatch):
     assert "uncovered" in out
 
 
-def test_certify_closure_budget_exits_unresolved(capsys):
-    # describe visits 13 pairs, so only the closure (63 pairs) trips the cap
+def test_certify_walk_budget_exits_unresolved(capsys):
+    # describe's walk visits 13 pairs; certify's walks visit 13 and 19, so
+    # only certify trips the cap
     code, _, err = run_main(
-        capsys, "certify", "--w", "xxyy", "--u", "aabb", "-L", "8", "--orbit-cap", "30"
+        capsys, "certify", "--w", "xxyy", "--u", "aabb", "-L", "8", "--orbit-cap", "15"
     )
     assert code == 2
-    assert "orbit closure visited 30 solutions" in err
+    assert "orbit minimization visited 15 solutions" in err
 
 
 def test_unresolved_exit(capsys):
@@ -208,6 +209,10 @@ def test_usage_errors_exit_1():
         proc = run_proc("gen", *unused)
         assert proc.returncode == 1, unused
         assert f"cannot use {named}" in proc.stderr, unused
+    # --sigma names the whole generator word, so --n and --m have no use
+    proc = run_proc("gen", "--w", "xxyy", "--u", "aabb", "--sigma", "c", "--m", "2", "--n", "5")
+    assert proc.returncode == 1
+    assert "--sigma cannot be combined with --n, --m" in proc.stderr
     for flag in ("--orbit-cap", "--hnn-budget"):
         for value in ("0", "-5"):
             proc = run_proc("solve", "--w", "xxxyyy", "--u", "aaabbb", flag, value)

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from conftest import reducing_kth_root
+from conftest import closure_uncovered, probe_equations, reducing_kth_root
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +14,8 @@ from freeq.oracle import (
     _single_run_shape,
     brute_force_solutions,
     certify,
-    delta_orbit_closure,
 )
-from freeq.solver import STATUS_OK, Budgets, Equation, describe_variety
+from freeq.solver import KIND_JSJ, STATUS_OK, Budgets, Equation, describe_variety
 from freeq.words import (
     Alphabet,
     WordError,
@@ -290,19 +289,39 @@ def test_brute_sorted_and_tagged():
     assert sum(counts) == len(result.solutions)
 
 
-def test_delta_orbit_closure_golden():
-    desc = describe_variety(eq("XYxy", "ABab"))
-    closure = delta_orbit_closure(desc.minimal, desc.generators, 5)
-    assert ("a", "b") in closure
-    assert ("ba", "b") in closure
-    assert ("a", "ab") in closure
-    assert all(len(g1) <= 5 and len(g2) <= 5 for g1, g2 in closure)
+def test_certify_walks_twisted_solutions_to_the_minimal_one():
+    e = eq("XYxy", "ABab")
+    desc = describe_variety(e)
+    assert desc.minimal == (("a", "b"),)
+    pairs = brute_force_solutions(e, 2).pairs()
+    assert ("ba", "b") in pairs and ("a", "ab") in pairs
+    report = certify(e, desc, 2)
+    assert report.covered and report.uncovered == ()
 
 
-def test_delta_orbit_closure_budget_is_a_search_budget():
-    desc = describe_variety(eq("XYxy", "ABab"))
-    with pytest.raises(SearchBudgetExceeded, match="orbit closure visited 1 solutions"):
-        delta_orbit_closure(desc.minimal, desc.generators, 5, max_visited=1)
+def test_certify_walk_budget_is_a_search_budget():
+    e = eq("XYxy", "ABab")
+    desc = describe_variety(e)
+    with pytest.raises(SearchBudgetExceeded, match="orbit minimization visited 1 solutions"):
+        certify(e, desc, 2, Budgets(orbit_max_visited=1))
+
+
+def test_certify_walk_matches_the_orbit_closure_on_the_planted_probe():
+    # Every cyclic normal form |w| <= 5 in both variables, five planted pairs
+    # each, certified at L=3: walking from each brute solution inside the
+    # describe ball leaves exactly the pairs that the orbit closure of the
+    # minimal solutions at radius L + 2|u| leaves uncovered.
+    equations = probe_equations(5)
+    assert len(equations) == 410
+    jsj = 0
+    for e in equations:
+        desc = describe_variety(e)
+        assert desc.status == STATUS_OK, e
+        report = certify(e, desc, 3)
+        if desc.kind == KIND_JSJ:
+            jsj += 1
+            assert report.uncovered == closure_uncovered(brute_force_solutions(e, 3), desc), e
+    assert jsj > 0
 
 
 def test_certify_trivial_exact():
