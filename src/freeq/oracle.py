@@ -24,6 +24,11 @@ original equation.
 every brute solution must be reproduced by the description's families
 (lattice members, parameter recovery, or for a rank-two solution, the orbit
 walk of ``describe`` from the solution itself reaching a minimal solution).
+The walks that ``describe`` already ran in the base ball ``2|u| + 4``
+(``VarietyDescription.orbits``) and that hold a minimal solution are
+covered from the start, so only pairs outside them are walked; that is
+exact, since a brute pair in such a component lies in the base ball and its
+own walk would be that component.
 Uncovered pairs are reported in the result, never raised.
 """
 
@@ -295,6 +300,13 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int,
     (the path is a word σ in the generators with ``P = M·σ⁻¹``).  A walk that
     reaches one covers all it visits.  ``budgets.orbit_max_visited`` caps
     each walk.  The report lists uncovered pairs verbatim.
+
+    Describe's components (``desc.orbits``) of at most
+    ``budgets.orbit_max_visited`` pairs that hold a minimal solution are
+    covered before any walk.  Each was walked in the base ball ``2|u| + 4``,
+    the smallest ball any brute pair walks in, so the walk from any of its
+    pairs is exactly that component: seeding changes no verdict, and a larger
+    component is walked, and trips the cap, as before.
     """
     if desc.status != STATUS_OK:
         raise WordError("cannot certify an unresolved description")
@@ -318,6 +330,9 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int,
     elif desc.kind == KIND_JSJ:
         covered_set = _rank1_in_ball(desc.rank1, max_len)
         minimal = set(desc.minimal)
+        for orbit in desc.orbits:
+            if len(orbit) <= budgets.orbit_max_visited and not minimal.isdisjoint(orbit):
+                covered_set |= orbit
         for g1, g2, rank in brute.solutions:
             if rank == 2 and minimal and (g1, g2) not in covered_set:
                 walk = orbit_walk((g1, g2), desc.generators, desc.reduced.rhs,

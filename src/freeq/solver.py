@@ -22,7 +22,7 @@ returned.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
@@ -237,6 +237,12 @@ class VarietyDescription:
     classification: JsjClassification | None = None
     generators: tuple[CanonicalGenerator, ...] = ()
     minimal: tuple[Pair, ...] = ()
+    # The component that each seed's orbit walk reached, kept only when the
+    # walk ran in the base ball 2|u| + 4 (the seed was no longer than that):
+    # certify starts from these instead of walking them again.  A cache of
+    # the search, not part of the description, so it is left out of
+    # equality, hashing and repr.
+    orbits: tuple[frozenset[Pair], ...] = field(default=(), compare=False, repr=False)
 
     def generator_by_symbol(self, symbol: str) -> CanonicalGenerator:
         for g in self.generators:
@@ -551,7 +557,7 @@ def minimal_rank2_solutions(
     eq: Equation,
     gens: tuple[CanonicalGenerator, ...],
     budgets: Budgets = Budgets(),
-) -> tuple[Pair, ...]:
+) -> tuple[tuple[Pair, ...], tuple[frozenset[Pair], ...]]:
     """Minimal rank-two solutions: one per candidate subgroup whose rewritten
     right side lies in the orbit of the left side.
 
@@ -560,8 +566,11 @@ def minimal_rank2_solutions(
     its orbit under the canonical generators: the ShortLex-least pair that
     ``orbit_walk`` reaches.  Precomposing with an automorphism keeps
     ``<g1, g2>``, so walks from distinct candidates never meet.
+
+    Returns the minimal solutions and the walks that ran in the base ball
+    ``2|u| + 4``: those whose seed was no longer than it.
     """
-    reps = []
+    reps, orbits = [], []
     for pair, rewritten in terminal_candidates(eq):
         match = orbit_automorphism(eq.lhs, rewritten, budgets.orbit_max_visited)
         if match is None:
@@ -569,8 +578,11 @@ def minimal_rank2_solutions(
         seed = apply_to_solution(match, pair)
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
-        reps.append(min(orbit_walk(seed, gens, eq.rhs, budgets.orbit_max_visited), key=pair_key))
-    return tuple(sorted(reps, key=pair_key))
+        walk = orbit_walk(seed, gens, eq.rhs, budgets.orbit_max_visited)
+        reps.append(min(walk, key=pair_key))
+        if len(seed[0]) + len(seed[1]) <= 2 * len(eq.rhs) + 4:
+            orbits.append(frozenset(walk))
+    return tuple(sorted(reps, key=pair_key)), tuple(orbits)
 
 
 def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescription:
@@ -632,7 +644,7 @@ def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescr
         )
     gens = canonical_generators(cls, w)
     try:
-        minimal = minimal_rank2_solutions(eq, gens, budgets)
+        minimal, orbits = minimal_rank2_solutions(eq, gens, budgets)
     except SearchBudgetExceeded as exc:
         return VarietyDescription(
             equation=eq, reduced=eq, status=STATUS_UNRESOLVED,
@@ -643,6 +655,7 @@ def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescr
         equation=eq, reduced=eq, status=STATUS_OK,
         kind=KIND_JSJ, formula=_FORMULA_BY_CASE[cls.kind],
         classification=cls, generators=gens, rank1=family, minimal=minimal,
+        orbits=orbits,
     )
 
 

@@ -7,6 +7,7 @@ from conftest import closure_uncovered, probe_equations, reducing_kth_root
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freeq import oracle
 from freeq.autf2 import SearchBudgetExceeded
 from freeq.graphs import build_subgroup_graph
 from freeq.oracle import (
@@ -306,11 +307,58 @@ def test_certify_walk_budget_is_a_search_budget():
         certify(e, desc, 2, Budgets(orbit_max_visited=1))
 
 
+def counting_walks(monkeypatch):
+    """Count certify's calls of ``orbit_walk``; returns the one-item counter."""
+    calls = [0]
+    walk = oracle.orbit_walk
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "orbit_walk", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "w,u,max_len",
+    [
+        ("[x,y]", "[a,b]", 4),
+        ("xYxy", "aBab", 4),
+        ("xxyy", "aabb", 5),
+        ("xxxyyy", "aaabbb", 5),
+        ("(xxyy)^2", "(aabb)^2", 4),  # the orbits survive the proper-power path
+    ],
+)
+def test_certify_starts_from_the_orbits_describe_walked(monkeypatch, w, u, max_len):
+    e = eq(parse_word(w, "xy"), parse_word(u, "ab"))
+    desc = describe_variety(e)
+    assert desc.orbits
+    calls = counting_walks(monkeypatch)
+    report = certify(e, desc, max_len)
+    assert report.covered
+    assert calls[0] == 0
+    if w == "(xxyy)^2":
+        assert report.total_solutions == 3
+
+
+def test_certify_seeds_only_orbits_within_the_walk_budget(monkeypatch):
+    e = eq(parse_word("[x,y]", "xy"), parse_word("[a,b]", "ab"))
+    desc = describe_variety(e)
+    n = len(desc.orbits[0])
+    calls = counting_walks(monkeypatch)
+    assert certify(e, desc, 3, Budgets(orbit_max_visited=n)).covered
+    assert calls[0] == 0
+    with pytest.raises(SearchBudgetExceeded, match=f"orbit minimization visited {n - 1} solutions"):
+        certify(e, desc, 3, Budgets(orbit_max_visited=n - 1))
+
+
 def test_certify_walk_matches_the_orbit_closure_on_the_planted_probe():
     # Every cyclic normal form |w| <= 5 in both variables, five planted pairs
     # each, certified at L=3: walking from each brute solution inside the
     # describe ball leaves exactly the pairs that the orbit closure of the
-    # minimal solutions at radius L + 2|u| leaves uncovered.
+    # minimal solutions at radius L + 2|u| leaves uncovered.  Starting from
+    # describe's orbits gives the report that walking every pair gives.
     equations = probe_equations(5)
     assert len(equations) == 410
     jsj = 0
@@ -321,6 +369,7 @@ def test_certify_walk_matches_the_orbit_closure_on_the_planted_probe():
         if desc.kind == KIND_JSJ:
             jsj += 1
             assert report.uncovered == closure_uncovered(brute_force_solutions(e, 3), desc), e
+            assert report == certify(e, dataclasses.replace(desc, orbits=()), 3), e
     assert jsj > 0
 
 

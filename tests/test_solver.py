@@ -53,6 +53,7 @@ from freeq.solver import (
     generate_rank1,
     generate_trivial,
     mega_word,
+    orbit_walk,
     terminal_candidates,
     two_level_conjugator,
     two_level_member,
@@ -362,6 +363,25 @@ def test_minimal_solutions_match_widening_oracle():
         assert desc.minimal == widening_minimal_solutions(desc.reduced, desc.generators), e
         compared += 1
     assert compared == 70
+
+
+@pytest.mark.parametrize(
+    "w,u,kept",
+    [("[x,y]", "[a,b]", 1), ("(xxyy)^2", "(aabb)^2", 1), ("xxxyy", "aaababa", 0)],
+)
+def test_describe_keeps_only_base_ball_walks(w, u, kept):
+    """Certify covers the kept walks without walking them, which is exact only
+    if each lies in the base ball 2|u| + 4 and is the walk from any of its
+    pairs.  The one seed of xxxyy = aaababa is longer than that ball, so its
+    walk is not kept."""
+    desc = describe(parse_word(w, "xy"), parse_word(u, "ab"))
+    assert len(desc.orbits) == kept
+    rhs = desc.reduced.rhs
+    for orbit in desc.orbits:
+        assert not orbit.isdisjoint(desc.minimal)
+        assert all(len(g1) + len(g2) <= 2 * len(rhs) + 4 for g1, g2 in orbit)
+        for pair in (min(orbit, key=pair_key), max(orbit, key=pair_key)):
+            assert orbit_walk(pair, desc.generators, rhs, 10**6) == orbit
 
 
 def test_seeds_generate_their_candidate_subgroups():
