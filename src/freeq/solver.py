@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 
 from .autf2 import (
     TYPE1_AUTOMORPHISMS,
@@ -422,6 +422,7 @@ def classify_jsj(w: str, budgets: Budgets = Budgets()) -> JsjClassification:
     )
 
 
+_CONJUGATION = "c"  # the symbol of inner(w), which acts on solutions as conjugation by u
 _SYMMETRY_SYMBOLS = "pqruvz"
 
 
@@ -455,7 +456,7 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
     twist subgroup sits at finite index in the full stabilizer).
     """
     w = reduce_word(w)
-    gens = [CanonicalGenerator("c", "conjugation-by-lhs", inner(w), inner(invert(w)))]
+    gens = [CanonicalGenerator(_CONJUGATION, "conjugation-by-lhs", inner(w), inner(invert(w)))]
     if cls.kind == CASE_HNN:
         basis, basis_inverse = cls.hnn.basis_aut, cls.hnn.basis_aut.inverse()
         gens.append(CanonicalGenerator("t", "edge-twist",
@@ -478,6 +479,49 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
 def apply_to_solution(aut: AutF2, pair: Pair) -> Pair:
     """Precompose a solution with an automorphism fixing the left side."""
     return (evaluate(aut.image_x, pair[0], pair[1]), evaluate(aut.image_y, pair[0], pair[1]))
+
+
+# A generator acts on a solution (g1, g2) of w = u by products of the slot
+# values (g1, g1^-1, g2, g2^-1, u, u^-1), slot i ^ 1 holding the inverse of
+# slot i; c = inner(w) takes each g to w(g1, g2)^-1 g w(g1, g2) = u^-1 g u.
+_SLOTS = {"x": 0, "X": 1, "y": 2, "Y": 3}
+_CONJUGATION_PROGRAMS = (((5, 0, 4), (5, 2, 4)), ((4, 0, 5), (4, 2, 5)))
+
+
+def _programs(gen: CanonicalGenerator, inverse: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The letter programs of ``gen``, or of its inverse, on a solution."""
+    if gen.symbol == _CONJUGATION:
+        return _CONJUGATION_PROGRAMS[inverse]
+    aut = gen.inverse if inverse else gen.aut
+    return tuple(_SLOTS[c] for c in aut.image_x), tuple(_SLOTS[c] for c in aut.image_y)
+
+
+def _values(pair: Pair, conj: tuple[str, str]) -> tuple[str, ...]:
+    return (pair[0], invert(pair[0]), pair[1], invert(pair[1])) + conj
+
+
+def _act(values: tuple[str, ...], programs, ball: float) -> Pair | None:
+    """The image under ``programs`` of the solution with slot ``values``, or
+    None once it is longer than ``ball``.  Reduced factors cancel only where
+    two meet (Lyndon–Schupp I.1), by the common suffix of the product so far
+    and the next factor's inverse."""
+    image, total = [], 0
+    for program in programs:
+        out = ""
+        for i in program:
+            inv = values[i ^ 1]
+            if out and out[-1] == inv[-1:]:
+                k, n = 1, min(len(out), len(inv))
+                while k < n and out[-1 - k] == inv[-1 - k]:
+                    k += 1
+                out = out[:len(out) - k] + values[i][k:]
+            else:
+                out += values[i]
+        total += len(out)
+        if total > ball:
+            return None
+        image.append(out)
+    return tuple(image)
 
 
 def terminal_candidates(eq: Equation):
@@ -533,23 +577,30 @@ def orbit_walk(seed: Pair, gens, rhs: str, max_visited: int) -> set[Pair]:
     ``max(2|u| + 4, |seed|)``, ``u`` being the right side ``rhs``.
 
     A breadth-first search applies every canonical generator in ``gens`` and
-    its inverse to each pair reached.  Visiting more than ``max_visited``
-    pairs raises :class:`SearchBudgetExceeded`.
+    its inverse to each pair reached, but for the inverse of the action that
+    reached it, which leads back to its parent.  ``seed`` must solve ``w = u``
+    for the left side ``w`` that ``gens`` fix, so that ``c = inner(w)`` acts
+    on every pair reached as conjugation by ``u``.  Visiting more than
+    ``max_visited`` pairs raises :class:`SearchBudgetExceeded`.
     """
     ball = max(2 * len(rhs) + 4, len(seed[0]) + len(seed[1]))
-    actions = [g.aut for g in gens] + [g.inverse for g in gens]
-    queue = [seed]
+    actions = [_programs(g, False) for g in gens] + [_programs(g, True) for g in gens]
+    conj = (rhs, invert(rhs))
+    queue = [(seed, -1)]  # each pair with the action that leads back to its parent
     visited = {seed}
-    for pair in queue:  # the list grows while it is walked: breadth first
-        for aut in actions:
-            new = apply_to_solution(aut, pair)
-            if new in visited or len(new[0]) + len(new[1]) > ball:
+    for pair, back in queue:  # the list grows while it is walked: breadth first
+        values = _values(pair, conj)
+        for i, programs in enumerate(actions):
+            if i == back:
+                continue
+            new = _act(values, programs, ball)
+            if new is None or new in visited:
                 continue
             if len(visited) >= max_visited:
                 raise SearchBudgetExceeded(f"orbit minimization visited {len(visited)}"
                                            f" solutions within the ball of total length {ball}")
             visited.add(new)
-            queue.append(new)
+            queue.append((new, (i + len(gens)) % len(actions)))
     return visited
 
 
@@ -711,7 +762,7 @@ def generate_hnn(desc: VarietyDescription, index: int, n: int, m: int) -> Pair:
 
     With p, t the splitting basis evaluated at the solution, ``t^m``
     substitutes ``t -> t q^m`` and ``c^n`` conjugates both by ``u^n``; the
-    two commute.
+    two commute, and ``generate_orbit`` applies ``c`` as that conjugation.
     """
     if desc.classification is None or desc.classification.kind != CASE_HNN:
         raise WordError("this description has no edge-splitting family")
@@ -723,15 +774,18 @@ def generate_orbit(desc: VarietyDescription, index: int, sigma: str) -> Pair:
     """Apply a word in the canonical generators to a minimal solution.
 
     ``sigma`` is spelled with the generator symbols (inverses by upper case)
-    and is applied left to right.
+    and is applied left to right, each letter by ``_act``.
     """
     sol = _minimal_solution(desc, index)
     symbols = {g.symbol for g in desc.generators}
+    conj = (desc.reduced.rhs, invert(desc.reduced.rhs))
+    programs = {}
     for c in sigma:
         if c.lower() not in symbols:
             raise WordError(f"unknown canonical generator {c!r}")
-        gen = desc.generator_by_symbol(c.lower())
-        sol = apply_to_solution(gen.aut if c.islower() else gen.inverse, sol)
+        if c not in programs:
+            programs[c] = _programs(desc.generator_by_symbol(c.lower()), c.isupper())
+        sol = _act(_values(sol, conj), programs[c], inf)
     return _checked(desc.reduced, sol)
 
 

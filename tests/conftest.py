@@ -3,8 +3,9 @@ the word functions that peel by index, rotation-loop oracles for the word
 functions that find rotations in one pass, a greedy-shortening oracle for the
 basis check, a graph-free membership oracle, a set-partition oracle and a
 refolding oracle for terminal candidates, a rebuild-every-node oracle for the
-edge-splitting search, a widening-ball oracle for the orbit minimization
-and an orbit-closure oracle for certify's rank-two coverage."""
+edge-splitting search, a widening-ball oracle for the orbit minimization,
+an evaluating oracle for the orbit walk and an orbit-closure oracle for
+certify's rank-two coverage."""
 
 import functools
 import itertools
@@ -392,6 +393,29 @@ def widening_minimal_solutions(eq, gens):
         claimed |= visited
         reps.add(best)
     return tuple(sorted(reps, key=pair_key))
+
+
+# The orbit-walk oracle: ``solver.orbit_walk`` as it was before it built
+# images by junction-only products, applying every generator and inverse to
+# every pair through ``apply_to_solution``, that is ``evaluate`` on the images.
+
+
+def evaluating_orbit_walk(seed, gens, rhs, max_visited):
+    ball = max(2 * len(rhs) + 4, len(seed[0]) + len(seed[1]))
+    actions = [g.aut for g in gens] + [g.inverse for g in gens]
+    queue = [seed]
+    visited = {seed}
+    for pair in queue:  # the list grows while it is walked: breadth first
+        for aut in actions:
+            new = apply_to_solution(aut, pair)
+            if new in visited or len(new[0]) + len(new[1]) > ball:
+                continue
+            if len(visited) >= max_visited:
+                raise SearchBudgetExceeded(f"orbit minimization visited {len(visited)}"
+                                           f" solutions within the ball of total length {ball}")
+            visited.add(new)
+            queue.append(new)
+    return visited
 
 
 # The coverage oracle: the orbit of the minimal solutions under the canonical

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import freeq.cli as cli
+from freeq.solver import Budgets
 
 
 def run_main(capsys, *argv):
@@ -163,6 +164,14 @@ def test_certify_walk_budget_exits_unresolved(capsys):
     )
     assert code == 2
     assert "orbit minimization visited 15 solutions" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "gen", "certify"])
+def test_budget_flag_defaults_are_the_budgets_defaults(command):
+    argv = [command, "--w", "xxyy"] + ([] if command == "classify" else ["--u", "aabb"])
+    args = cli.build_parser().parse_args(argv)
+    assert args.orbit_cap == Budgets().orbit_max_visited
+    assert args.hnn_budget == Budgets().hnn_max_bases
 
 
 def test_unresolved_exit(capsys):

@@ -1,11 +1,14 @@
 """The description pipeline: kinds, classification, generators, generation."""
 
+import functools
 import inspect
+import math
 import random
 import sys
 
 import pytest
 from conftest import (
+    evaluating_orbit_walk,
     partition_terminal_candidates,
     rebuilding_hnn_splitting,
     refolding_terminal_candidates,
@@ -422,6 +425,149 @@ def test_canonical_generator_inverses_match_greedy_inversion():
         desc = describe(w, u)
         c = desc.generator_by_symbol("c")
         assert generate_orbit(desc, 0, "C") == apply_to_solution(c.aut.inverse(), desc.minimal[0])
+
+
+def _described_walks(monkeypatch, equations):
+    """``(seed, gens, rhs, walk)`` for every ``orbit_walk`` that describing
+    ``equations`` runs."""
+    walks = []
+    walk = solver.orbit_walk
+
+    def recording(seed, gens, rhs, max_visited):
+        visited = walk(seed, gens, rhs, max_visited)
+        walks.append((seed, gens, rhs, visited))
+        return visited
+
+    monkeypatch.setattr(solver, "orbit_walk", recording)
+    for e in equations:
+        describe_variety(e)
+    monkeypatch.undo()
+    return walks
+
+
+def _walk_outcome(walk, seed, gens, rhs, max_visited):
+    try:
+        return walk(seed, gens, rhs, max_visited)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+# LARGE_U holds the other two |u| = 10-12 commutators.
+COMMUTATOR_U12 = ("[x,y]", "[aaab,bab]")
+
+
+def _walk_corpus():
+    """The minimization corpus and the third |u| = 10-12 commutator."""
+    w, u = COMMUTATOR_U12
+    return _minimization_corpus() + [eq(parse_word(w, "xy"), parse_word(u, "ab"))]
+
+
+def test_orbit_walk_matches_evaluating_oracle(monkeypatch):
+    """Images built by junction-only products, with c as conjugation by u,
+    give every walk describe runs, and its budget trips, exactly as
+    evaluating each generator image does."""
+    walks = _described_walks(monkeypatch, _walk_corpus())
+    assert len(walks) == 73
+    assert max(len(visited) for *_, visited in walks) == 319
+    for seed, gens, rhs, visited in walks:
+        n = len(visited)
+        assert visited == evaluating_orbit_walk(seed, gens, rhs, 10**6), seed
+        for cap in (n, n - 1):
+            fast = _walk_outcome(orbit_walk, seed, gens, rhs, cap)
+            assert fast == _walk_outcome(evaluating_orbit_walk, seed, gens, rhs, cap), (seed, cap)
+            if cap == n or n == 1:
+                assert fast == visited
+            else:
+                assert fast.startswith(f"orbit minimization visited {cap} solutions")
+
+
+def test_solution_actions_match_apply_to_solution():
+    """Every generator and inverse acts on a solution as ``apply_to_solution``
+    does, on each minimal solution and on members reached by random words
+    in the generators; a proper power's ``c`` conjugates by its reduced
+    right side."""
+    rng = random.Random(15)
+    power = describe(parse_word("(xxyy)^2", "xy"), parse_word("(aabb)^2", "ab"))
+    descriptions = [d for d in map(describe_variety, _walk_corpus()) if d.kind == KIND_JSJ]
+    compared = 0
+    for desc in descriptions + [power]:
+        rhs = desc.reduced.rhs
+        actions = [(g, inverse) for g in desc.generators for inverse in (False, True)]
+        members = list(desc.minimal)
+        for sol in desc.minimal:
+            for _ in range(3):
+                pair = sol
+                for _ in range(rng.randint(1, 6)):
+                    g, inverse = rng.choice(actions)
+                    pair = apply_to_solution(g.inverse if inverse else g.aut, pair)
+                members.append(pair)
+        for pair in members:
+            assert desc.reduced.holds_for(*pair)
+            values = solver._values(pair, (rhs, invert(rhs)))
+            for g, inverse in actions:
+                expected = apply_to_solution(g.inverse if inverse else g.aut, pair)
+                assert solver._act(values, solver._programs(g, inverse), math.inf) == expected
+                compared += 1
+    assert compared > 1000
+    assert power.reduced.rhs == "aabb"
+    for i, (g1, g2) in enumerate(power.minimal):
+        assert generate_orbit(power, i, "c") == (conjugate(g1, "aabb"), conjugate(g2, "aabb"))
+
+
+ORBIT_EQUATIONS = JSJ_ANCHORS + (("[x,y]", "[aab,ba]"), ("(xxyy)^2", "(aabb)^2"))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_description(i):
+    w, u = ORBIT_EQUATIONS[i]
+    return describe(parse_word(w, "xy"), parse_word(u, "ab"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_generate_orbit_matches_an_evaluate_fold(data):
+    desc = _orbit_description(data.draw(st.integers(0, len(ORBIT_EQUATIONS) - 1)))
+    index = data.draw(st.integers(0, len(desc.minimal) - 1))
+    symbols = "".join(g.symbol + g.symbol.upper() for g in desc.generators)
+    sigma = data.draw(st.text(alphabet=symbols, max_size=8))
+    pair = desc.minimal[index]
+    for c in sigma:
+        g = desc.generator_by_symbol(c.lower())
+        pair = apply_to_solution(g.aut if c.islower() else g.inverse, pair)
+    assert generate_orbit(desc, index, sigma) == pair
+
+
+def test_describe_walks_without_evaluate(monkeypatch):
+    """Inside ``orbit_walk`` neither ``evaluate`` nor ``apply_to_solution``
+    runs while ``[x,y] = [a,b]`` is described, though both run outside it."""
+    counts = {"inside": 0, "outside": 0}
+    depth = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            counts["inside" if depth[0] else "outside"] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("freeq.") and hasattr(module, "evaluate"):
+            monkeypatch.setattr(module, "evaluate", counting(module.evaluate))
+    monkeypatch.setattr(solver, "apply_to_solution", counting(solver.apply_to_solution))
+    walk = solver.orbit_walk
+
+    def walking(*args):
+        depth[0] += 1
+        try:
+            return walk(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(solver, "orbit_walk", walking)
+    desc = describe(parse_word("[x,y]", "xy"), parse_word("[a,b]", "ab"))
+    assert desc.status == STATUS_OK
+    assert [len(orbit) for orbit in desc.orbits] == [319]
+    assert counts["inside"] == 0
+    assert counts["outside"] > 0
 
 
 def test_hnn_description_golden():
