@@ -13,13 +13,13 @@ an elementary Nielsen move or a conjugation is one by construction.
 Inversion shortens the images by Nielsen moves down to a signed permutation
 of ``(x, y)``; the inverse is that trail of moves followed by the inverse of
 the permutation.  Whitehead minimization decides primitivity, Nielsen's
-commutator test decides membership in the orbit of ``[x, y]``, and a search
-over Whitehead automorphisms decides whether two words share an orbit.
+commutator test decides membership in the orbit of ``[x, y]``, and the
+minimal level of a word's orbit, walked once per word and only as far as
+lookups need, decides which words share that orbit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
@@ -260,72 +260,58 @@ def whitehead_minimize(w: str) -> tuple[str, AutF2]:
     return cur, total
 
 
-def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> AutF2 | None:
-    """Search for an automorphism with ``aut.apply(source) == target``.
+class MinimalLevel:
+    """The minimal level of the orbit of ``w``, walked as far as lookups need.
 
-    Tri-state outcome: an exact automorphism, None when the words are
-    provably in different orbits, or :class:`SearchBudgetExceeded` when the
-    level search visits more than ``max_visited`` cyclic forms.
-
-    Both words are Whitehead-minimized; if the minimal cyclic lengths agree,
-    a breadth-first search over cyclic normal forms at that level (all twenty
-    Whitehead automorphisms, images staying on the level) connects them
-    exactly when some automorphism does.  A conjugation fix-up then upgrades
-    the cyclic match to an exact one.
+    The level is the cyclic forms of the minimal length in the orbit, joined
+    by Whitehead automorphisms that stay on it; in rank two it is finite.
+    It holds the gcd of ``w``'s exponent sums, the minimizer ``aut`` with
+    ``aut.apply(w) == minimal``, the forms reached in breadth-first order from
+    ``minimal``, each with its path automorphism ``A_f`` and image word, and
+    the index of the next form to expand.  The order does not depend on what
+    is looked up, so every lookup finds a form by the same path.
     """
-    source = reduce_word(source)
-    target = reduce_word(target)
-    if source == "" or target == "":
-        return IDENTITY if source == target else None
-    sx, sy = abs(exponent_sum(source, "x")), abs(exponent_sum(source, "y"))
-    tx, ty = abs(exponent_sum(target, "x")), abs(exponent_sum(target, "y"))
-    if gcd(sx, sy) != gcd(tx, ty):
-        return None
-    m1, a1 = whitehead_minimize(source)
-    m2, a2 = whitehead_minimize(target)
-    level = cyclic_length(m1)
-    if level != cyclic_length(m2):
-        return None
 
-    start = cyclic_normal_form(m1)
-    goal = cyclic_normal_form(m2)
-    reached: dict[str, tuple[AutF2, str]] = {start: (IDENTITY, m1)}
-    queue = deque([start])
-    found: AutF2 | None = None
-    if start == goal:
-        found = IDENTITY
-    while queue and found is None:
-        node = queue.popleft()
-        aut, word = reached[node]
-        for t in WHITEHEAD_AUTOMORPHISMS:
-            img = t.apply(word)
-            if cyclic_length(img) != level:
-                continue
-            form = cyclic_normal_form(img)
-            if form in reached:
-                continue
-            if len(reached) >= max_visited:
-                raise SearchBudgetExceeded(
-                    f"orbit search visited {max_visited} cyclic forms without a verdict"
-                )
-            reached[form] = (t.compose(aut), img)
-            if form == goal:
-                found = reached[form][0]
-                queue.clear()
-                break
-            queue.append(form)
-    if found is None:
-        return None
+    def __init__(self, w: str) -> None:
+        w = reduce_word(w)
+        self.gcd = gcd(exponent_sum(w, "x"), exponent_sum(w, "y"))
+        self.minimal, self.aut = whitehead_minimize(w)
+        self.forms = [self.minimal]
+        self.reached: dict[str, tuple[AutF2, str]] = {self.minimal: (IDENTITY, self.minimal)}
+        self.head = 0
 
-    # found(m1) is conjugate to m2; compose with the conjugation that matches
-    # them exactly, then undo the two minimizing automorphisms.
-    h = conjugating_word(found.apply(m1), m2)
-    if h is None:
-        raise AssertionError("cyclic forms matched but words are not conjugate")
-    exact = a2.inverse().compose(inner(h).compose(found.compose(a1)))
-    if exact.apply(source) != target:
-        raise AssertionError("orbit search produced a wrong automorphism")
-    return exact
+    def _reaches(self, form: str) -> bool:
+        """Whether ``form`` is on the level: expand heads until it is reached
+        or the level is exhausted."""
+        while form not in self.reached and self.head < len(self.forms):
+            aut, word = self.reached[self.forms[self.head]]
+            self.head += 1
+            for t in WHITEHEAD_AUTOMORPHISMS:
+                img = t.apply(word)
+                if cyclic_length(img) == len(self.minimal):
+                    new = cyclic_normal_form(img)
+                    if new not in self.reached:
+                        self.reached[new] = (t.compose(aut), img)
+                        self.forms.append(new)
+        return form in self.reached
+
+    def carry(self, target: str) -> AutF2 | None:
+        """An automorphism with ``aut.apply(w) == target``, or None when the
+        two words lie in different orbits.
+
+        The gcd of the exponent sums and the minimal length are invariants of
+        the orbit.  Past them, the minimized target's form ``f`` on the level
+        gives ``A_f`` with ``A_f(minimal)`` conjugate to the minimized
+        target, and one conjugation makes the match exact."""
+        target = reduce_word(target)
+        if gcd(exponent_sum(target, "x"), exponent_sum(target, "y")) != self.gcd:
+            return None
+        m, a = whitehead_minimize(target)
+        if len(m) != len(self.minimal) or not self._reaches(m):
+            return None
+        path, word = self.reached[m]
+        h = conjugating_word(word, m)
+        return a.inverse().compose(inner(h).compose(path.compose(self.aut)))
 
 
 def is_primitive(w: str) -> AutF2 | None:
@@ -333,7 +319,7 @@ def is_primitive(w: str) -> AutF2 | None:
 
     By Whitehead, ``w`` is primitive exactly when its minimization ends at one
     letter ``m``; the first signed permutation taking ``m`` to ``x`` then gives
-    the automorphism ``orbit_automorphism(w, "x")`` would find."""
+    the automorphism ``MinimalLevel(w).carry("x")`` finds."""
     m, aut = whitehead_minimize(w)
     if len(m) != 1:
         return None
@@ -341,7 +327,7 @@ def is_primitive(w: str) -> AutF2 | None:
 
 
 def commutator_normalizer(w: str) -> AutF2 | None:
-    """The automorphism ``orbit_automorphism(w, "XYxy")`` finds, with no search:
+    """The automorphism ``MinimalLevel(w).carry("XYxy")`` finds, with no walk:
     by Nielsen, the orbit of ``[x, y]`` is the conjugates of ``[x, y]^±1``, and
     the first signed permutation matching the minimized words cyclically,
     fixed up by a conjugation, joins the two Whitehead minimizers."""

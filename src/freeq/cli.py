@@ -80,8 +80,8 @@ def _add_equation_args(parser) -> None:
 def _add_budget_args(parser) -> None:
     parser.add_argument("--orbit-cap", type=_positive, metavar="N",
                         default=Budgets().orbit_max_visited,
-                        help="visited cyclic forms or solution pairs before an orbit search"
-                        " or one orbit walk (describe's or certify's) gives up")
+                        help="visited solution pairs before one orbit walk"
+                        " (describe's or certify's) gives up")
     parser.add_argument("--hnn-budget", type=_positive, metavar="N",
                         default=Budgets().hnn_max_bases,
                         help="tested bases before the splitting search gives up")

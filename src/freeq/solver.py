@@ -31,11 +31,11 @@ from .autf2 import (
     AutF2,
     INVERSION_MOVES,
     PRODUCT_MOVES,
+    MinimalLevel,
     SearchBudgetExceeded,
     commutator_normalizer,
     inner,
     is_primitive,
-    orbit_automorphism,
 )
 from .graphs import CoreGraph, build_subgroup_graph
 from .words import (
@@ -95,9 +95,8 @@ DELTA_Y_INVERSE = AutF2("x", "Xy")
 
 @dataclass(frozen=True)
 class Budgets:
-    """Deterministic caps for the semi-decision searches: the cyclic forms
-    one orbit search visits or the solution pairs one orbit walk visits, and
-    the bases the edge-splitting search tests."""
+    """Deterministic caps for the semi-decision searches: the solution pairs
+    one orbit walk visits, and the bases the edge-splitting search tests."""
 
     orbit_max_visited: int = 10**6
     hnn_max_bases: int = 10**4
@@ -476,11 +475,6 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
     return tuple(gens)
 
 
-def apply_to_solution(aut: AutF2, pair: Pair) -> Pair:
-    """Precompose a solution with an automorphism fixing the left side."""
-    return (evaluate(aut.image_x, pair[0], pair[1]), evaluate(aut.image_y, pair[0], pair[1]))
-
-
 # A generator acts on a solution (g1, g2) of w = u by products of the slot
 # values (g1, g1^-1, g2, g2^-1, u, u^-1), slot i ^ 1 holding the inverse of
 # slot i; c = inner(w) takes each g to w(g1, g2)^-1 g w(g1, g2) = u^-1 g u.
@@ -489,10 +483,14 @@ _CONJUGATION_PROGRAMS = (((5, 0, 4), (5, 2, 4)), ((4, 0, 5), (4, 2, 5)))
 
 
 def _programs(gen: CanonicalGenerator, inverse: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The letter programs of ``gen``, or of its inverse, on a solution."""
+    """The programs of ``gen``, or of its inverse, on a solution."""
     if gen.symbol == _CONJUGATION:
         return _CONJUGATION_PROGRAMS[inverse]
-    aut = gen.inverse if inverse else gen.aut
+    return _letter_programs(gen.inverse if inverse else gen.aut)
+
+
+def _letter_programs(aut: AutF2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The programs that spell the images of ``aut`` letter by letter."""
     return tuple(_SLOTS[c] for c in aut.image_x), tuple(_SLOTS[c] for c in aut.image_y)
 
 
@@ -612,21 +610,25 @@ def minimal_rank2_solutions(
     """Minimal rank-two solutions: one per candidate subgroup whose rewritten
     right side lies in the orbit of the left side.
 
-    For each terminal candidate basis, an orbit search matches the left side
-    to the rewritten right side; a hit pulls back to a seed, minimized over
-    its orbit under the canonical generators: the ShortLex-least pair that
-    ``orbit_walk`` reaches.  Precomposing with an automorphism keeps
-    ``<g1, g2>``, so walks from distinct candidates never meet.
+    The minimal level of the left side's orbit is built once, on the first
+    terminal candidate, and each candidate's rewritten right side is looked
+    up on it; a hit carries the left side to it, and precomposing the basis
+    with that automorphism gives a seed, minimized over its orbit under the
+    canonical generators: the ShortLex-least pair that ``orbit_walk``
+    reaches.  Precomposing with an automorphism keeps ``<g1, g2>``, so walks
+    from distinct candidates never meet.
 
     Returns the minimal solutions and the walks that ran in the base ball
     ``2|u| + 4``: those whose seed was no longer than it.
     """
     reps, orbits = [], []
+    level = None
     for pair, rewritten in terminal_candidates(eq):
-        match = orbit_automorphism(eq.lhs, rewritten, budgets.orbit_max_visited)
+        level = level or MinimalLevel(eq.lhs)
+        match = level.carry(rewritten)
         if match is None:
             continue
-        seed = apply_to_solution(match, pair)
+        seed = _act(_values(pair, ()), _letter_programs(match), inf)
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
         walk = orbit_walk(seed, gens, eq.rhs, budgets.orbit_max_visited)
@@ -750,10 +752,8 @@ def _minimal_solution(desc: VarietyDescription, index: int) -> Pair:
 
 
 def generate_conjugates(desc: VarietyDescription, index: int, n: int) -> Pair:
-    """Item for every case: conjugate a minimal solution by a power of u."""
-    sol = _minimal_solution(desc, index)
-    c = power(desc.reduced.rhs, n)
-    return _checked(desc.reduced, (conjugate(sol[0], c), conjugate(sol[1], c)))
+    """Item for every case: conjugate a minimal solution by ``u^n``, the orbit word ``c^n``."""
+    return generate_orbit(desc, index, ("c" if n >= 0 else "C") * abs(n))
 
 
 def generate_hnn(desc: VarietyDescription, index: int, n: int, m: int) -> Pair:

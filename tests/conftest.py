@@ -3,28 +3,36 @@ the word functions that peel by index, rotation-loop oracles for the word
 functions that find rotations in one pass, a greedy-shortening oracle for the
 basis check, a graph-free membership oracle, a set-partition oracle and a
 refolding oracle for terminal candidates, a rebuild-every-node oracle for the
-edge-splitting search, a widening-ball oracle for the orbit minimization,
-an evaluating oracle for the orbit walk and an orbit-closure oracle for
-certify's rank-two coverage."""
+edge-splitting search, a per-pair orbit search for the minimal-level lookup,
+an evaluating action on solutions, a widening-ball oracle for the orbit
+minimization, an evaluating oracle for the orbit walk and an orbit-closure
+oracle for certify's rank-two coverage."""
 
 import functools
 import itertools
+from collections import deque
+from math import gcd
 
 from freeq.autf2 import (
+    IDENTITY,
     INVERSION_MOVES,
     PRODUCT_MOVES,
+    WHITEHEAD_AUTOMORPHISMS,
     AutF2,
     SearchBudgetExceeded,
-    orbit_automorphism,
+    inner,
+    whitehead_minimize,
 )
 from freeq.graphs import build_subgroup_graph, graph_from_edges
 from freeq.oracle import _rank1_in_ball
-from freeq.solver import Budgets, Equation, HnnWitness, apply_to_solution, terminal_candidates
+from freeq.solver import Budgets, Equation, HnnWitness, terminal_candidates
 from freeq.words import (
     VARIABLES,
     Alphabet,
     WordError,
     conjugate,
+    conjugating_word,
+    cyclic_length,
     cyclic_normal_form,
     evaluate,
     exponent_sum,
@@ -343,6 +351,89 @@ def rebuilding_hnn_splitting(w, budgets=Budgets()):
             if sub.rank() == 2 and sub.contains(w):
                 return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t))
     return None
+
+
+# The orbit-search oracle: ``autf2.MinimalLevel.carry`` as a search of its
+# own for every pair of words, which minimizes both words and walks the
+# level breadth first from the source until the target's form turns up.
+
+
+def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> AutF2 | None:
+    """Search for an automorphism with ``aut.apply(source) == target``.
+
+    Tri-state outcome: an exact automorphism, None when the words are
+    provably in different orbits, or :class:`SearchBudgetExceeded` when the
+    level search visits more than ``max_visited`` cyclic forms.
+
+    Both words are Whitehead-minimized; if the minimal cyclic lengths agree,
+    a breadth-first search over cyclic normal forms at that level (all twenty
+    Whitehead automorphisms, images staying on the level) connects them
+    exactly when some automorphism does.  A conjugation fix-up then upgrades
+    the cyclic match to an exact one.
+    """
+    source = reduce_word(source)
+    target = reduce_word(target)
+    if source == "" or target == "":
+        return IDENTITY if source == target else None
+    sx, sy = abs(exponent_sum(source, "x")), abs(exponent_sum(source, "y"))
+    tx, ty = abs(exponent_sum(target, "x")), abs(exponent_sum(target, "y"))
+    if gcd(sx, sy) != gcd(tx, ty):
+        return None
+    m1, a1 = whitehead_minimize(source)
+    m2, a2 = whitehead_minimize(target)
+    level = cyclic_length(m1)
+    if level != cyclic_length(m2):
+        return None
+
+    start = cyclic_normal_form(m1)
+    goal = cyclic_normal_form(m2)
+    reached: dict[str, tuple[AutF2, str]] = {start: (IDENTITY, m1)}
+    queue = deque([start])
+    found: AutF2 | None = None
+    if start == goal:
+        found = IDENTITY
+    while queue and found is None:
+        node = queue.popleft()
+        aut, word = reached[node]
+        for t in WHITEHEAD_AUTOMORPHISMS:
+            img = t.apply(word)
+            if cyclic_length(img) != level:
+                continue
+            form = cyclic_normal_form(img)
+            if form in reached:
+                continue
+            if len(reached) >= max_visited:
+                raise SearchBudgetExceeded(
+                    f"orbit search visited {max_visited} cyclic forms without a verdict"
+                )
+            reached[form] = (t.compose(aut), img)
+            if form == goal:
+                found = reached[form][0]
+                queue.clear()
+                break
+            queue.append(form)
+    if found is None:
+        return None
+
+    # found(m1) is conjugate to m2; compose with the conjugation that matches
+    # them exactly, then undo the two minimizing automorphisms.
+    h = conjugating_word(found.apply(m1), m2)
+    if h is None:
+        raise AssertionError("cyclic forms matched but words are not conjugate")
+    exact = a2.inverse().compose(inner(h).compose(found.compose(a1)))
+    if exact.apply(source) != target:
+        raise AssertionError("orbit search produced a wrong automorphism")
+    return exact
+
+
+# The evaluating action: precompose a solution with an automorphism by
+# evaluating its images, where ``solver._act`` builds them by junction-only
+# products.
+
+
+def apply_to_solution(aut, pair):
+    """Precompose a solution with an automorphism fixing the left side."""
+    return (evaluate(aut.image_x, pair[0], pair[1]), evaluate(aut.image_y, pair[0], pair[1]))
 
 
 # The orbit-minimization oracle: each unclaimed seed is walked in the ball of

@@ -11,6 +11,7 @@ import time
 
 import pytest
 from conftest import (
+    apply_to_solution,
     delta_orbit_closure,
     is_reduced,
     naive_member,
@@ -24,7 +25,6 @@ from freeq.oracle import brute_force_solutions, certify
 from freeq.solver import (
     Equation,
     FORMULA_CONJUGATES,
-    apply_to_solution,
     describe_variety,
     two_level_member,
     verify_two_level,

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import greedy_is_basis_pair
+from conftest import greedy_is_basis_pair, orbit_automorphism
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,7 @@ from freeq.autf2 import (
     AutF2,
     IDENTITY,
     INVERSION_MOVES,
+    MinimalLevel,
     NotAnAutomorphism,
     PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
@@ -20,7 +21,6 @@ from freeq.autf2 import (
     inner,
     is_basis_pair,
     is_primitive,
-    orbit_automorphism,
     whitehead_minimize,
 )
 from freeq.solver import _basis_walk
@@ -217,29 +217,75 @@ def test_whitehead_minimize_properties():
             assert cyclic_length(sigma.apply(form)) >= len(form)
 
 
+def level_carry(source, target):
+    return MinimalLevel(source).carry(target)
+
+
+# The per-pair search oracle and the lookup on a fresh minimal level.
+ORBIT_MATCHERS = (orbit_automorphism, level_carry)
+
+
 def test_orbit_automorphism_golden():
-    for source, target in [("XYxy", "xyXY"), ("xyXY", "XYxy")]:
-        aut = orbit_automorphism(source, target)
-        assert aut is not None
-        assert aut.apply(source) == target
+    for match in ORBIT_MATCHERS:
+        for source, target in [("XYxy", "xyXY"), ("xyXY", "XYxy")]:
+            aut = match(source, target)
+            assert aut is not None
+            assert aut.apply(source) == target
 
 
 def test_orbit_automorphism_exactness():
-    rng = random.Random(101)
-    for _ in range(40):
-        w = random_word(rng, 6)
-        if not w:
-            continue
-        image = random_aut(rng).apply(w)
-        aut = orbit_automorphism(w, image)
-        assert aut is not None
-        assert aut.apply(w) == image
+    for match in ORBIT_MATCHERS:
+        rng = random.Random(101)
+        for _ in range(40):
+            w = random_word(rng, 6)
+            if not w:
+                continue
+            image = random_aut(rng).apply(w)
+            aut = match(w, image)
+            assert aut is not None
+            assert aut.apply(w) == image
 
 
 def test_orbit_automorphism_distinguishes():
-    assert orbit_automorphism("xxyy", "xy") is None  # exponent invariant differs
-    assert orbit_automorphism("XYxy", "xxyy") is None
-    assert orbit_automorphism("x", "y") is not None
+    for match in ORBIT_MATCHERS:
+        assert match("xxyy", "xy") is None  # exponent invariant differs
+        assert match("XYxy", "xxyy") is None
+        assert match("x", "y") is not None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.text(alphabet="xyXY", max_size=8),
+    st.lists(st.lists(st.integers(0, len(WHITEHEAD_AUTOMORPHISMS) - 1), max_size=4),
+             min_size=1, max_size=3),
+)
+def test_minimal_level_carries_whitehead_images(w, products):
+    """Each image of ``w`` under a product of at most four Whitehead
+    automorphisms, looked up in turn on one level, is carried to exactly,
+    by the automorphism the per-pair search finds."""
+    w = reduce_word(w)
+    level = MinimalLevel(w)
+    for product in products:
+        phi = IDENTITY
+        for index in product:
+            phi = WHITEHEAD_AUTOMORPHISMS[index].compose(phi)
+        image = phi.apply(w)
+        aut = level.carry(image)
+        assert aut is not None and aut.apply(w) == image, (w, image)
+        assert aut == orbit_automorphism(w, image), (w, image)
+
+
+def test_minimal_level_lookups_in_any_order_match_orbit_search():
+    """One level per word, grown by lookups of the word's Whitehead images in
+    a shuffled order, answers each as a fresh per-pair search does: what was
+    looked up before changes no path."""
+    rng = random.Random(109)
+    for w in sorted({cyclic_normal_form(w) for w in words_upto(XY, 4)} - {""}):
+        images = sorted({t.apply(w) for t in WHITEHEAD_AUTOMORPHISMS})
+        rng.shuffle(images)
+        level = MinimalLevel(w)
+        for image in images:
+            assert level.carry(image) == orbit_automorphism(w, image), (w, image)
 
 
 def test_is_primitive():
@@ -257,6 +303,7 @@ def test_is_primitive():
     # Whitehead minimization finds the automorphism the orbit search finds.
     for w in words_upto(XY, 7):
         assert is_primitive(w) == orbit_automorphism(w, "x"), w
+        assert is_primitive(w) == MinimalLevel(w).carry("x"), w
 
 
 def test_commutator_normalizer():
@@ -265,6 +312,7 @@ def test_commutator_normalizer():
     # Nielsen's test finds the automorphism the orbit search finds.
     for w in words_upto(XY, 7):
         assert commutator_normalizer(w) == orbit_automorphism(w, "XYxy"), w
+        assert commutator_normalizer(w) == MinimalLevel(w).carry("XYxy"), w
 
 
 def test_primitive_words_conjugation_closed():
