@@ -19,18 +19,17 @@ import sys
 import time
 
 from . import __version__
-from .autf2 import SearchBudgetExceeded
 from .oracle import brute_force_solutions, certify
 from .solver import (
     CASE_HNN,
     CASE_QH,
     CASE_UNRESOLVED,
+    HNN_MAX_BASES,
     KIND_JSJ,
     KIND_PARAMETRIC,
     KIND_RANK1_ONLY,
     KIND_TRIVIAL,
     STATUS_OK,
-    Budgets,
     Equation,
     VarietyDescription,
     describe_variety,
@@ -78,12 +77,8 @@ def _add_equation_args(parser) -> None:
 
 
 def _add_budget_args(parser) -> None:
-    parser.add_argument("--orbit-cap", type=_positive, metavar="N",
-                        default=Budgets().orbit_max_visited,
-                        help="visited solution pairs before one orbit walk"
-                        " (describe's or certify's) gives up")
     parser.add_argument("--hnn-budget", type=_positive, metavar="N",
-                        default=Budgets().hnn_max_bases,
+                        default=HNN_MAX_BASES,
                         help="tested bases before the splitting search gives up")
 
 
@@ -101,10 +96,6 @@ def _count(text: str, least: int = 0) -> int:
 def _positive(text: str) -> int:
     """A count that must be at least 1."""
     return _count(text, 1)
-
-
-def _budgets(args) -> Budgets:
-    return Budgets(orbit_max_visited=args.orbit_cap, hnn_max_bases=args.hnn_budget)
 
 
 def _equation(args) -> Equation:
@@ -189,7 +180,7 @@ def _cmd_classify(args):
     from .solver import classify_jsj
 
     w = parse_word(args.w, "xy")
-    cls = classify_jsj(w, _budgets(args))
+    cls = classify_jsj(w, args.hnn_budget)
     fields = [("lhs", format_word(w))] + _classification_fields(cls)
     if cls.note:
         fields.append(("note", cls.note))
@@ -197,7 +188,7 @@ def _cmd_classify(args):
 
 
 def _cmd_solve(args):
-    desc = describe_variety(_equation(args), _budgets(args))
+    desc = describe_variety(_equation(args), args.hnn_budget)
     return (EXIT_OK if desc.status == STATUS_OK else EXIT_UNRESOLVED), _description_fields(desc)
 
 
@@ -209,7 +200,7 @@ _GEN_FLAGS_BY_KIND = {KIND_TRIVIAL: ("root", "n", "m"), KIND_PARAMETRIC: ("z",),
 
 def _cmd_gen(args):
     eq = _equation(args)
-    desc = describe_variety(eq, _budgets(args))
+    desc = describe_variety(eq, args.hnn_budget)
     if desc.status != STATUS_OK:
         print(f"cannot generate from an unresolved description: {desc.note}", file=sys.stderr)
         return EXIT_UNRESOLVED, None
@@ -268,11 +259,11 @@ def _cmd_brute(args):
 
 def _cmd_certify(args):
     eq = _equation(args)
-    desc = describe_variety(eq, _budgets(args))
+    desc = describe_variety(eq, args.hnn_budget)
     if desc.status != STATUS_OK:
         print(f"describe: unresolved ({desc.note})", file=sys.stderr)
         return EXIT_UNRESOLVED, None
-    report = certify(eq, desc, _ball_radius(args, eq), budgets=_budgets(args))
+    report = certify(eq, desc, _ball_radius(args, eq))
     fields = _equation_fields(eq) + [
         ("kind", report.description_kind),
         ("formula", report.formula or "-"),
@@ -361,9 +352,6 @@ def main(argv=None) -> int:
     except WordError as exc:
         print(f"freeq: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SearchBudgetExceeded as exc:
-        print(f"freeq: unresolved: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVED
     if fields is not None:
         lines = [f"{key}: {value}" for key, value in fields]
         if args.format == "structured":

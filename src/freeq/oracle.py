@@ -28,8 +28,9 @@ The walks that ``describe`` already ran in the base ball ``2|u| + 4``
 (``VarietyDescription.orbits``) and that hold a minimal solution are
 covered from the start, so only pairs outside them are walked; that is
 exact, since a brute pair in such a component lies in the base ball and its
-own walk would be that component.
-Uncovered pairs are reported in the result, never raised.
+own walk would be that component.  Every walk stays inside a finite ball,
+so certify needs no budget.  Uncovered pairs are reported in the result,
+never raised.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .solver import (
     KIND_RANK1_ONLY,
     KIND_TRIVIAL,
     STATUS_OK,
-    Budgets,
     Equation,
     Rank1Family,
     TrivialFamily,
@@ -290,23 +290,20 @@ class CertifyReport:
     family_exact: bool | None
 
 
-def certify(eq: Equation, desc: VarietyDescription, max_len: int,
-            budgets: Budgets = Budgets()) -> CertifyReport:
+def certify(eq: Equation, desc: VarietyDescription, max_len: int) -> CertifyReport:
     """Check that a description covers every brute-force solution in a ball.
 
     Coverage is per the description's kind: lattice membership for the
     commuting families, parameter recovery for a primitive left side, and for
     a rank-two P, ``describe``'s ``orbit_walk`` from P reaching a minimal M
     (the path is a word σ in the generators with ``P = M·σ⁻¹``).  A walk that
-    reaches one covers all it visits.  ``budgets.orbit_max_visited`` caps
-    each walk.  The report lists uncovered pairs verbatim.
+    reaches one covers all it visits.  Each walk stays in a finite ball, so
+    it ends.  The report lists uncovered pairs verbatim.
 
-    Describe's components (``desc.orbits``) of at most
-    ``budgets.orbit_max_visited`` pairs that hold a minimal solution are
+    Describe's components (``desc.orbits``) that hold a minimal solution are
     covered before any walk.  Each was walked in the base ball ``2|u| + 4``,
     the smallest ball any brute pair walks in, so the walk from any of its
-    pairs is exactly that component: seeding changes no verdict, and a larger
-    component is walked, and trips the cap, as before.
+    pairs is exactly that component: seeding changes no verdict.
     """
     if desc.status != STATUS_OK:
         raise WordError("cannot certify an unresolved description")
@@ -331,12 +328,11 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int,
         covered_set = _rank1_in_ball(desc.rank1, max_len)
         minimal = set(desc.minimal)
         for orbit in desc.orbits:
-            if len(orbit) <= budgets.orbit_max_visited and not minimal.isdisjoint(orbit):
+            if not minimal.isdisjoint(orbit):
                 covered_set |= orbit
         for g1, g2, rank in brute.solutions:
             if rank == 2 and minimal and (g1, g2) not in covered_set:
-                walk = orbit_walk((g1, g2), desc.generators, desc.reduced.rhs,
-                                  budgets.orbit_max_visited)
+                walk = orbit_walk((g1, g2), desc.generators, desc.reduced.rhs)
                 if not minimal.isdisjoint(walk):
                     covered_set |= walk
     else:

@@ -93,13 +93,8 @@ DELTA_X_INVERSE = AutF2("Yx", "y")
 DELTA_Y_INVERSE = AutF2("x", "Xy")
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Deterministic caps for the semi-decision searches: the solution pairs
-    one orbit walk visits, and the bases the edge-splitting search tests."""
-
-    orbit_max_visited: int = 10**6
-    hnn_max_bases: int = 10**4
+# The bases the edge-splitting search tests before it gives up.
+HNN_MAX_BASES = 10**4
 
 
 @dataclass(frozen=True)
@@ -364,15 +359,15 @@ def _basis_walk(bound: int) -> _BasisWalk:
     return _BasisWalk(bound)
 
 
-def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | None:
+def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitness | None:
     """Search basis pairs (p, t) for an edge splitting of w.
 
     Pairs are enumerated breadth-first from (x, y) under elementary Nielsen
     moves, expanding only within total length max(|w|, 2).  A pair is a
     witness when w, rewritten over (p, t), has zero t-exponent, and w lies in
     <p, t^-1 p t> (rank two: the image of <x, Yxy> under (p, t)).  Exhausting
-    the bounded space without a witness returns None; exceeding the
-    tested-basis budget raises :class:`SearchBudgetExceeded`.
+    the bounded space without a witness returns None; testing more than
+    ``hnn_max_bases`` bases raises :class:`SearchBudgetExceeded`.
 
     The walk depends only on the bound, so it is held per bound and shared
     by every call, and it grows only as far as a call reads it; so is the
@@ -386,9 +381,9 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
     walk = _basis_walk(max(len(w), 2))
     i = 0
     while walk.reaches(i):
-        if i >= budgets.hnn_max_bases:
+        if i >= hnn_max_bases:
             raise SearchBudgetExceeded(
-                f"edge-splitting search tested {budgets.hnn_max_bases} bases without a verdict"
+                f"edge-splitting search tested {hnn_max_bases} bases without a verdict"
             )
         px, py = walk.sums[i]
         if px * wy == py * wx and walk.edge_group(i).trace(w) == 0:
@@ -398,7 +393,7 @@ def detect_hnn_splitting(w: str, budgets: Budgets = Budgets()) -> HnnWitness | N
     return None
 
 
-def classify_jsj(w: str, budgets: Budgets = Budgets()) -> JsjClassification:
+def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassification:
     """Orbit-of-commutator / edge-splitting / rigid trichotomy for w.
 
     The commutator test runs first, with no search; a word in the orbit of [x, y]
@@ -410,7 +405,7 @@ def classify_jsj(w: str, budgets: Budgets = Budgets()) -> JsjClassification:
     if nu is not None:
         return JsjClassification(kind=CASE_QH, normalizer=nu, target="XYxy")
     try:
-        witness = detect_hnn_splitting(w, budgets)
+        witness = detect_hnn_splitting(w, hnn_max_bases)
     except SearchBudgetExceeded as exc:
         return JsjClassification(kind=CASE_UNRESOLVED, note=str(exc))
     if witness is not None:
@@ -422,7 +417,7 @@ def classify_jsj(w: str, budgets: Budgets = Budgets()) -> JsjClassification:
 
 
 _CONJUGATION = "c"  # the symbol of inner(w), which acts on solutions as conjugation by u
-_SYMMETRY_SYMBOLS = "pqruvz"
+_SYMMETRY_SYMBOLS = "pqruvz"  # one per symmetry: a seventh raises IndexError
 
 
 def _symmetry_generators(w: str) -> list[tuple[AutF2, AutF2]]:
@@ -467,8 +462,8 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
                                        nui.compose(DELTA_X_INVERSE).compose(nu)))
         gens.append(CanonicalGenerator("e", "boundary-twist-y", nui.compose(DELTA_Y).compose(nu),
                                        nui.compose(DELTA_Y_INVERSE).compose(nu)))
-    for i, (symbol, pair) in enumerate(zip(_SYMMETRY_SYMBOLS, _symmetry_generators(w))):
-        gens.append(CanonicalGenerator(symbol, f"symmetry-{i}", *pair))
+    for i, pair in enumerate(_symmetry_generators(w)):
+        gens.append(CanonicalGenerator(_SYMMETRY_SYMBOLS[i], f"symmetry-{i}", *pair))
     for g in gens:
         if g.aut.apply(w) != w:
             raise AssertionError(f"canonical generator {g.name} does not fix the left side")
@@ -570,7 +565,7 @@ def terminal_candidates(eq: Equation):
     return tuple(results)
 
 
-def orbit_walk(seed: Pair, gens, rhs: str, max_visited: int) -> set[Pair]:
+def orbit_walk(seed: Pair, gens, rhs: str) -> set[Pair]:
     """The pairs reached from ``seed`` inside the ball of total length
     ``max(2|u| + 4, |seed|)``, ``u`` being the right side ``rhs``.
 
@@ -578,8 +573,8 @@ def orbit_walk(seed: Pair, gens, rhs: str, max_visited: int) -> set[Pair]:
     its inverse to each pair reached, but for the inverse of the action that
     reached it, which leads back to its parent.  ``seed`` must solve ``w = u``
     for the left side ``w`` that ``gens`` fix, so that ``c = inner(w)`` acts
-    on every pair reached as conjugation by ``u``.  Visiting more than
-    ``max_visited`` pairs raises :class:`SearchBudgetExceeded`.
+    on every pair reached as conjugation by ``u``.  The ball is finite, so
+    the walk ends.
     """
     ball = max(2 * len(rhs) + 4, len(seed[0]) + len(seed[1]))
     actions = [_programs(g, False) for g in gens] + [_programs(g, True) for g in gens]
@@ -594,18 +589,13 @@ def orbit_walk(seed: Pair, gens, rhs: str, max_visited: int) -> set[Pair]:
             new = _act(values, programs, ball)
             if new is None or new in visited:
                 continue
-            if len(visited) >= max_visited:
-                raise SearchBudgetExceeded(f"orbit minimization visited {len(visited)}"
-                                           f" solutions within the ball of total length {ball}")
             visited.add(new)
             queue.append((new, (i + len(gens)) % len(actions)))
     return visited
 
 
 def minimal_rank2_solutions(
-    eq: Equation,
-    gens: tuple[CanonicalGenerator, ...],
-    budgets: Budgets = Budgets(),
+    eq: Equation, gens: tuple[CanonicalGenerator, ...],
 ) -> tuple[tuple[Pair, ...], tuple[frozenset[Pair], ...]]:
     """Minimal rank-two solutions: one per candidate subgroup whose rewritten
     right side lies in the orbit of the left side.
@@ -631,14 +621,14 @@ def minimal_rank2_solutions(
         seed = _act(_values(pair, ()), _letter_programs(match), inf)
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
-        walk = orbit_walk(seed, gens, eq.rhs, budgets.orbit_max_visited)
+        walk = orbit_walk(seed, gens, eq.rhs)
         reps.append(min(walk, key=pair_key))
         if len(seed[0]) + len(seed[1]) <= 2 * len(eq.rhs) + 4:
             orbits.append(frozenset(walk))
     return tuple(sorted(reps, key=pair_key)), tuple(orbits)
 
 
-def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescription:
+def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> VarietyDescription:
     """Full description of the solution set of one equation."""
     w = _check_lhs(eq.lhs)
 
@@ -671,7 +661,7 @@ def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescr
             note="the right side has no root matching the left side's power",
         )
     if reduced != eq:
-        inner_desc = describe_variety(reduced, budgets)
+        inner_desc = describe_variety(reduced, hnn_max_bases)
         return dataclasses.replace(inner_desc, equation=eq)
 
     family = rank1_family(eq)
@@ -688,7 +678,7 @@ def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescr
             kind=KIND_RANK1_ONLY, formula=FORMULA_POWER, rank1=family,
         )
 
-    cls = classify_jsj(w, budgets)
+    cls = classify_jsj(w, hnn_max_bases)
     if cls.kind == CASE_UNRESOLVED:
         return VarietyDescription(
             equation=eq, reduced=eq, status=STATUS_UNRESOLVED,
@@ -696,14 +686,7 @@ def describe_variety(eq: Equation, budgets: Budgets = Budgets()) -> VarietyDescr
             classification=cls, rank1=family,
         )
     gens = canonical_generators(cls, w)
-    try:
-        minimal, orbits = minimal_rank2_solutions(eq, gens, budgets)
-    except SearchBudgetExceeded as exc:
-        return VarietyDescription(
-            equation=eq, reduced=eq, status=STATUS_UNRESOLVED,
-            kind=KIND_JSJ, formula=_FORMULA_BY_CASE[cls.kind], note=str(exc),
-            classification=cls, generators=gens, rank1=family,
-        )
+    minimal, orbits = minimal_rank2_solutions(eq, gens)
     return VarietyDescription(
         equation=eq, reduced=eq, status=STATUS_OK,
         kind=KIND_JSJ, formula=_FORMULA_BY_CASE[cls.kind],

@@ -25,7 +25,7 @@ from freeq.autf2 import (
 )
 from freeq.graphs import build_subgroup_graph, graph_from_edges
 from freeq.oracle import _rank1_in_ball
-from freeq.solver import Budgets, Equation, HnnWitness, terminal_candidates
+from freeq.solver import HNN_MAX_BASES, Equation, HnnWitness, terminal_candidates
 from freeq.words import (
     VARIABLES,
     Alphabet,
@@ -336,13 +336,13 @@ def _bases_in_search_order(bound):
     return tuple(((p, t), AutF2(p, t).inverse()) for p, t in order)
 
 
-def rebuilding_hnn_splitting(w, budgets=Budgets()):
+def rebuilding_hnn_splitting(w, hnn_max_bases=HNN_MAX_BASES):
     w = reduce_word(w)
     bases = _bases_in_search_order(max(len(w), 2))
     for tested, ((p, t), basis_inverse) in enumerate(bases, 1):
-        if tested > budgets.hnn_max_bases:
+        if tested > hnn_max_bases:
             raise SearchBudgetExceeded(
-                f"edge-splitting search tested {budgets.hnn_max_bases} bases without a verdict"
+                f"edge-splitting search tested {hnn_max_bases} bases without a verdict"
             )
         rewritten = basis_inverse.apply(w)
         if exponent_sum(rewritten, "y") == 0:
@@ -491,7 +491,7 @@ def widening_minimal_solutions(eq, gens):
 # every pair through ``apply_to_solution``, that is ``evaluate`` on the images.
 
 
-def evaluating_orbit_walk(seed, gens, rhs, max_visited):
+def evaluating_orbit_walk(seed, gens, rhs):
     ball = max(2 * len(rhs) + 4, len(seed[0]) + len(seed[1]))
     actions = [g.aut for g in gens] + [g.inverse for g in gens]
     queue = [seed]
@@ -501,9 +501,6 @@ def evaluating_orbit_walk(seed, gens, rhs, max_visited):
             new = apply_to_solution(aut, pair)
             if new in visited or len(new[0]) + len(new[1]) > ball:
                 continue
-            if len(visited) >= max_visited:
-                raise SearchBudgetExceeded(f"orbit minimization visited {len(visited)}"
-                                           f" solutions within the ball of total length {ball}")
             visited.add(new)
             queue.append(new)
     return visited

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeq import oracle
-from freeq.autf2 import SearchBudgetExceeded
 from freeq.graphs import build_subgroup_graph
 from freeq.oracle import (
     _conjugate_pair_shape,
@@ -16,7 +15,7 @@ from freeq.oracle import (
     brute_force_solutions,
     certify,
 )
-from freeq.solver import KIND_JSJ, STATUS_OK, Budgets, Equation, describe_variety
+from freeq.solver import KIND_JSJ, STATUS_OK, Equation, describe_variety
 from freeq.words import (
     Alphabet,
     WordError,
@@ -300,13 +299,6 @@ def test_certify_walks_twisted_solutions_to_the_minimal_one():
     assert report.covered and report.uncovered == ()
 
 
-def test_certify_walk_budget_is_a_search_budget():
-    e = eq("XYxy", "ABab")
-    desc = describe_variety(e)
-    with pytest.raises(SearchBudgetExceeded, match="orbit minimization visited 1 solutions"):
-        certify(e, desc, 2, Budgets(orbit_max_visited=1))
-
-
 def counting_walks(monkeypatch):
     """Count certify's calls of ``orbit_walk``; returns the one-item counter."""
     calls = [0]
@@ -323,6 +315,7 @@ def counting_walks(monkeypatch):
 @pytest.mark.parametrize(
     "w,u,max_len",
     [
+        ("[x,y]", "[a,b]", 3),
         ("[x,y]", "[a,b]", 4),
         ("xYxy", "aBab", 4),
         ("xxyy", "aabb", 5),
@@ -340,17 +333,6 @@ def test_certify_starts_from_the_orbits_describe_walked(monkeypatch, w, u, max_l
     assert calls[0] == 0
     if w == "(xxyy)^2":
         assert report.total_solutions == 3
-
-
-def test_certify_seeds_only_orbits_within_the_walk_budget(monkeypatch):
-    e = eq(parse_word("[x,y]", "xy"), parse_word("[a,b]", "ab"))
-    desc = describe_variety(e)
-    n = len(desc.orbits[0])
-    calls = counting_walks(monkeypatch)
-    assert certify(e, desc, 3, Budgets(orbit_max_visited=n)).covered
-    assert calls[0] == 0
-    with pytest.raises(SearchBudgetExceeded, match=f"orbit minimization visited {n - 1} solutions"):
-        certify(e, desc, 3, Budgets(orbit_max_visited=n - 1))
 
 
 def test_certify_walk_matches_the_orbit_closure_on_the_planted_probe():
@@ -460,7 +442,7 @@ def test_certify_detects_damaged_description():
 
 def test_certify_rejects_unresolved():
     e = eq("xxyyxy", "aabbab")
-    desc = describe_variety(e, budgets=Budgets(hnn_max_bases=1))
+    desc = describe_variety(e, hnn_max_bases=1)
     with pytest.raises(WordError):
         certify(e, desc, 4)
 

@@ -21,10 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freeq.solver as solver
-from freeq.autf2 import MinimalLevel, SearchBudgetExceeded
+from freeq.autf2 import IDENTITY, TYPE1_AUTOMORPHISMS, MinimalLevel, SearchBudgetExceeded
 from freeq.graphs import build_subgroup_graph
 from freeq.solver import (
-    Budgets,
     CASE_HNN,
     CASE_QH,
     CASE_RIGID,
@@ -40,6 +39,7 @@ from freeq.solver import (
     FORMULA_KERNEL,
     FORMULA_ORBIT,
     FORMULA_PARAMETRIC,
+    JsjClassification,
     KIND_EMPTY,
     KIND_JSJ,
     KIND_PARAMETRIC,
@@ -48,6 +48,8 @@ from freeq.solver import (
     STATUS_OK,
     STATUS_UNRESOLVED,
     _basis_walk,
+    _symmetry_generators,
+    canonical_generators,
     classify_jsj,
     describe_variety,
     detect_hnn_splitting,
@@ -228,12 +230,12 @@ def test_classify_hnn_witness():
 
 
 def test_classify_budget_exhaustion():
-    cls = classify_jsj("xxyyxy", Budgets(hnn_max_bases=1))
+    cls = classify_jsj("xxyyxy", hnn_max_bases=1)
     assert cls.kind == CASE_UNRESOLVED
 
 
 def test_describe_unresolved_status():
-    desc = describe("xxyyxy", "aabbab", budgets=Budgets(hnn_max_bases=1))
+    desc = describe("xxyyxy", "aabbab", hnn_max_bases=1)
     assert desc.status == STATUS_UNRESOLVED
 
 
@@ -274,7 +276,7 @@ def test_hnn_basis_walk_is_shared_and_grows_lazily():
     w = "xxxxyyyy"
     _basis_walk.cache_clear()
     with pytest.raises(SearchBudgetExceeded, match="tested 1 bases"):
-        detect_hnn_splitting(w, Budgets(hnn_max_bases=1))
+        detect_hnn_splitting(w, hnn_max_bases=1)
     assert _basis_walk(len(w)).head <= 1
     after_trip = detect_hnn_splitting(w)
     _basis_walk.cache_clear()
@@ -310,32 +312,24 @@ def test_hnn_edge_groups_are_built_once_per_walk(monkeypatch, w):
     assert built == []
 
 
-def _hnn_outcome(search, w, budgets):
+def _hnn_outcome(search, w, hnn_max_bases):
     try:
-        return search(w, budgets)
+        return search(w, hnn_max_bases)
     except SearchBudgetExceeded as exc:
         return str(exc)
 
 
 def test_hnn_search_budget_trip_matches_oracle():
-    tight = Budgets(hnn_max_bases=1)
-    assert _hnn_outcome(detect_hnn_splitting, "xxyyxy", tight) == (
+    assert _hnn_outcome(detect_hnn_splitting, "xxyyxy", 1) == (
         "edge-splitting search tested 1 bases without a verdict"
     )
-    assert detect_hnn_splitting("xYxy", tight).basis_aut.is_identity()
+    assert detect_hnn_splitting("xYxy", 1).basis_aut.is_identity()
     for w in words_upto(VARIABLES, 4):
         if {c.lower() for c in w} != {"x", "y"}:
             continue
         for cap in (1, 2, 7):
-            budgets = Budgets(hnn_max_bases=cap)
-            fast = _hnn_outcome(detect_hnn_splitting, w, budgets)
-            assert fast == _hnn_outcome(rebuilding_hnn_splitting, w, budgets), (w, cap)
-
-
-def test_orbit_minimization_visited_trip_names_count():
-    desc = describe("xxyy", "aabb", budgets=Budgets(orbit_max_visited=10))
-    assert desc.status == STATUS_UNRESOLVED
-    assert desc.note == "orbit minimization visited 10 solutions within the ball of total length 12"
+            fast = _hnn_outcome(detect_hnn_splitting, w, cap)
+            assert fast == _hnn_outcome(rebuilding_hnn_splitting, w, cap), (w, cap)
 
 
 JSJ_ANCHORS = (("XYxy", "ABab"), ("xxyy", "aabb"), ("xYxy", "aBab"), ("xxxyyy", "aaabbb"))
@@ -386,7 +380,7 @@ def test_describe_keeps_only_base_ball_walks(w, u, kept):
         assert not orbit.isdisjoint(desc.minimal)
         assert all(len(g1) + len(g2) <= 2 * len(rhs) + 4 for g1, g2 in orbit)
         for pair in (min(orbit, key=pair_key), max(orbit, key=pair_key)):
-            assert orbit_walk(pair, desc.generators, rhs, 10**6) == orbit
+            assert orbit_walk(pair, desc.generators, rhs) == orbit
 
 
 def test_seeds_generate_their_candidate_subgroups():
@@ -476,8 +470,8 @@ def _described_walks(monkeypatch, equations):
     walks = []
     walk = solver.orbit_walk
 
-    def recording(seed, gens, rhs, max_visited):
-        visited = walk(seed, gens, rhs, max_visited)
+    def recording(seed, gens, rhs):
+        visited = walk(seed, gens, rhs)
         walks.append((seed, gens, rhs, visited))
         return visited
 
@@ -486,13 +480,6 @@ def _described_walks(monkeypatch, equations):
         describe_variety(e)
     monkeypatch.undo()
     return walks
-
-
-def _walk_outcome(walk, seed, gens, rhs, max_visited):
-    try:
-        return walk(seed, gens, rhs, max_visited)
-    except SearchBudgetExceeded as exc:
-        return str(exc)
 
 
 # LARGE_U holds the other two |u| = 10-12 commutators.
@@ -507,21 +494,13 @@ def _walk_corpus():
 
 def test_orbit_walk_matches_evaluating_oracle(monkeypatch):
     """Images built by junction-only products, with c as conjugation by u,
-    give every walk describe runs, and its budget trips, exactly as
-    evaluating each generator image does."""
+    give every walk describe runs exactly as evaluating each generator image
+    does."""
     walks = _described_walks(monkeypatch, _walk_corpus())
     assert len(walks) == 73
     assert max(len(visited) for *_, visited in walks) == 319
     for seed, gens, rhs, visited in walks:
-        n = len(visited)
-        assert visited == evaluating_orbit_walk(seed, gens, rhs, 10**6), seed
-        for cap in (n, n - 1):
-            fast = _walk_outcome(orbit_walk, seed, gens, rhs, cap)
-            assert fast == _walk_outcome(evaluating_orbit_walk, seed, gens, rhs, cap), (seed, cap)
-            if cap == n or n == 1:
-                assert fast == visited
-            else:
-                assert fast.startswith(f"orbit minimization visited {cap} solutions")
+        assert visited == evaluating_orbit_walk(seed, gens, rhs), seed
 
 
 def test_solution_actions_match_apply_to_solution():
@@ -804,6 +783,32 @@ def test_conjugation_generator_is_inner_by_lhs():
     assert gamma.image_x == conjugate("x", "xxyy")
     moved = apply_to_solution(gamma, ("a", "b"))
     assert moved == (conjugate("a", "aabb"), conjugate("b", "aabb"))
+
+
+def test_symmetries_form_a_subgroup_of_the_signed_permutations():
+    """The signed letter permutations that keep a left side's conjugacy class
+    form a subgroup of the order-8 group, so each left side has 0, 1 or 3
+    symmetries besides the identity; a seventh would not fit the six
+    symmetry symbols."""
+    sizes = {}
+    for w in words_upto(VARIABLES, 8):
+        if {c.lower() for c in w} != {"x", "y"} or cyclic_normal_form(w) != w:
+            continue
+        kept = [p for p in TYPE1_AUTOMORPHISMS if cyclic_normal_form(p.apply(w)) == w]
+        abelian = {(p.image_x, p.image_y) for p in kept}
+        for p in kept:
+            for q in kept:
+                assert (p.compose(q).image_x, p.compose(q).image_y) in abelian, w
+        n = len(_symmetry_generators(w))
+        assert n == len(kept) - 1, w
+        sizes[n] = sizes.get(n, 0) + 1
+    assert sorted(sizes) == [0, 1, 3]
+
+
+def test_a_seventh_symmetry_raises(monkeypatch):
+    monkeypatch.setattr(solver, "_symmetry_generators", lambda w: [(IDENTITY, IDENTITY)] * 7)
+    with pytest.raises(IndexError):
+        canonical_generators(JsjClassification(kind=CASE_RIGID), "xxyy")
 
 
 def test_two_level_family():
