@@ -12,10 +12,10 @@ an elementary Nielsen move or a conjugation is one by construction.
 
 Inversion shortens the images by Nielsen moves down to a signed permutation
 of ``(x, y)``; the inverse is that trail of moves followed by the inverse of
-the permutation.  Whitehead minimization decides primitivity, Nielsen's
-commutator test decides membership in the orbit of ``[x, y]``, and the
-minimal level of a word's orbit, walked once per word and only as far as
-lookups need, decides which words share that orbit.
+the permutation.  The minimal level of a word's orbit, built once per word
+and walked only as far as lookups need, decides which words share that
+orbit: primitivity is the lookup of ``x``, and membership in the orbit of
+``[x, y]`` the lookup of ``XYxy``.
 """
 
 from __future__ import annotations
@@ -315,26 +315,7 @@ class MinimalLevel:
 
 
 def is_primitive(w: str) -> AutF2 | None:
-    """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive.
-
-    By Whitehead, ``w`` is primitive exactly when its minimization ends at one
-    letter ``m``; the first signed permutation taking ``m`` to ``x`` then gives
-    the automorphism ``MinimalLevel(w).carry("x")`` finds."""
-    m, aut = whitehead_minimize(w)
-    if len(m) != 1:
-        return None
-    return next(p for p in TYPE1_AUTOMORPHISMS if p.apply(m) == "x").compose(aut)
-
-
-def commutator_normalizer(w: str) -> AutF2 | None:
-    """The automorphism ``MinimalLevel(w).carry("XYxy")`` finds, with no walk:
-    by Nielsen, the orbit of ``[x, y]`` is the conjugates of ``[x, y]^±1``, and
-    the first signed permutation matching the minimized words cyclically,
-    fixed up by a conjugation, joins the two Whitehead minimizers."""
-    if cyclic_normal_form(w) not in _BASIS_COMMUTATORS:
-        return None
-    m1, a1 = whitehead_minimize(w)
-    m2, a2 = whitehead_minimize("XYxy")
-    p = next(p for p in TYPE1_AUTOMORPHISMS if cyclic_normal_form(p.apply(m1)) == m2)
-    h = conjugating_word(p.apply(m1), m2)
-    return a2.inverse().compose(inner(h).compose(p.compose(a1)))
+    """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive: the
+    lookup of ``x`` on the minimal level of ``w``'s orbit.  By Whitehead,
+    ``w`` is primitive exactly when its minimization ends at one letter."""
+    return MinimalLevel(w).carry("x")

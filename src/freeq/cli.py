@@ -32,6 +32,7 @@ from .solver import (
     STATUS_OK,
     Equation,
     VarietyDescription,
+    classify_jsj,
     describe_variety,
     generate_conjugates,
     generate_hnn,
@@ -134,7 +135,7 @@ def _classification_fields(cls) -> list[tuple[str, str]]:
     elif cls.kind == CASE_QH:
         fields.append(("normalizer.x", format_word(cls.normalizer.image_x)))
         fields.append(("normalizer.y", format_word(cls.normalizer.image_y)))
-        fields.append(("normalizer.target", cls.target))
+        fields.append(("normalizer.target", "XYxy"))
     return fields
 
 
@@ -177,8 +178,6 @@ def _description_fields(desc: VarietyDescription) -> list[tuple[str, str]]:
 
 
 def _cmd_classify(args):
-    from .solver import classify_jsj
-
     w = parse_word(args.w, "xy")
     cls = classify_jsj(w, args.hnn_budget)
     fields = [("lhs", format_word(w))] + _classification_fields(cls)

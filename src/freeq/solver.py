@@ -6,14 +6,18 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
 
 1. reject empty or one-variable ``w``;
 2. trivial right side: all solutions commute and form a power lattice;
-3. primitive ``w``: one free parameter describes everything;
-4. proper-power ``w = v^n``: take the unique n-th root of both sides;
+3. proper-power ``w = v^n``: take the unique n-th root of both sides;
+4. primitive ``w``: one free parameter describes everything;
 5. the rank-one lattice of commuting solutions;
 6. right side a proper power: no non-commuting solutions exist at all;
 7. otherwise classify ``w`` (orbit of the commutator / splits over an edge
    letter / neither), compute canonical solution-moving automorphisms, and
    search the finitely many terminal subgroup bases for minimal rank-two
    solutions.
+
+Steps 4 and 7 ask whether ``w`` lies in the orbit of ``x``, of ``[x, y]``
+and of each candidate's rewritten right side: each is a lookup on one
+``MinimalLevel`` of ``w``, built once per left side.
 
 Every emitted solution pair is re-verified against the equation before it is
 returned.
@@ -33,9 +37,7 @@ from .autf2 import (
     PRODUCT_MOVES,
     MinimalLevel,
     SearchBudgetExceeded,
-    commutator_normalizer,
     inner,
-    is_primitive,
 )
 from .graphs import CoreGraph, build_subgroup_graph
 from .words import (
@@ -201,8 +203,7 @@ class HnnWitness:
 class JsjClassification:
     kind: str
     hnn: HnnWitness | None = None
-    normalizer: AutF2 | None = None  # carries w to the commutator target
-    target: str = ""
+    normalizer: AutF2 | None = None  # carries w to the commutator XYxy
     note: str = ""
 
 
@@ -396,14 +397,20 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
 def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassification:
     """Orbit-of-commutator / edge-splitting / rigid trichotomy for w.
 
-    The commutator test runs first, with no search; a word in the orbit of [x, y]
-    (or its inverse) is never reported as split though it also admits splittings.
+    The commutator test runs first, as the lookup of ``XYxy`` on the minimal
+    level of ``w``'s orbit; a word in the orbit of [x, y] (or its inverse) is
+    never reported as split though it also admits splittings.
     """
     w = _check_lhs(w)
+    return _classify(w, MinimalLevel(w), hnn_max_bases)
+
+
+def _classify(w: str, level: MinimalLevel, hnn_max_bases: int) -> JsjClassification:
+    """``classify_jsj`` of a checked ``w`` with its minimal level."""
     # xyXY is a rotation of XYxy, hence in the same orbit: one target.
-    nu = commutator_normalizer(w)
+    nu = level.carry("XYxy")
     if nu is not None:
-        return JsjClassification(kind=CASE_QH, normalizer=nu, target="XYxy")
+        return JsjClassification(kind=CASE_QH, normalizer=nu)
     try:
         witness = detect_hnn_splitting(w, hnn_max_bases)
     except SearchBudgetExceeded as exc:
@@ -595,14 +602,14 @@ def orbit_walk(seed: Pair, gens, rhs: str) -> set[Pair]:
 
 
 def minimal_rank2_solutions(
-    eq: Equation, gens: tuple[CanonicalGenerator, ...],
+    eq: Equation, gens: tuple[CanonicalGenerator, ...], level: MinimalLevel,
 ) -> tuple[tuple[Pair, ...], tuple[frozenset[Pair], ...]]:
     """Minimal rank-two solutions: one per candidate subgroup whose rewritten
     right side lies in the orbit of the left side.
 
-    The minimal level of the left side's orbit is built once, on the first
-    terminal candidate, and each candidate's rewritten right side is looked
-    up on it; a hit carries the left side to it, and precomposing the basis
+    Each candidate's rewritten right side is looked up on ``level``, the
+    minimal level of the left side's orbit that describe built; a hit
+    carries the left side to it, and precomposing the basis
     with that automorphism gives a seed, minimized over its orbit under the
     canonical generators: the ShortLex-least pair that ``orbit_walk``
     reaches.  Precomposing with an automorphism keeps ``<g1, g2>``, so walks
@@ -612,9 +619,7 @@ def minimal_rank2_solutions(
     ``2|u| + 4``: those whose seed was no longer than it.
     """
     reps, orbits = [], []
-    level = None
     for pair, rewritten in terminal_candidates(eq):
-        level = level or MinimalLevel(eq.lhs)
         match = level.carry(rewritten)
         if match is None:
             continue
@@ -629,7 +634,11 @@ def minimal_rank2_solutions(
 
 
 def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> VarietyDescription:
-    """Full description of the solution set of one equation."""
+    """Full description of the solution set of one equation.
+
+    A proper power is described by its root.  Past that step, one minimal
+    level of the left side's orbit answers the primitivity test, the qh test
+    and every candidate's lookup."""
     w = _check_lhs(eq.lhs)
 
     if eq.rhs == "":
@@ -642,17 +651,7 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
             trivial=solve_trivial_rhs(eq),
         )
 
-    to_x = is_primitive(w)
-    if to_x is not None:
-        family = ParametricFamily(aut=to_x, recover_y=to_x.inverse().image_y)
-        g1, g2 = family.member(eq.rhs, "")
-        if not eq.holds_for(g1, g2):
-            raise AssertionError("parametric family failed verification")
-        return VarietyDescription(
-            equation=eq, reduced=eq, status=STATUS_OK,
-            kind=KIND_PARAMETRIC, formula=FORMULA_PARAMETRIC, parametric=family,
-        )
-
+    # Before the primitivity test: a proper power v^n, n >= 2, is never primitive.
     reduced = reduce_proper_power(eq)
     if reduced is None:
         return VarietyDescription(
@@ -663,6 +662,18 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
     if reduced != eq:
         inner_desc = describe_variety(reduced, hnn_max_bases)
         return dataclasses.replace(inner_desc, equation=eq)
+
+    level = MinimalLevel(w)
+    to_x = level.carry("x")
+    if to_x is not None:
+        family = ParametricFamily(aut=to_x, recover_y=to_x.inverse().image_y)
+        g1, g2 = family.member(eq.rhs, "")
+        if not eq.holds_for(g1, g2):
+            raise AssertionError("parametric family failed verification")
+        return VarietyDescription(
+            equation=eq, reduced=eq, status=STATUS_OK,
+            kind=KIND_PARAMETRIC, formula=FORMULA_PARAMETRIC, parametric=family,
+        )
 
     family = rank1_family(eq)
     _, e = primitive_root(eq.rhs)
@@ -678,7 +689,7 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
             kind=KIND_RANK1_ONLY, formula=FORMULA_POWER, rank1=family,
         )
 
-    cls = classify_jsj(w, hnn_max_bases)
+    cls = _classify(w, level, hnn_max_bases)
     if cls.kind == CASE_UNRESOLVED:
         return VarietyDescription(
             equation=eq, reduced=eq, status=STATUS_UNRESOLVED,
@@ -686,7 +697,7 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
             classification=cls, rank1=family,
         )
     gens = canonical_generators(cls, w)
-    minimal, orbits = minimal_rank2_solutions(eq, gens)
+    minimal, orbits = minimal_rank2_solutions(eq, gens, level)
     return VarietyDescription(
         equation=eq, reduced=eq, status=STATUS_OK,
         kind=KIND_JSJ, formula=_FORMULA_BY_CASE[cls.kind],

@@ -3,8 +3,8 @@ the word functions that peel by index, rotation-loop oracles for the word
 functions that find rotations in one pass, a greedy-shortening oracle for the
 basis check, a graph-free membership oracle, a set-partition oracle and a
 refolding oracle for terminal candidates, a rebuild-every-node oracle for the
-edge-splitting search, a per-pair orbit search for the minimal-level lookup,
-an evaluating action on solutions, a widening-ball oracle for the orbit
+edge-splitting search, a per-pair orbit search and two closed forms for the
+minimal-level lookup, an evaluating action on solutions, a widening-ball oracle for the orbit
 minimization, an evaluating oracle for the orbit walk and an orbit-closure
 oracle for certify's rank-two coverage."""
 
@@ -17,9 +17,11 @@ from freeq.autf2 import (
     IDENTITY,
     INVERSION_MOVES,
     PRODUCT_MOVES,
+    TYPE1_AUTOMORPHISMS,
     WHITEHEAD_AUTOMORPHISMS,
     AutF2,
     SearchBudgetExceeded,
+    _BASIS_COMMUTATORS,
     inner,
     whitehead_minimize,
 )
@@ -424,6 +426,34 @@ def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> Au
     if exact.apply(source) != target:
         raise AssertionError("orbit search produced a wrong automorphism")
     return exact
+
+
+# Closed-form oracles for the lookups of ``x`` and ``XYxy`` on a minimal level,
+# with no walk.
+
+
+def primitive_closed_form(w: str) -> AutF2 | None:
+    """The automorphism ``MinimalLevel(w).carry("x")`` finds: by Whitehead,
+    ``w`` is primitive exactly when its minimization ends at one letter ``m``,
+    and the first signed permutation taking ``m`` to ``x`` finishes it."""
+    m, aut = whitehead_minimize(w)
+    if len(m) != 1:
+        return None
+    return next(p for p in TYPE1_AUTOMORPHISMS if p.apply(m) == "x").compose(aut)
+
+
+def commutator_normalizer(w: str) -> AutF2 | None:
+    """The automorphism ``MinimalLevel(w).carry("XYxy")`` finds: by Nielsen,
+    the orbit of ``[x, y]`` is the conjugates of ``[x, y]^±1``, and the first
+    signed permutation matching the minimized words cyclically, fixed up by a
+    conjugation, joins the two Whitehead minimizers."""
+    if cyclic_normal_form(w) not in _BASIS_COMMUTATORS:
+        return None
+    m1, a1 = whitehead_minimize(w)
+    m2, a2 = whitehead_minimize("XYxy")
+    p = next(p for p in TYPE1_AUTOMORPHISMS if cyclic_normal_form(p.apply(m1)) == m2)
+    h = conjugating_word(p.apply(m1), m2)
+    return a2.inverse().compose(inner(h).compose(p.compose(a1)))
 
 
 # The evaluating action: precompose a solution with an automorphism by

@@ -3,7 +3,12 @@
 import random
 
 import pytest
-from conftest import greedy_is_basis_pair, orbit_automorphism
+from conftest import (
+    commutator_normalizer,
+    greedy_is_basis_pair,
+    orbit_automorphism,
+    primitive_closed_form,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +22,6 @@ from freeq.autf2 import (
     TYPE1_AUTOMORPHISMS,
     TYPE2_AUTOMORPHISMS,
     WHITEHEAD_AUTOMORPHISMS,
-    commutator_normalizer,
     inner,
     is_basis_pair,
     is_primitive,
@@ -300,19 +304,25 @@ def test_is_primitive():
         assert witness is not None
         assert witness.apply(w) == "x"
         assert witness == orbit_automorphism(w, "x"), w
-    # Whitehead minimization finds the automorphism the orbit search finds.
+        assert witness == primitive_closed_form(w), w
+    # The level lookup finds the automorphism the orbit search and the
+    # closed form by Whitehead minimization find.
     for w in words_upto(XY, 7):
-        assert is_primitive(w) == orbit_automorphism(w, "x"), w
-        assert is_primitive(w) == MinimalLevel(w).carry("x"), w
+        expected = orbit_automorphism(w, "x")
+        assert primitive_closed_form(w) == expected, w
+        assert MinimalLevel(w).carry("x") == expected, w
 
 
 def test_commutator_normalizer():
     assert commutator_normalizer("XYxy") == IDENTITY
     assert commutator_normalizer("xxyy") is None
-    # Nielsen's test finds the automorphism the orbit search finds.
+    assert MinimalLevel("XYxy").carry("XYxy") == IDENTITY
+    # The level lookup finds the automorphism the orbit search and Nielsen's
+    # closed form find.
     for w in words_upto(XY, 7):
-        assert commutator_normalizer(w) == orbit_automorphism(w, "XYxy"), w
-        assert commutator_normalizer(w) == MinimalLevel(w).carry("XYxy"), w
+        expected = orbit_automorphism(w, "XYxy")
+        assert commutator_normalizer(w) == expected, w
+        assert MinimalLevel(w).carry("XYxy") == expected, w
 
 
 def test_primitive_words_conjugation_closed():

@@ -20,6 +20,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freeq.autf2 as autf2
 import freeq.solver as solver
 from freeq.autf2 import IDENTITY, TYPE1_AUTOMORPHISMS, MinimalLevel, SearchBudgetExceeded
 from freeq.graphs import build_subgroup_graph
@@ -422,27 +423,67 @@ def test_minimal_level_carry_matches_orbit_search():
     assert (looked_up, matched) == (3385, 286)
 
 
+# Whitehead minimizations per describe of each bench anchor and of one
+# proper power: one for the level, one per lookup whose target passes the
+# gcd test.
+MINIMIZATIONS_PER_ANCHOR = {
+    ("xy", "ab"): 2,
+    ("xxyy", "aaaa"): 1,
+    ("xxyy", "1"): 0,
+    ("(xy)^2", "ab"): 0,
+    ("[x,y]", "[a,b]"): 3,
+    ("xxyy", "aabb"): 2,
+    ("xYxy", "aBab"): 2,
+    ("xxxyyy", "aaabbb"): 2,
+    ("(xxyy)^2", "(aabb)^2"): 2,
+}
+
+
 def test_one_minimal_level_per_described_equation(monkeypatch):
-    """Describing builds one level for each jsj equation that has terminal
-    candidates, and none for any other: 67 of the corpus's 70 jsj equations
-    have candidates."""
-    built = []
+    """Describing builds exactly one level, on the reduced left side, for
+    every equation with a non-trivial right side that the proper-power step
+    does not empty, and none for any other; the primitivity test, the qh
+    test and the candidate lookups all read that one level."""
+    built, minimized = [], []
+    real_minimize = autf2.whitehead_minimize
 
     class Counting(MinimalLevel):
         def __init__(self, w):
             built.append(w)
             super().__init__(w)
 
+    def counting_minimize(w):
+        minimized.append(w)
+        return real_minimize(w)
+
     monkeypatch.setattr(solver, "MinimalLevel", Counting)
-    jsj = levels = 0
-    for e in _minimization_corpus():
+    monkeypatch.setattr(autf2, "whitehead_minimize", counting_minimize)
+    anchors = [eq(parse_word(w, "xy"), parse_word(u, "ab")) for w, u in MINIMIZATIONS_PER_ANCHOR]
+    levels = 0
+    for e in _minimization_corpus() + anchors:
         built.clear()
         desc = describe_variety(e)
-        expected = desc.kind == KIND_JSJ and bool(terminal_candidates(desc.reduced))
+        expected = bool(e.rhs) and solver.reduce_proper_power(e) is not None
         assert built == ([desc.reduced.lhs] if expected else []), e
-        jsj += desc.kind == KIND_JSJ
         levels += expected
-    assert (jsj, levels) == (70, 67)
+    assert levels == 166
+    for (w, u), e in zip(MINIMIZATIONS_PER_ANCHOR, anchors):
+        minimized.clear()
+        describe_variety(e)
+        assert len(minimized) == MINIMIZATIONS_PER_ANCHOR[w, u], (w, u, minimized)
+
+
+def test_classify_jsj_matches_describe_classification():
+    """``classify_jsj`` builds its own level; on every jsj description of the
+    minimization corpus it classifies as describe, which shares its level."""
+    compared = 0
+    for e in _minimization_corpus():
+        desc = describe_variety(e)
+        if desc.kind != KIND_JSJ:
+            continue
+        assert classify_jsj(desc.reduced.lhs) == desc.classification, e
+        compared += 1
+    assert compared == 70
 
 
 def test_canonical_generator_inverses_match_greedy_inversion():
