@@ -6,9 +6,13 @@ by Nielsen's test: ``(u, v)`` is a basis exactly when ``[u, v]`` is
 conjugate to ``[x, y]`` or its inverse.
 
 Validation happens once, where images come from outside.  The results of
-``compose``, ``inverse``, ``inner`` and ``NielsenMove.as_aut`` are trusted
-without a basis check: a product of automorphisms is an automorphism, and
-an elementary Nielsen move or a conjugation is one by construction.
+``compose``, ``inverse`` and ``inner`` are trusted without a basis check: a
+product of automorphisms is an automorphism, and a conjugation is one by
+construction.
+
+One action, ``_act``, substitutes images for letters, cancelling reduced
+factors only where two meet: it is ``apply`` and ``compose``, and it applies
+the Nielsen moves, themselves automorphisms, to basis pairs.
 
 Inversion shortens the images by Nielsen moves down to a signed permutation
 of ``(x, y)``; the inverse is that trail of moves followed by the inverse of
@@ -21,7 +25,7 @@ orbit: primitivity is the lookup of ``x``, and membership in the orbit of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 
 from .words import (
     VARIABLES,
@@ -31,7 +35,6 @@ from .words import (
     conjugating_word,
     cyclic_length,
     cyclic_normal_form,
-    evaluate,
     exponent_sum,
     invert,
     multiply,
@@ -56,7 +59,7 @@ class AutF2:
 
     Construction reduces both images and raises :class:`NotAnAutomorphism`
     unless they form a free basis.  Automorphisms built by ``compose``,
-    ``inverse``, ``inner`` and ``NielsenMove.as_aut`` skip that check.
+    ``inverse`` and ``inner`` skip that check.
     """
 
     image_x: str
@@ -71,21 +74,29 @@ class AutF2:
             raise NotAnAutomorphism(f"({ix!r}, {iy!r}) is not a free basis")
 
     def apply(self, w: str) -> str:
-        return evaluate(w, self.image_x, self.image_y)
+        """The image of ``w``, a word in x and y, reduced or not."""
+        return _act(_values((self.image_x, self.image_y)), (_program(w),))[0]
 
     def compose(self, other: "AutF2") -> "AutF2":
         """self after other: ``(self.compose(other)).apply(w) == self.apply(other.apply(w))``."""
-        return _trusted(self.apply(other.image_x), self.apply(other.image_y))
+        return _trusted(*_act(_values((self.image_x, self.image_y)), _letter_programs(other)))
 
     def inverse(self) -> "AutF2":
         """Greedy shortening carries the images to a signed permutation P
         through moves M1..Mk, so ``self . M1 ... Mk == P`` and the inverse is
-        ``M1 ... Mk . P^-1``."""
-        end, trail = _greedy_shorten((self.image_x, self.image_y))
-        inv = IDENTITY
-        for m in trail:
-            inv = inv.compose(m.as_aut())
-        return inv.compose(_trusted(*_permutation_inverse(end)))
+        ``M1 ... Mk . P^-1``.  Each step takes the first product move that
+        shortens the pair; a basis pair of total length above two always
+        has one, and any such trail gives the unique inverse."""
+        pair, inv = (self.image_x, self.image_y), IDENTITY
+        while (total := len(pair[0]) + len(pair[1])) > 2:
+            values = _values(pair)
+            for move, programs in zip(PRODUCT_MOVES, _PRODUCT_PROGRAMS):
+                if (new := _act(values, programs, total - 1)) is not None:
+                    pair, inv = new, inv.compose(move)
+                    break
+            else:
+                raise AssertionError(f"no product move shortens the pair {pair!r}")
+        return inv.compose(_trusted(*_permutation_inverse(pair)))
 
     def is_identity(self) -> bool:
         return self.image_x == "x" and self.image_y == "y"
@@ -109,62 +120,52 @@ def _trusted(image_x: str, image_y: str) -> AutF2:
     return aut
 
 
-@dataclass(frozen=True)
-class NielsenMove:
-    """Elementary Nielsen transformation of an ordered pair.
-
-    ``side`` 0 replaces the first component, 1 the second.  Writing the kept
-    component as ``b`` and the replaced one as ``a``, the replacement is
-    ``(a^e1 b^e2)^e3`` with ``e1, e3 in {1, -1}`` and ``e2 in {-1, 0, 1}``.
-    """
-
-    side: int
-    e1: int
-    e2: int
-    e3: int
-
-    def apply(self, pair: Pair) -> Pair:
-        a, b = pair if self.side == 0 else (pair[1], pair[0])
-        # Every exponent is -1, 0 or 1, so one free reduction suffices.
-        head = a if self.e1 == 1 else invert(a)
-        tail = "" if self.e2 == 0 else b if self.e2 == 1 else invert(b)
-        new = reduce_word(head + tail)
-        if self.e3 == -1:
-            new = invert(new)
-        return (new, pair[1]) if self.side == 0 else (pair[0], new)
-
-    def as_aut(self) -> AutF2:
-        return _trusted(*self.apply(("x", "y")))
+# Images are spelled as programs over slot values: slot i ^ 1 holds the
+# inverse of slot i, so x, X, y, Y index a pair's values (g1, g1^-1, g2,
+# g2^-1).  The solver appends (u, u^-1) as slots 4 and 5.
+_SLOTS = {"x": 0, "X": 1, "y": 2, "Y": 3}
 
 
-PRODUCT_MOVES: tuple[NielsenMove, ...] = tuple(
-    NielsenMove(side, e1, e2, e3)
-    for side in (0, 1)
-    for e1 in (1, -1)
-    for e2 in (1, -1)
-    for e3 in (1, -1)
-)
-INVERSION_MOVES: tuple[NielsenMove, ...] = (
-    NielsenMove(0, -1, 0, 1),
-    NielsenMove(1, -1, 0, 1),
-)
+def _program(w: str) -> tuple[int, ...]:
+    """The program that spells ``w`` letter by letter."""
+    try:
+        return tuple(_SLOTS[c] for c in w)
+    except KeyError:
+        raise WordError(f"{w!r} is not a word in x and y") from None
 
 
-def _greedy_shorten(pair: Pair) -> tuple[Pair, list[NielsenMove]]:
-    """Shorten a basis pair to a signed permutation by the first strictly
-    shortening product move at each step; a basis pair of total length above
-    two always has one.  Any such trail gives ``inverse`` the unique inverse."""
-    trail: list[NielsenMove] = []
-    while (total := len(pair[0]) + len(pair[1])) > 2:
-        for move in PRODUCT_MOVES:
-            new = move.apply(pair)
-            if len(new[0]) + len(new[1]) < total:
-                pair = new
-                trail.append(move)
-                break
-        else:
-            raise AssertionError(f"no product move shortens the pair {pair!r}")
-    return pair, trail
+def _letter_programs(aut: AutF2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The programs that spell the images of ``aut`` letter by letter."""
+    return _program(aut.image_x), _program(aut.image_y)
+
+
+def _values(pair: Pair, conj: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """The slot values of a pair of reduced words, then those of ``conj``."""
+    return (pair[0], invert(pair[0]), pair[1], invert(pair[1])) + conj
+
+
+def _act(values: tuple[str, ...], programs, ball: float = inf) -> tuple[str, ...] | None:
+    """The words that ``programs`` spell over the slot ``values``, or None
+    once their total length exceeds ``ball``.  Reduced factors cancel only
+    where two meet (Lyndon–Schupp I.1), by the common suffix of the product
+    so far and the next factor's inverse."""
+    image, total = [], 0
+    for program in programs:
+        out = ""
+        for i in program:
+            inv = values[i ^ 1]
+            if out and out[-1] == inv[-1:]:
+                k, n = 1, min(len(out), len(inv))
+                while k < n and out[-1 - k] == inv[-1 - k]:
+                    k += 1
+                out = out[:len(out) - k] + values[i][k:]
+            else:
+                out += values[i]
+        total += len(out)
+        if total > ball:
+            return None
+        image.append(out)
+    return tuple(image)
 
 
 def _permutation_inverse(pair: Pair) -> Pair:
@@ -190,6 +191,17 @@ def is_basis_pair(w1: str, w2: str) -> bool:
 
 
 IDENTITY = AutF2("x", "y")
+
+# The Nielsen moves: x -> (x^e1 y^e2)^e3 or y -> (y^e1 x^e2)^e3, for e1, e2,
+# e3 in (1, -1) in that nesting order, and the inversions of x and of y.
+PRODUCT_MOVES = tuple(AutF2(ix, iy) for ix, iy in (
+    ("xy", "y"), ("YX", "y"), ("xY", "y"), ("yX", "y"),
+    ("Xy", "y"), ("Yx", "y"), ("XY", "y"), ("yx", "y"),
+    ("x", "yx"), ("x", "XY"), ("x", "yX"), ("x", "xY"),
+    ("x", "Yx"), ("x", "Xy"), ("x", "YX"), ("x", "xy"),
+))
+INVERSION_MOVES = (AutF2("X", "y"), AutF2("x", "Y"))
+_PRODUCT_PROGRAMS = tuple(_letter_programs(move) for move in PRODUCT_MOVES)
 
 
 def inner(g: str) -> AutF2:

@@ -44,7 +44,7 @@ from .solver import (
     verify_solution,
     verify_two_level,
 )
-from .words import Alphabet, WordError, format_word, parse_word
+from .words import Alphabet, WordError, format_word, parse_word, primitive_root
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,7 +180,9 @@ def _description_fields(desc: VarietyDescription) -> list[tuple[str, str]]:
 def _cmd_classify(args):
     w = parse_word(args.w, "xy")
     cls = classify_jsj(w, args.hnn_budget)
-    fields = [("lhs", format_word(w))] + _classification_fields(cls)
+    root = primitive_root(w)[0]
+    fields = [("lhs", format_word(w))] + ([("reduced.lhs", format_word(root))] if root != w else [])
+    fields += _classification_fields(cls)
     if cls.note:
         fields.append(("note", cls.note))
     return (EXIT_UNRESOLVED if cls.kind == CASE_UNRESOLVED else EXIT_OK), fields

@@ -17,7 +17,8 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
 
 Steps 4 and 7 ask whether ``w`` lies in the orbit of ``x``, of ``[x, y]``
 and of each candidate's rewritten right side: each is a lookup on one
-``MinimalLevel`` of ``w``, built once per left side.
+``MinimalLevel`` of ``w``, built once per left side.  Nielsen moves act on
+basis pairs, and generators on solutions, by ``autf2._act``.
 
 Every emitted solution pair is re-verified against the equation before it is
 returned.
@@ -28,15 +29,19 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, inf
+from math import gcd
 
 from .autf2 import (
-    TYPE1_AUTOMORPHISMS,
-    AutF2,
     INVERSION_MOVES,
     PRODUCT_MOVES,
+    TYPE1_AUTOMORPHISMS,
+    AutF2,
     MinimalLevel,
     SearchBudgetExceeded,
+    _act,
+    _letter_programs,
+    _trusted,
+    _values,
     inner,
 )
 from .graphs import CoreGraph, build_subgroup_graph
@@ -312,7 +317,7 @@ def reduce_proper_power(eq: Equation) -> Equation | None:
     return Equation(eq.alphabet, root_w, root_u)
 
 
-_BASIS_MOVES = PRODUCT_MOVES + INVERSION_MOVES
+_BASIS_PROGRAMS = tuple(_letter_programs(move) for move in PRODUCT_MOVES + INVERSION_MOVES)
 
 
 class _BasisWalk:
@@ -344,11 +349,11 @@ class _BasisWalk:
         """Whether node ``i`` exists: expand heads until it does or the walk ends."""
         pairs = self.pairs
         while len(pairs) <= i and self.head < len(pairs):
-            pair = pairs[self.head]
+            values = _values(pairs[self.head])
             self.head += 1
-            for move in _BASIS_MOVES:
-                new = move.apply(pair)
-                if len(new[0]) + len(new[1]) <= self.bound and new not in self.visited:
+            for programs in _BASIS_PROGRAMS:
+                new = _act(values, programs, self.bound)
+                if new is not None and new not in self.visited:
                     self.visited.add(new)
                     pairs.append(new)
                     self.sums.append((exponent_sum(new[0], "x"), exponent_sum(new[0], "y")))
@@ -389,20 +394,25 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
         px, py = walk.sums[i]
         if px * wy == py * wx and walk.edge_group(i).trace(w) == 0:
             p, t = walk.pairs[i]
-            return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=AutF2(p, t))
+            return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=_trusted(p, t))
         i += 1
     return None
 
 
 def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassification:
-    """Orbit-of-commutator / edge-splitting / rigid trichotomy for w.
+    """Orbit-of-commutator / edge-splitting / rigid trichotomy for the root
+    of w, as describe classifies it; a primitive root raises :class:`WordError`.
 
     The commutator test runs first, as the lookup of ``XYxy`` on the minimal
-    level of ``w``'s orbit; a word in the orbit of [x, y] (or its inverse) is
-    never reported as split though it also admits splittings.
+    level of the root's orbit; a word in the orbit of [x, y] (or its inverse)
+    is never reported as split though it also admits splittings.
     """
-    w = _check_lhs(w)
-    return _classify(w, MinimalLevel(w), hnn_max_bases)
+    root, _ = primitive_root(_check_lhs(w))
+    level = MinimalLevel(root)
+    if level.carry("x") is not None:
+        raise WordError(f"the root {root} of the left side is primitive: "
+                        "its equations are parametric, with no splitting case")
+    return _classify(root, level, hnn_max_bases)
 
 
 def _classify(w: str, level: MinimalLevel, hnn_max_bases: int) -> JsjClassification:
@@ -477,10 +487,9 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
     return tuple(gens)
 
 
-# A generator acts on a solution (g1, g2) of w = u by products of the slot
-# values (g1, g1^-1, g2, g2^-1, u, u^-1), slot i ^ 1 holding the inverse of
-# slot i; c = inner(w) takes each g to w(g1, g2)^-1 g w(g1, g2) = u^-1 g u.
-_SLOTS = {"x": 0, "X": 1, "y": 2, "Y": 3}
+# A generator acts on a solution (g1, g2) of w = u by ``_act`` over the slot
+# values (g1, g1^-1, g2, g2^-1, u, u^-1); c = inner(w) takes each g to
+# w(g1, g2)^-1 g w(g1, g2) = u^-1 g u.
 _CONJUGATION_PROGRAMS = (((5, 0, 4), (5, 2, 4)), ((4, 0, 5), (4, 2, 5)))
 
 
@@ -489,39 +498,6 @@ def _programs(gen: CanonicalGenerator, inverse: bool) -> tuple[tuple[int, ...], 
     if gen.symbol == _CONJUGATION:
         return _CONJUGATION_PROGRAMS[inverse]
     return _letter_programs(gen.inverse if inverse else gen.aut)
-
-
-def _letter_programs(aut: AutF2) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The programs that spell the images of ``aut`` letter by letter."""
-    return tuple(_SLOTS[c] for c in aut.image_x), tuple(_SLOTS[c] for c in aut.image_y)
-
-
-def _values(pair: Pair, conj: tuple[str, str]) -> tuple[str, ...]:
-    return (pair[0], invert(pair[0]), pair[1], invert(pair[1])) + conj
-
-
-def _act(values: tuple[str, ...], programs, ball: float) -> Pair | None:
-    """The image under ``programs`` of the solution with slot ``values``, or
-    None once it is longer than ``ball``.  Reduced factors cancel only where
-    two meet (Lyndon–Schupp I.1), by the common suffix of the product so far
-    and the next factor's inverse."""
-    image, total = [], 0
-    for program in programs:
-        out = ""
-        for i in program:
-            inv = values[i ^ 1]
-            if out and out[-1] == inv[-1:]:
-                k, n = 1, min(len(out), len(inv))
-                while k < n and out[-1 - k] == inv[-1 - k]:
-                    k += 1
-                out = out[:len(out) - k] + values[i][k:]
-            else:
-                out += values[i]
-        total += len(out)
-        if total > ball:
-            return None
-        image.append(out)
-    return tuple(image)
 
 
 def terminal_candidates(eq: Equation):
@@ -623,7 +599,7 @@ def minimal_rank2_solutions(
         match = level.carry(rewritten)
         if match is None:
             continue
-        seed = _act(_values(pair, ()), _letter_programs(match), inf)
+        seed = _act(_values(pair), _letter_programs(match))
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
         walk = orbit_walk(seed, gens, eq.rhs)
@@ -779,7 +755,7 @@ def generate_orbit(desc: VarietyDescription, index: int, sigma: str) -> Pair:
             raise WordError(f"unknown canonical generator {c!r}")
         if c not in programs:
             programs[c] = _programs(desc.generator_by_symbol(c.lower()), c.isupper())
-        sol = _act(_values(sol, conj), programs[c], inf)
+        sol = _act(_values(sol, conj), programs[c])
     return _checked(desc.reduced, sol)
 
 

@@ -1,12 +1,13 @@
 """Shared test helpers: random words, substitution, reduce-based oracles for
 the word functions that peel by index, rotation-loop oracles for the word
-functions that find rotations in one pass, a greedy-shortening oracle for the
-basis check, a graph-free membership oracle, a set-partition oracle and a
-refolding oracle for terminal candidates, a rebuild-every-node oracle for the
-edge-splitting search, a per-pair orbit search and two closed forms for the
-minimal-level lookup, an evaluating action on solutions, a widening-ball oracle for the orbit
-minimization, an evaluating oracle for the orbit walk and an orbit-closure
-oracle for certify's rank-two coverage."""
+functions that find rotations in one pass, the Nielsen move formula, a
+greedy-shortening oracle for the basis check, a graph-free membership oracle,
+a set-partition oracle and a refolding oracle for terminal candidates, a
+rebuild-every-node oracle for the edge-splitting search, a per-pair orbit
+search and two closed forms for the minimal-level lookup, an evaluating action
+on solutions, a widening-ball oracle for the orbit minimization, an evaluating
+oracle for the orbit walk and an orbit-closure oracle for certify's rank-two
+coverage."""
 
 import functools
 import itertools
@@ -15,8 +16,6 @@ from math import gcd
 
 from freeq.autf2 import (
     IDENTITY,
-    INVERSION_MOVES,
-    PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
     WHITEHEAD_AUTOMORPHISMS,
     AutF2,
@@ -139,6 +138,25 @@ def rotating_conjugating_word(v, w):
     return None
 
 
+# The elementary Nielsen moves by their formula, in the order of
+# ``autf2.PRODUCT_MOVES + autf2.INVERSION_MOVES``.  A move ``(side, e1, e2,
+# e3)`` replaces component ``side`` of a pair: writing the kept component as
+# ``b`` and the replaced one as ``a``, the replacement is ``(a^e1 b^e2)^e3``.
+# The sixteen product moves have ``e2 != 0``; the two inversions ``e2 == 0``.
+
+
+NIELSEN_MOVES = tuple(
+    (side, e1, e2, e3) for side in (0, 1) for e1 in (1, -1) for e2 in (1, -1) for e3 in (1, -1)
+) + ((0, -1, 0, 1), (1, -1, 0, 1))
+
+
+def nielsen_move(move, pair):
+    side, e1, e2, e3 = move
+    a, b = pair if side == 0 else (pair[1], pair[0])
+    new = reducing_power(multiply(reducing_power(a, e1), reducing_power(b, e2)), e3)
+    return (new, pair[1]) if side == 0 else (pair[0], new)
+
+
 # The greedy basis check: shorten the pair by product moves, taking the
 # smallest resulting pair (total length, then ShortLex, then move index),
 # until no move shortens it; the pair was a basis exactly when it stops at a
@@ -153,8 +171,8 @@ def greedy_is_basis_pair(w1, w2):
     while True:
         total = len(cur[0]) + len(cur[1])
         best = None
-        for idx, move in enumerate(PRODUCT_MOVES):
-            new = move.apply(cur)
+        for idx, move in enumerate(NIELSEN_MOVES[:16]):
+            new = nielsen_move(move, cur)
             if len(new[0]) + len(new[1]) < total:
                 cand = (pair_key(new), idx)
                 if best is None or cand < best[0]:
@@ -325,17 +343,22 @@ def refolding_terminal_candidates(eq):
 
 
 @functools.lru_cache(maxsize=None)
-def _bases_in_search_order(bound):
+def pairs_in_search_order(bound):
     start = ("x", "y")
     order = [start]
     visited = {start}
-    for p, t in order:  # the list grows while it is walked: breadth first
-        for move in PRODUCT_MOVES + INVERSION_MOVES:
-            new = move.apply((p, t))
+    for pair in order:  # the list grows while it is walked: breadth first
+        for move in NIELSEN_MOVES:
+            new = nielsen_move(move, pair)
             if len(new[0]) + len(new[1]) <= bound and new not in visited:
                 visited.add(new)
                 order.append(new)
-    return tuple(((p, t), AutF2(p, t).inverse()) for p, t in order)
+    return tuple(order)
+
+
+@functools.lru_cache(maxsize=None)
+def _bases_in_search_order(bound):
+    return tuple(((p, t), AutF2(p, t).inverse()) for p, t in pairs_in_search_order(bound))
 
 
 def rebuilding_hnn_splitting(w, hnn_max_bases=HNN_MAX_BASES):
@@ -457,7 +480,7 @@ def commutator_normalizer(w: str) -> AutF2 | None:
 
 
 # The evaluating action: precompose a solution with an automorphism by
-# evaluating its images, where ``solver._act`` builds them by junction-only
+# evaluating its images, where ``autf2._act`` builds them by junction-only
 # products.
 
 

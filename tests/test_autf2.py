@@ -4,9 +4,12 @@ import random
 
 import pytest
 from conftest import (
+    NIELSEN_MOVES,
     commutator_normalizer,
     greedy_is_basis_pair,
+    nielsen_move,
     orbit_automorphism,
+    pairs_in_search_order,
     primitive_closed_form,
 )
 from hypothesis import given, settings
@@ -22,12 +25,16 @@ from freeq.autf2 import (
     TYPE1_AUTOMORPHISMS,
     TYPE2_AUTOMORPHISMS,
     WHITEHEAD_AUTOMORPHISMS,
+    _act,
+    _letter_programs,
+    _program,
+    _values,
     inner,
     is_basis_pair,
     is_primitive,
     whitehead_minimize,
 )
-from freeq.solver import _basis_walk
+from freeq.solver import _basis_walk, _BasisWalk
 from freeq.words import (
     VARIABLES,
     Alphabet,
@@ -35,6 +42,7 @@ from freeq.words import (
     conjugate,
     cyclic_length,
     cyclic_normal_form,
+    evaluate,
     exponent_sum,
     invert,
     multiply,
@@ -50,7 +58,7 @@ def random_aut(rng, steps=6):
     """A random composite of elementary moves applied to the identity."""
     pair = ("x", "y")
     for _ in range(rng.randint(1, steps)):
-        pair = rng.choice(ALL_MOVES).apply(pair)
+        pair = nielsen_move(rng.choice(NIELSEN_MOVES), pair)
     return AutF2(*pair)
 
 
@@ -166,15 +174,70 @@ def test_inverse_of_signed_permutations():
 
 
 def test_move_matches_its_automorphism():
+    # Each move constant is the move formula applied to (x, y), in the
+    # formula's order; the formula on a random basis is that basis composed
+    # with the constant, and the action of the constant's programs on it.
     rng = random.Random(83)
-    for move in ALL_MOVES:
-        aut = move.as_aut()
-        assert (aut.image_x, aut.image_y) == move.apply(("x", "y"))
-        # replaying on a random basis equals composing automorphisms
+    assert len(ALL_MOVES) == len(NIELSEN_MOVES) == 18
+    for move, formula in zip(ALL_MOVES, NIELSEN_MOVES):
+        assert (move.image_x, move.image_y) == nielsen_move(formula, ("x", "y"))
         base = random_aut(rng)
-        replayed = move.apply((base.image_x, base.image_y))
-        composed = base.compose(move.as_aut())
+        replayed = nielsen_move(formula, (base.image_x, base.image_y))
+        composed = base.compose(move)
         assert replayed == (composed.image_x, composed.image_y)
+        assert replayed == _act(_values((base.image_x, base.image_y)), _letter_programs(move))
+
+
+def test_basis_walk_follows_the_move_formula_order():
+    """Every basis walk up to bound 8, walked to its end from a fresh start,
+    lists the pairs in the breadth-first order of the move formula."""
+    for bound in range(2, 9):
+        walk = _BasisWalk(bound)
+        n = 0
+        while walk.reaches(n):
+            n += 1
+        assert tuple(walk.pairs) == pairs_in_search_order(bound), bound
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, len(WHITEHEAD_AUTOMORPHISMS) - 1), max_size=8),
+    st.lists(st.integers(0, len(WHITEHEAD_AUTOMORPHISMS) - 1), max_size=8),
+    st.text(alphabet="xyXY", max_size=12),
+    st.text(alphabet="xyXY", max_size=12),
+    st.integers(0, 40),
+)
+def test_action_matches_evaluate(first, second, w, v, ball):
+    """``apply``, ``compose`` and ``_act`` agree with ``words.evaluate`` on
+    products of Whitehead automorphisms, built by evaluation, and on words
+    that need not be reduced; with a ball, ``_act`` gives None exactly when
+    the evaluated images are longer than the ball."""
+    auts = []
+    for steps in (first, second):
+        images = ("x", "y")
+        for index in steps:
+            t = WHITEHEAD_AUTOMORPHISMS[index]
+            images = (evaluate(images[0], t.image_x, t.image_y),
+                      evaluate(images[1], t.image_x, t.image_y))
+        auts.append(AutF2(*images))
+    a, b = auts
+    images = (a.image_x, a.image_y)
+    assert a.apply(w) == evaluate(w, *images)
+    composed = a.compose(b)
+    assert (composed.image_x, composed.image_y) == (
+        evaluate(b.image_x, *images), evaluate(b.image_y, *images))
+    pair = (reduce_word(w), reduce_word(v))
+    values = _values(pair)
+    expected = (evaluate(a.image_x, *pair), evaluate(a.image_y, *pair))
+    assert _act(values, _letter_programs(a)) == expected
+    assert _act(values, (_program(w), _program(v))) == (evaluate(w, *pair), evaluate(v, *pair))
+    within = len(expected[0]) + len(expected[1]) <= ball
+    assert _act(values, _letter_programs(a), ball) == (expected if within else None)
+
+
+def test_apply_rejects_foreign_letters():
+    with pytest.raises(WordError):
+        IDENTITY.apply("xa")
 
 
 def test_is_basis_pair():

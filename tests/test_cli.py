@@ -103,6 +103,28 @@ def test_classify_human(capsys):
     assert "case: qh" in out
 
 
+@pytest.mark.parametrize("w,root,u", [("xxxy", "xxxy", "aaab"), ("xyxy", "xy", "abab")])
+def test_classify_refuses_a_primitive_root(capsys, w, root, u):
+    # solve describes these left sides as parametric, with no splitting case
+    code, out, err = run_main(capsys, "classify", "--w", w, "--format", "structured")
+    assert (code, out) == (1, "")
+    assert f"root {root} " in err
+    assert "parametric" in err
+    assert "kind: parametric" in run_main(capsys, "solve", "--w", w, "--u", u)[1]
+
+
+def test_classify_a_proper_power_classifies_its_root(capsys):
+    code, root_out, _ = run_main(capsys, "classify", "--w", "xxyy", "--format", "structured")
+    assert code == 0
+    code, power_out, _ = run_main(capsys, "classify", "--w", "(xxyy)^2", "--format", "structured")
+    assert code == 0
+    root_lines, power_lines = root_out.splitlines(), power_out.splitlines()
+    assert power_lines[2:4] == ["lhs: xxyyxxyy", "reduced.lhs: xxyy"]
+    assert power_lines[4:] == root_lines[3:]
+    assert [line for line in power_lines if line.startswith(("case:", "splitting."))] == [
+        "case: hnn", "splitting.p: xy", "splitting.q: Yxyy", "splitting.t: y"]
+
+
 def test_verify(capsys):
     code, out, _ = run_main(capsys, "verify", "--w", "xxyy", "--u", "aabb", "--g1", "a", "--g2", "b")
     assert code == 0

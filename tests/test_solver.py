@@ -474,16 +474,25 @@ def test_one_minimal_level_per_described_equation(monkeypatch):
 
 
 def test_classify_jsj_matches_describe_classification():
-    """``classify_jsj`` builds its own level; on every jsj description of the
-    minimization corpus it classifies as describe, which shares its level."""
-    compared = 0
-    for e in _minimization_corpus():
+    """``classify_jsj`` classifies the root of its word on a level of its
+    own.  On the minimization corpus it refuses the left side of every
+    parametric description, and classifies the unreduced left side of every
+    jsj description as describe, which shares its level, does."""
+    squares = [eq(multiply(w, w), multiply(u, u)) for w, u in JSJ_ANCHORS]
+    compared = refused = powers = 0
+    for e in _minimization_corpus() + squares:
         desc = describe_variety(e)
-        if desc.kind != KIND_JSJ:
+        if desc.kind == KIND_PARAMETRIC:
+            with pytest.raises(WordError, match="parametric"):
+                classify_jsj(e.lhs)
+            refused += 1
+        elif desc.kind == KIND_JSJ:
+            assert classify_jsj(e.lhs) == desc.classification, e
+            compared += 1
+        else:
             continue
-        assert classify_jsj(desc.reduced.lhs) == desc.classification, e
-        compared += 1
-    assert compared == 70
+        powers += desc.reduced != e
+    assert (compared, refused, powers) == (74, 77, 10)
 
 
 def test_canonical_generator_inverses_match_greedy_inversion():
