@@ -196,6 +196,39 @@ def test_budget_flag_defaults_are_the_budgets_defaults(command):
     assert "unrecognized arguments: --orbit-cap 5" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "solve --w xxyy --u aabb --format structured",
+    "classify --w xxyyxy --hnn-budget 1 --format structured",
+    "--bogus verify --w xy --u ab --g1 a --g2 b",
+    "certify --w xxyy --u aabb --orbit-cap 5",
+    "solve --w xy",
+    "-1 solve --w xy --u ab",
+    "-- gen --w xy --u ab --format structured",
+    "bogus --w xy",
+    "",
+    "--help",
+    "--help solve",
+    "demo-two-level --help",
+    "--version",
+])
+def test_main_parses_as_with_every_command_built(capsys, monkeypatch, argv):
+    """``main`` adds the arguments of the command its argv names only; its
+    exit code, output and errors are those of the parser of every command."""
+
+    def outcome():
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    named = outcome()
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: build_parser())
+    assert named == outcome()
+
+
 def test_unresolved_exit(capsys):
     code, out, err = run_main(capsys, "classify", "--w", "xxyyxy", "--hnn-budget", "1")
     assert code == 2
