@@ -42,19 +42,15 @@ class CoreGraph:
     holds exactly when the two generating sets span the same subgroup.
     """
 
-    __slots__ = ("alphabet", "num_vertices", "edges", "_out", "_in")
+    __slots__ = ("alphabet", "num_vertices", "edges", "_step")
 
     def __init__(self, alphabet: Alphabet, num_vertices: int, edges: frozenset):
         self.alphabet = alphabet
         self.num_vertices = num_vertices
         self.edges = frozenset(edges)
-        self._out = {v: {} for v in range(num_vertices)}
-        self._in = {v: {} for v in range(num_vertices)}
-        for (u, c, v) in self.edges:
-            if c in self._out[u] or c in self._in[v]:
-                raise AssertionError("unfolded edge set passed to CoreGraph")
-            self._out[u][c] = v
-            self._in[v][c] = u
+        self._step = _step_map(self.edges)
+        if len(self._step) != 2 * len(self.edges):
+            raise AssertionError("unfolded edge set passed to CoreGraph")
 
     def __eq__(self, other) -> bool:
         return (
@@ -72,14 +68,13 @@ class CoreGraph:
 
     def follow(self, v: int, letter: str) -> int | None:
         """Step along ``letter`` (signed) from ``v``; None if no such edge."""
-        if letter.islower():
-            return self._out[v].get(letter)
-        return self._in[v].get(letter.lower())
+        return self._step.get((v, letter))
 
-    def trace(self, w: str, start: int = 0) -> int | None:
-        v: int | None = start
+    def trace(self, w: str) -> int | None:
+        """The vertex that reading ``w`` from the basepoint reaches; None if it leaves the graph."""
+        v: int | None = 0
         for c in w:
-            v = self.follow(v, c)
+            v = self._step.get((v, c))
             if v is None:
                 return None
         return v
@@ -96,25 +91,11 @@ class CoreGraph:
 
         Returns ``(parent, nontree)`` where ``parent[v]`` is ``(u, letter)``
         with signed ``letter`` read from ``u`` to ``v``, and ``nontree`` lists
-        the remaining edges as stored (positively), in discovery order.
+        the remaining edges as stored (positively), sorted.
         """
-        parent: dict[int, tuple[int, str]] = {0: (0, "")}
-        tree_edges = set()
-        order = deque([0])
-        while order:
-            v = order.popleft()
-            for c in self.alphabet.letters:
-                w = self._out[v].get(c)
-                if w is not None and w not in parent:
-                    parent[w] = (v, c)
-                    tree_edges.add((v, c, w))
-                    order.append(w)
-                w = self._in[v].get(c)
-                if w is not None and w not in parent:
-                    parent[w] = (v, c.upper())
-                    tree_edges.add((w, c, v))
-                    order.append(w)
-        nontree = sorted(e for e in self.edges if e not in tree_edges)
+        parent = _bfs_tree(self._step, 0, self.alphabet)
+        tree_edges = {(u, c, w) if c.islower() else (w, c.lower(), u) for w, (u, c) in parent.items() if c}
+        nontree = sorted(self.edges - tree_edges)
         return parent, nontree
 
     def path_from_base(self, v: int, parent) -> str:
@@ -141,7 +122,10 @@ class CoreGraph:
         gens.sort(key=lambda item: shortlex_key(item[0]))
         generators = tuple(word for word, _ in gens)
         letters = tuple(_BASIS_LETTER_POOL[i] for i in range(len(gens)))
-        edge_letters = {edge: letters[i] for i, (_, edge) in enumerate(gens)}
+        edge_letters = {}
+        for letter, (_, (s, c, t)) in zip(letters, gens):
+            edge_letters[s, c] = letter
+            edge_letters[t, c.upper()] = letter.upper()
         return SubgroupBasis(self, generators, letters, edge_letters)
 
 
@@ -168,61 +152,71 @@ class SubgroupBasis:
             nxt = graph.follow(v, c)
             if nxt is None:
                 raise NotInSubgroup(f"{w!r} leaves the core graph")
-            edge = (v, c, nxt) if c.islower() else (nxt, c.lower(), v)
-            letter = self.edge_letters.get(edge)
+            letter = self.edge_letters.get((v, c))
             if letter is not None:
-                out.append(letter if c.islower() else letter.upper())
+                out.append(letter)
             v = nxt
         if v != 0:
             raise NotInSubgroup(f"{w!r} is not in the subgroup")
         return reduce_word("".join(out))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _step_map(edges) -> dict[tuple[int, str], int]:
+    """The signed steps ``(vertex, letter) -> vertex`` of positively stored edges."""
+    step = {}
+    for (u, c, v) in edges:
+        step[u, c] = v
+        step[v, c.upper()] = u
+    return step
 
 
-def graph_from_edges(alphabet: Alphabet, num_vertices: int, edges, base: int = 0) -> CoreGraph:
+def _bfs_tree(step, base: int, alphabet: Alphabet) -> dict[int, tuple[int, str]]:
+    """Breadth-first tree from ``base``, trying signed letters in order a, A, b, B, ...
+
+    Maps each vertex reached, in discovery order, to ``(u, letter)``: the
+    vertex it was reached from and the signed letter read on the way.
+    """
+    parent = {base: (base, "")}
+    order = deque([base])
+    signed = alphabet.signed_letters()
+    while order:
+        v = order.popleft()
+        for c in signed:
+            w = step.get((v, c))
+            if w is not None and w not in parent:
+                parent[w] = (v, c)
+                order.append(w)
+    return parent
+
+
+def _fold_pair(edges) -> tuple[int, int] | None:
+    """Two distinct vertices one signed step reaches from a shared vertex, if any."""
+    step = {}
+    for (u, c, v) in edges:
+        for key, end in (((u, c), v), ((v, c.upper()), u)):
+            seen = step.setdefault(key, end)
+            if seen != end:
+                return seen, end
+    return None
+
+
+def graph_from_edges(alphabet: Alphabet, edges, base: int = 0) -> CoreGraph:
     """Fold an arbitrary labelled graph and return its canonical core.
 
-    ``edges`` holds positively oriented triples ``(u, letter, v)``.  Folding
-    identifies targets (or sources) of equal-labelled edges at a shared vertex
-    until none remain, then vertices of degree at most one other than the
-    basepoint are trimmed and the rest renamed in breadth-first order.
+    ``edges`` holds positively oriented triples ``(u, letter, v)``.  Each
+    folding pass finds one vertex with two equal-labelled edges out (or in)
+    and identifies their other ends, renaming the larger id to the smaller
+    in every edge and in ``base``, until no such pair remains; then vertices
+    of degree at most one other than the basepoint are trimmed and the rest
+    renamed in breadth-first order, so the result does not depend on which
+    pair each pass merged.
     """
-    uf = _UnionFind(num_vertices)
-    edge_set = {(u, c, v) for (u, c, v) in edges}
-    while True:
-        edge_set = {(uf.find(u), c, uf.find(v)) for (u, c, v) in edge_set}
-        out: dict[tuple[int, str], int] = {}
-        inn: dict[tuple[int, str], int] = {}
-        merged = False
-        for (u, c, v) in sorted(edge_set):
-            if out.setdefault((u, c), v) != v:
-                uf.union(v, out[(u, c)])
-                merged = True
-                break
-            if inn.setdefault((v, c), u) != u:
-                uf.union(u, inn[(v, c)])
-                merged = True
-                break
-        if not merged:
-            break
-    base = uf.find(base)
+    edge_set = set(edges)
+    while (pair := _fold_pair(edge_set)) is not None:
+        keep, drop = min(pair), max(pair)
+        edge_set = {(keep if u == drop else u, c, keep if v == drop else v) for (u, c, v) in edge_set}
+        if base == drop:
+            base = keep
 
     # Trim: repeatedly discard non-basepoint vertices of total degree <= 1
     # (a loop contributes two to the degree of its vertex).
@@ -240,22 +234,8 @@ def graph_from_edges(alphabet: Alphabet, num_vertices: int, edges, base: int = 0
         alive -= dead
         edge_set = {(u, c, v) for (u, c, v) in edge_set if u not in dead and v not in dead}
 
-    # Canonical relabelling: BFS from the basepoint, letters in alphabet
-    # order, outgoing edge before incoming at each letter.
-    out_map: dict[int, dict[str, int]] = {v: {} for v in alive}
-    in_map: dict[int, dict[str, int]] = {v: {} for v in alive}
-    for (u, c, v) in edge_set:
-        out_map[u][c] = v
-        in_map[v][c] = u
-    index = {base: 0}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for c in alphabet.letters:
-            for w in (out_map[v].get(c), in_map[v].get(c)):
-                if w is not None and w not in index:
-                    index[w] = len(index)
-                    queue.append(w)
+    # Canonical relabelling: breadth-first from the basepoint.
+    index = {v: i for i, v in enumerate(_bfs_tree(_step_map(edge_set), base, alphabet))}
     if len(index) != len(alive):
         raise AssertionError("core graph is disconnected")
     relabelled = frozenset((index[u], c, index[v]) for (u, c, v) in edge_set)
@@ -279,5 +259,5 @@ def build_subgroup_graph(alphabet: Alphabet, generators) -> CoreGraph:
                 edges.append((nxt, c.lower(), prev))
             prev = nxt
         num_vertices += max(len(w) - 1, 0)
-    return graph_from_edges(alphabet, num_vertices, edges)
+    return graph_from_edges(alphabet, edges)
 

@@ -287,7 +287,7 @@ def partition_terminal_candidates(eq):
     results = []
     for blocks in _set_partitions(m):
         mapped = [(blocks[s], c, blocks[d]) for (s, c, d) in cycle_edges]
-        graph = graph_from_edges(eq.alphabet, max(blocks) + 1, mapped, base=blocks[0])
+        graph = graph_from_edges(eq.alphabet, mapped, base=blocks[0])
         if graph in seen:
             continue
         seen.add(graph)
@@ -318,7 +318,7 @@ def refolding_terminal_candidates(eq):
         if i == m:
             if v == 0 and rank == 2:
                 edges = [(s, c, t) for (s, c), t in step.items() if c.islower()]
-                basis = graph_from_edges(eq.alphabet, n, edges).canonical_basis()
+                basis = graph_from_edges(eq.alphabet, edges).canonical_basis()
                 results.append((basis.generators, basis.express(u)))
             continue
         if rank == 2:

@@ -235,6 +235,29 @@ def test_unresolved_exit(capsys):
     assert "case: unresolved" in out
 
 
+@pytest.mark.parametrize("command, message", [
+    ("gen", "cannot generate from an unresolved description: edge-splitting search"),
+    ("certify", "describe: unresolved (edge-splitting search"),
+])
+def test_gen_and_certify_on_an_unresolved_description_exit_2(capsys, command, message):
+    argv = [command, "--w", "xxyyxy", "--u", "aabbab", "--hnn-budget", "1"]
+    code, out, err = run_main(capsys, *argv, *(["-L", "2"] if command == "certify" else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--u", "aaa"), "the solution set is empty; nothing to generate"),
+    (("--u", "1"), "generating for a trivial right side needs --root"),
+])
+def test_gen_with_nothing_to_generate_exits_1(capsys, argv, message):
+    code, out, err = run_main(capsys, "gen", "--w", "xxyy", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"freeq: error: {message}\n"
+
+
 def test_demo_two_level(capsys):
     code, out, _ = run_main(capsys, "demo-two-level", "--n", "1", "--m", "0", "--verify")
     assert code == 0
@@ -258,6 +281,9 @@ def test_usage_errors_exit_1():
         proc = run_proc(command, "--w", "XYxy", "--u", "ABab", "-L", "-1")
         assert proc.returncode == 1
         assert "the count must be at least 0, not -1" in proc.stderr
+    proc = run_proc("certify", "--w", "xxyy", "--u", "aabb", "-L", "abc")
+    assert proc.returncode == 1
+    assert "invalid count 'abc'" in proc.stderr
     # gen refuses a flag its description cannot use: --sigma without rank-two
     # solutions, --m without an edge twist, and each flag named below on a
     # kind that has no use for it.

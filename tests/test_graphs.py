@@ -6,6 +6,7 @@ import pytest
 from conftest import naive_member, naive_nielsen_reduce, substitute
 
 from freeq.graphs import (
+    CoreGraph,
     NotInSubgroup,
     build_subgroup_graph,
     graph_from_edges,
@@ -66,6 +67,17 @@ def test_rank():
     assert build_subgroup_graph(AB, ["ABab", "a"]).rank() == 2
 
 
+def wedge_edges(gens):
+    """The unfolded wedge of loops at vertex 0 spelling the non-empty ``gens``."""
+    edges, fresh = [], 1
+    for w in filter(None, gens):
+        path = [0, *range(fresh, fresh + len(w) - 1), 0]
+        fresh += len(w) - 1
+        for s, c, t in zip(path, w, path[1:]):
+            edges.append((s, c, t) if c.islower() else (t, c.lower(), s))
+    return edges, fresh
+
+
 def test_folding_confluent_under_input_order():
     rng = random.Random(41)
     for _ in range(100):
@@ -76,12 +88,27 @@ def test_folding_confluent_under_input_order():
         # throwing in a product of members must not change the subgroup
         shuffled.append(multiply(rng.choice(gens), rng.choice(gens)))
         assert build_subgroup_graph(AB, shuffled) == reference
+        # nor may vertex names, edge order, the base's id or a dead tail
+        edges, n = wedge_edges(shuffled)
+        edges += [(rng.randrange(n), rng.choice("ab"), n), (n + 1, rng.choice("ab"), n),
+                  (n + 1, rng.choice("ab"), n + 2)]
+        names = rng.sample(range(1, 2 * (n + 3)), n + 3)
+        renamed = [(names[s], c, names[t]) for (s, c, t) in edges]
+        rng.shuffle(renamed)
+        assert graph_from_edges(AB, renamed, base=names[0]) == reference
+
+
+def test_core_graph_rejects_an_unfolded_edge_set():
+    # two a-edges out of vertex 0, then two a-edges into vertex 1
+    for edges in ([(0, "a", 1), (0, "a", 0), (1, "b", 0)], [(0, "a", 1), (1, "a", 1), (1, "b", 0)]):
+        with pytest.raises(AssertionError, match="unfolded"):
+            CoreGraph(AB, 2, edges)
 
 
 def test_graph_from_edges_trims_dead_tails():
     # a path hanging off the base contributes no closed paths
     edges = [(0, "a", 1), (1, "a", 0), (0, "b", 2)]
-    g = graph_from_edges(AB, 3, edges)
+    g = graph_from_edges(AB, edges)
     assert g.num_vertices == 2
     assert g.rank() == 1
     assert g.contains("aa")

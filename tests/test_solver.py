@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 
 import freeq.autf2 as autf2
 import freeq.solver as solver
-from freeq.autf2 import IDENTITY, TYPE1_AUTOMORPHISMS, MinimalLevel, SearchBudgetExceeded
+from freeq.autf2 import (
+    IDENTITY,
+    TYPE1_AUTOMORPHISMS,
+    WHITEHEAD_AUTOMORPHISMS,
+    MinimalLevel,
+    SearchBudgetExceeded,
+)
 from freeq.graphs import build_subgroup_graph
 from freeq.solver import (
     CASE_HNN,
@@ -421,6 +427,26 @@ def test_minimal_level_carry_matches_orbit_search():
             looked_up += 1
             matched += match is not None
     assert (looked_up, matched) == (3385, 286)
+
+
+def _invariants(desc):
+    case = desc.classification.kind if desc.classification else None
+    return desc.status, desc.kind, case, len(desc.minimal)
+
+
+def test_coefficient_automorphism_keeps_the_description_shape():
+    """For an automorphism alpha of F(a, b), (g1, g2) solves w = u exactly when
+    (alpha(g1), alpha(g2)) solves w = alpha(u): both equations describe with
+    the same status, kind, case and number of minimal solutions.  Checked
+    with one seeded Whitehead automorphism per equation of the |w| <= 5 probe."""
+    rng = random.Random(61)
+    to_xy, to_ab = str.maketrans("abAB", "xyXY"), str.maketrans("xyXY", "abAB")
+    equations = probe_equations(5)
+    for e in equations:
+        alpha = rng.choice(WHITEHEAD_AUTOMORPHISMS)
+        image = eq(e.lhs, alpha.apply(e.rhs.translate(to_xy)).translate(to_ab))
+        assert _invariants(describe_variety(image)) == _invariants(describe_variety(e)), (e, image)
+    assert len(equations) == 410
 
 
 # Whitehead minimizations per describe of each bench anchor and of one
