@@ -22,15 +22,17 @@ original equation.
 
 ``certify`` then replays a variety description against the enumeration:
 every brute solution must be reproduced by the description's families
-(lattice members, parameter recovery, or for a rank-two solution, the orbit
-walk of ``describe`` from the solution itself reaching a minimal solution).
-The walks that ``describe`` already ran in the base ball ``2|u| + 4``
-(``VarietyDescription.orbits``) and that hold a minimal solution are
-covered from the start, so only pairs outside them are walked; that is
-exact, since a brute pair in such a component lies in the base ball and its
-own walk would be that component.  Every walk stays inside a finite ball,
-so certify needs no budget.  Uncovered pairs are reported in the result,
-never raised.
+(lattice members, parameter recovery, or for a rank-two solution, the
+``orbit_walk`` from the solution itself reaching a minimal solution).  The
+components of the minimal solutions that lie in the base ball ``2|u| + 4``
+(``VarietyDescription.orbits``, walked once per description, the first time
+certify asks) are covered from the start, so only pairs outside them are
+walked; that is exact, since a brute pair in such a component lies in the
+base ball and its own walk would be that component.  Describe finds the
+minimal solutions by descent, so these walks are also certify's independent
+check of it: a minimal pair that descent got wrong leaves its orbit's brute
+pairs uncovered.  Every walk stays inside a finite ball, so certify needs no
+budget.  Uncovered pairs are reported in the result, never raised.
 """
 
 from __future__ import annotations
@@ -295,15 +297,16 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int) -> CertifyRepo
 
     Coverage is per the description's kind: lattice membership for the
     commuting families, parameter recovery for a primitive left side, and for
-    a rank-two P, ``describe``'s ``orbit_walk`` from P reaching a minimal M
+    a rank-two P, the ``orbit_walk`` from P reaching a minimal M
     (the path is a word σ in the generators with ``P = M·σ⁻¹``).  A walk that
     reaches one covers all it visits.  Each walk stays in a finite ball, so
     it ends.  The report lists uncovered pairs verbatim.
 
-    Describe's components (``desc.orbits``) that hold a minimal solution are
-    covered before any walk.  Each was walked in the base ball ``2|u| + 4``,
-    the smallest ball any brute pair walks in, so the walk from any of its
-    pairs is exactly that component: seeding changes no verdict.
+    The components of the minimal solutions (``desc.orbits``, walked on
+    the first certify of a description) are covered before any other walk.
+    Each was walked in the base ball ``2|u| + 4``, the smallest ball any
+    brute pair walks in, so the walk from any of its pairs is exactly that
+    component: seeding changes no verdict.
     """
     if desc.status != STATUS_OK:
         raise WordError("cannot certify an unresolved description")
@@ -328,8 +331,7 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int) -> CertifyRepo
         covered_set = _rank1_in_ball(desc.rank1, max_len)
         minimal = set(desc.minimal)
         for orbit in desc.orbits:
-            if not minimal.isdisjoint(orbit):
-                covered_set |= orbit
+            covered_set |= orbit
         for g1, g2, rank in brute.solutions:
             if rank == 2 and minimal and (g1, g2) not in covered_set:
                 walk = orbit_walk((g1, g2), desc.generators, desc.reduced.rhs)

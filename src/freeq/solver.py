@@ -12,8 +12,10 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
 6. right side a proper power: no non-commuting solutions exist at all;
 7. otherwise classify ``w`` (orbit of the commutator / splits over an edge
    letter / neither), compute canonical solution-moving automorphisms, and
-   search the finitely many terminal subgroup bases for minimal rank-two
-   solutions.
+   search the finitely many terminal subgroup bases for seeds, each a
+   rank-two solution that ``descend`` carries to the least pair of its orbit
+   under those automorphisms.  The orbit's walk in a finite ball,
+   ``orbit_walk``, runs only when certify reads ``VarietyDescription.orbits``.
 
 Steps 4 and 7 ask whether ``w`` lies in the orbit of ``x``, of ``[x, y]``
 and of each candidate's rewritten right side: each is a lookup on one
@@ -27,8 +29,8 @@ returned.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .autf2 import (
@@ -237,12 +239,16 @@ class VarietyDescription:
     classification: JsjClassification | None = None
     generators: tuple[CanonicalGenerator, ...] = ()
     minimal: tuple[Pair, ...] = ()
-    # The component that each seed's orbit walk reached, kept only when the
-    # walk ran in the base ball 2|u| + 4 (the seed was no longer than that):
-    # certify starts from these instead of walking them again.  A cache of
-    # the search, not part of the description, so it is left out of
-    # equality, hashing and repr.
-    orbits: tuple[frozenset[Pair], ...] = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def orbits(self) -> tuple[frozenset[Pair], ...]:
+        """The ``orbit_walk`` component of each minimal solution that lies in
+        the base ball ``2|u| + 4``, walked once, the first time it is read.
+        Certify starts from these instead of walking them again.  Not a
+        field, so it stays out of equality, hashing and repr."""
+        ball = 2 * len(self.reduced.rhs) + 4
+        return tuple(frozenset(orbit_walk(m, self.generators, self.reduced.rhs))
+                     for m in self.minimal if len(m[0]) + len(m[1]) <= ball)
 
     def generator_by_symbol(self, symbol: str) -> CanonicalGenerator:
         for g in self.generators:
@@ -577,24 +583,58 @@ def orbit_walk(seed: Pair, gens, rhs: str) -> set[Pair]:
     return visited
 
 
+def descend(seed: Pair, gens, rhs: str) -> Pair:
+    """The least pair of the orbit of ``seed`` under ``gens``, by descent.
+
+    Each generator and inverse is applied with ``_act``'s ball set to the
+    current total length, and the descent moves to the ShortLex-least
+    strictly shorter image; with none, the plateau of equal total length is
+    walked breadth first until a pair has one.  A plateau with none ends the
+    descent at its least pair.  This is Whitehead's peak reduction, measured,
+    not proved, to reach the least pair of ``orbit_walk``.  ``seed`` must
+    solve ``w = u``, ``u`` being ``rhs``.  No step lengthens a pair, so no
+    ball is needed.
+    """
+    actions = [_programs(g, False) for g in gens] + [_programs(g, True) for g in gens]
+    conj = (rhs, invert(rhs))
+    pair = seed
+    while True:
+        total = len(pair[0]) + len(pair[1])
+        plateau, seen, shorter = [pair], {pair}, []
+        for node in plateau:  # the list grows while it is walked: breadth first
+            values = _values(node, conj)
+            for programs in actions:
+                new = _act(values, programs, total)
+                if new is None or new in seen:
+                    continue
+                seen.add(new)
+                if len(new[0]) + len(new[1]) < total:
+                    shorter.append(new)
+                else:
+                    plateau.append(new)
+            if shorter:
+                break
+        if not shorter:
+            return min(plateau, key=pair_key)
+        pair = min(shorter, key=pair_key)
+
+
 def minimal_rank2_solutions(
     eq: Equation, gens: tuple[CanonicalGenerator, ...], level: MinimalLevel,
-) -> tuple[tuple[Pair, ...], tuple[frozenset[Pair], ...]]:
+) -> tuple[Pair, ...]:
     """Minimal rank-two solutions: one per candidate subgroup whose rewritten
-    right side lies in the orbit of the left side.
+    right side lies in the orbit of the left side, sorted by ``pair_key``.
 
     Each candidate's rewritten right side is looked up on ``level``, the
     minimal level of the left side's orbit that describe built; a hit
     carries the left side to it, and precomposing the basis
-    with that automorphism gives a seed, minimized over its orbit under the
-    canonical generators: the ShortLex-least pair that ``orbit_walk``
-    reaches.  Precomposing with an automorphism keeps ``<g1, g2>``, so walks
-    from distinct candidates never meet.
-
-    Returns the minimal solutions and the walks that ran in the base ball
-    ``2|u| + 4``: those whose seed was no longer than it.
+    with that automorphism gives a seed.  ``descend`` carries the seed to
+    the least pair of its orbit under the canonical generators.
+    Precomposing with an automorphism keeps ``<g1, g2>``, so the orbits of
+    distinct candidates never meet.  Seeds and minimal pairs are both
+    checked against the equation.
     """
-    reps, orbits = [], []
+    reps = []
     for pair, rewritten in terminal_candidates(eq):
         match = level.carry(rewritten)
         if match is None:
@@ -602,11 +642,11 @@ def minimal_rank2_solutions(
         seed = _act(_values(pair), _letter_programs(match))
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
-        walk = orbit_walk(seed, gens, eq.rhs)
-        reps.append(min(walk, key=pair_key))
-        if len(seed[0]) + len(seed[1]) <= 2 * len(eq.rhs) + 4:
-            orbits.append(frozenset(walk))
-    return tuple(sorted(reps, key=pair_key)), tuple(orbits)
+        least = descend(seed, gens, eq.rhs)
+        if not eq.holds_for(*least):
+            raise AssertionError("descent produced a non-solution")
+        reps.append(least)
+    return tuple(sorted(reps, key=pair_key))
 
 
 def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> VarietyDescription:
@@ -673,12 +713,11 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
             classification=cls, rank1=family,
         )
     gens = canonical_generators(cls, w)
-    minimal, orbits = minimal_rank2_solutions(eq, gens, level)
+    minimal = minimal_rank2_solutions(eq, gens, level)
     return VarietyDescription(
         equation=eq, reduced=eq, status=STATUS_OK,
         kind=KIND_JSJ, formula=_FORMULA_BY_CASE[cls.kind],
         classification=cls, generators=gens, rank1=family, minimal=minimal,
-        orbits=orbits,
     )
 
 

@@ -6,8 +6,8 @@ a set-partition oracle and a refolding oracle for terminal candidates, a
 rebuild-every-node oracle for the edge-splitting search, a per-pair orbit
 search and two closed forms for the minimal-level lookup, an evaluating action
 on solutions, a widening-ball oracle for the orbit minimization, an evaluating
-oracle for the orbit walk and an orbit-closure oracle for certify's rank-two
-coverage."""
+oracle for the orbit walk, and an orbit-closure oracle and an unseeded-walk
+oracle for certify's rank-two coverage."""
 
 import functools
 import itertools
@@ -26,7 +26,7 @@ from freeq.autf2 import (
 )
 from freeq.graphs import build_subgroup_graph, graph_from_edges
 from freeq.oracle import _rank1_in_ball
-from freeq.solver import HNN_MAX_BASES, Equation, HnnWitness, terminal_candidates
+from freeq.solver import HNN_MAX_BASES, Equation, HnnWitness, orbit_walk, terminal_candidates
 from freeq.words import (
     VARIABLES,
     Alphabet,
@@ -587,6 +587,19 @@ def closure_uncovered(brute, desc):
     covered = _rank1_in_ball(desc.rank1, brute.max_len)
     covered |= delta_orbit_closure(desc.minimal, desc.generators,
                                    brute.max_len + 2 * len(desc.reduced.rhs))
+    return tuple(p for p in brute.pairs() if p not in covered)
+
+
+def unseeded_walk_uncovered(brute, desc):
+    """The brute solutions of a jsj description that neither the rank-one
+    family nor the orbit walk from the solution itself to a minimal solution
+    covers: every rank-two brute solution is walked, none is covered up front."""
+    covered = _rank1_in_ball(desc.rank1, brute.max_len)
+    minimal = set(desc.minimal)
+    for g1, g2, rank in brute.solutions:
+        if rank == 2 and not minimal.isdisjoint(
+                orbit_walk((g1, g2), desc.generators, desc.reduced.rhs)):
+            covered.add((g1, g2))
     return tuple(p for p in brute.pairs() if p not in covered)
 
 

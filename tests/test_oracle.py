@@ -3,11 +3,16 @@
 import dataclasses
 
 import pytest
-from conftest import closure_uncovered, probe_equations, reducing_kth_root
+from conftest import (
+    closure_uncovered,
+    probe_equations,
+    reducing_kth_root,
+    unseeded_walk_uncovered,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freeq import oracle
+from freeq import oracle, solver
 from freeq.graphs import build_subgroup_graph
 from freeq.oracle import (
     _conjugate_pair_shape,
@@ -299,16 +304,17 @@ def test_certify_walks_twisted_solutions_to_the_minimal_one():
     assert report.covered and report.uncovered == ()
 
 
-def counting_walks(monkeypatch):
-    """Count certify's calls of ``orbit_walk``; returns the one-item counter."""
+def counting_walks(monkeypatch, module=oracle):
+    """Count the calls of ``orbit_walk`` made through ``module``: certify's
+    own walks by default; returns the one-item counter."""
     calls = [0]
-    walk = oracle.orbit_walk
+    walk = module.orbit_walk
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "orbit_walk", counting)
+    monkeypatch.setattr(module, "orbit_walk", counting)
     return calls
 
 
@@ -324,6 +330,8 @@ def counting_walks(monkeypatch):
     ],
 )
 def test_certify_starts_from_the_orbits_describe_walked(monkeypatch, w, u, max_len):
+    """Every rank-two brute solution of these balls lies in a component of
+    a minimal solution (``desc.orbits``), so certify walks from none of them."""
     e = eq(parse_word(w, "xy"), parse_word(u, "ab"))
     desc = describe_variety(e)
     assert desc.orbits
@@ -335,12 +343,29 @@ def test_certify_starts_from_the_orbits_describe_walked(monkeypatch, w, u, max_l
         assert report.total_solutions == 3
 
 
+@pytest.mark.parametrize("w,u", [("[x,y]", "[a,b]"), ("xxyy", "aabb"), ("(xxyy)^2", "(aabb)^2")])
+def test_certify_walks_the_components_once_per_description(monkeypatch, w, u):
+    """Describing walks no component; the first certify of a description
+    walks each of its components once, and later certifies walk none."""
+    calls = counting_walks(monkeypatch, solver)
+    e = eq(parse_word(w, "xy"), parse_word(u, "ab"))
+    desc = describe_variety(e)
+    assert calls[0] == 0
+    first = certify(e, desc, 3)
+    assert first.covered
+    assert calls[0] == len(desc.orbits) == len(desc.minimal)
+    assert certify(e, desc, 4).covered
+    assert certify(e, desc, 3) == first
+    assert calls[0] == len(desc.orbits)
+
+
 def test_certify_walk_matches_the_orbit_closure_on_the_planted_probe():
     # Every cyclic normal form |w| <= 5 in both variables, five planted pairs
     # each, certified at L=3: walking from each brute solution inside the
     # describe ball leaves exactly the pairs that the orbit closure of the
     # minimal solutions at radius L + 2|u| leaves uncovered.  Starting from
-    # describe's orbits gives the report that walking every pair gives.
+    # the description's orbits leaves the pairs that walking every rank-two
+    # pair leaves.
     equations = probe_equations(5)
     assert len(equations) == 410
     jsj = 0
@@ -350,8 +375,9 @@ def test_certify_walk_matches_the_orbit_closure_on_the_planted_probe():
         report = certify(e, desc, 3)
         if desc.kind == KIND_JSJ:
             jsj += 1
-            assert report.uncovered == closure_uncovered(brute_force_solutions(e, 3), desc), e
-            assert report == certify(e, dataclasses.replace(desc, orbits=()), 3), e
+            brute = brute_force_solutions(e, 3)
+            assert report.uncovered == closure_uncovered(brute, desc), e
+            assert report.uncovered == unseeded_walk_uncovered(brute, desc), e
     assert jsj > 0
 
 

@@ -58,6 +58,7 @@ from freeq.solver import (
     _symmetry_generators,
     canonical_generators,
     classify_jsj,
+    descend,
     describe_variety,
     detect_hnn_splitting,
     generate_conjugates,
@@ -373,13 +374,14 @@ def test_minimal_solutions_match_widening_oracle():
 
 @pytest.mark.parametrize(
     "w,u,kept",
-    [("[x,y]", "[a,b]", 1), ("(xxyy)^2", "(aabb)^2", 1), ("xxxyy", "aaababa", 0)],
+    [("[x,y]", "[a,b]", 1), ("(xxyy)^2", "(aabb)^2", 1), ("xxxyy", "aaababa", 1)],
 )
 def test_describe_keeps_only_base_ball_walks(w, u, kept):
     """Certify covers the kept walks without walking them, which is exact only
     if each lies in the base ball 2|u| + 4 and is the walk from any of its
-    pairs.  The one seed of xxxyy = aaababa is longer than that ball, so its
-    walk is not kept."""
+    pairs.  The walks start from the minimal solutions: the one seed of
+    xxxyy = aaababa is longer than that ball, but its minimal solution is
+    not, so its walk is kept."""
     desc = describe(parse_word(w, "xy"), parse_word(u, "ab"))
     assert len(desc.orbits) == kept
     rhs = desc.reduced.rhs
@@ -540,22 +542,22 @@ def test_canonical_generator_inverses_match_greedy_inversion():
         assert generate_orbit(desc, 0, "C") == apply_to_solution(c.aut.inverse(), desc.minimal[0])
 
 
-def _described_walks(monkeypatch, equations):
-    """``(seed, gens, rhs, walk)`` for every ``orbit_walk`` that describing
-    ``equations`` runs."""
-    walks = []
-    walk = solver.orbit_walk
+def _recorded_calls(monkeypatch, name, equations):
+    """``(args, result)`` for every call of ``solver.<name>`` that describing
+    ``equations`` and reading the ``orbits`` of each description runs."""
+    calls = []
+    real = getattr(solver, name)
 
-    def recording(seed, gens, rhs):
-        visited = walk(seed, gens, rhs)
-        walks.append((seed, gens, rhs, visited))
-        return visited
+    def recording(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
 
-    monkeypatch.setattr(solver, "orbit_walk", recording)
+    monkeypatch.setattr(solver, name, recording)
     for e in equations:
-        describe_variety(e)
+        describe_variety(e).orbits
     monkeypatch.undo()
-    return walks
+    return calls
 
 
 # LARGE_U holds the other two |u| = 10-12 commutators.
@@ -570,13 +572,50 @@ def _walk_corpus():
 
 def test_orbit_walk_matches_evaluating_oracle(monkeypatch):
     """Images built by junction-only products, with c as conjugation by u,
-    give every walk describe runs exactly as evaluating each generator image
-    does."""
-    walks = _described_walks(monkeypatch, _walk_corpus())
+    give every walk that a description's ``orbits`` runs exactly as
+    evaluating each generator image does."""
+    walks = _recorded_calls(monkeypatch, "orbit_walk", _walk_corpus())
     assert len(walks) == 73
-    assert max(len(visited) for *_, visited in walks) == 319
-    for seed, gens, rhs, visited in walks:
+    assert max(len(visited) for _, visited in walks) == 319
+    for (seed, gens, rhs), visited in walks:
         assert visited == evaluating_orbit_walk(seed, gens, rhs), seed
+
+
+def test_descend_matches_the_walk_minimum(monkeypatch):
+    """From each seed describe descends, and from every pair of that seed's
+    walk, descent reaches the least pair of the walk, on the walk corpus and
+    the |w| <= 6 probe."""
+    seeds = _recorded_calls(monkeypatch, "descend", _walk_corpus() + probe_equations(6))
+    pairs = 0
+    for (seed, gens, rhs), _ in seeds:
+        walk = orbit_walk(seed, gens, rhs)
+        least = min(walk, key=pair_key)
+        for pair in walk:
+            assert descend(pair, gens, rhs) == least, (seed, pair)
+        pairs += len(walk)
+    assert (len(seeds), pairs) == (827, 13979)
+
+
+@functools.lru_cache(maxsize=None)
+def _descent_descriptions():
+    anchors = [_orbit_description(i) for i in range(len(ORBIT_EQUATIONS))]
+    probe = [d for d in map(describe_variety, probe_equations(5)) if d.kind == KIND_JSJ]
+    return tuple(d for d in anchors + probe if d.minimal)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_descend_returns_orbit_members_to_their_minimal_solution(data):
+    """A word of 1-8 canonical generators carries a minimal solution to a
+    pair, which can lie far outside any walk's ball; descent from it
+    returns to the minimal solution."""
+    descriptions = _descent_descriptions()
+    desc = data.draw(st.sampled_from(descriptions))
+    index = data.draw(st.integers(0, len(desc.minimal) - 1))
+    symbols = "".join(g.symbol + g.symbol.upper() for g in desc.generators)
+    sigma = data.draw(st.text(alphabet=symbols, min_size=1, max_size=8))
+    pair = generate_orbit(desc, index, sigma)
+    assert descend(pair, desc.generators, desc.reduced.rhs) == desc.minimal[index]
 
 
 def test_solution_actions_match_apply_to_solution():
@@ -637,7 +676,7 @@ def test_generate_orbit_matches_an_evaluate_fold(data):
 
 def test_describe_walks_without_evaluate(monkeypatch):
     """Inside ``orbit_walk`` ``evaluate`` never runs while ``[x,y] = [a,b]``
-    is described, though it runs outside it."""
+    is described and its orbits are read, though it runs outside it."""
     counts = {"inside": 0, "outside": 0}
     depth = [0]
 
