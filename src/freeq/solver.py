@@ -14,8 +14,11 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
    letter / neither), compute canonical solution-moving automorphisms, and
    search the finitely many terminal subgroup bases for seeds, each a
    rank-two solution that ``descend`` carries to the least pair of its orbit
-   under those automorphisms.  The orbit's walk in a finite ball,
-   ``orbit_walk``, runs only when certify reads ``VarietyDescription.orbits``.
+   under those automorphisms.  A terminal subgroup's basis is read only when
+   the gcd of ``u``'s signed crossings of its two non-tree edges equals the
+   gcd of ``w``'s exponent sums; no other subgroup can host a solution.  The
+   orbit's walk in a finite ball, ``orbit_walk``, runs only when certify
+   reads ``VarietyDescription.orbits``.
 
 Steps 4 and 7 ask whether ``w`` lies in the orbit of ``x``, of ``[x, y]``
 and of each candidate's rewritten right side: each is a lookup on one
@@ -506,50 +509,83 @@ def _programs(gen: CanonicalGenerator, inverse: bool) -> tuple[tuple[int, ...], 
     return _letter_programs(gen.inverse if inverse else gen.aut)
 
 
-def terminal_candidates(eq: Equation):
-    """Rank-two subgroup bases that can host a minimal solution.
+def terminal_candidates(eq: Equation, sums_gcd: int):
+    """Rank-two subgroup bases that can host a minimal solution of a left
+    side whose exponent sums have gcd ``sums_gcd``.
 
     Every candidate subgroup is filled by the right side, so its core graph
-    is a folded quotient of the u-labelled cycle.  The quotients are built
-    by reading ``u`` from the basepoint one letter at a time: an existing
-    edge for the letter is followed (which keeps the graph folded), and
-    otherwise the walk branches into opening a new vertex or joining an
-    existing vertex whose slot for the letter is free.  A join raises the
-    rank by one, so at rank two only existing edges are followed, and the
-    last letter must join the basepoint.  A folded quotient is fixed by its
-    graph, so each one is reached exactly once, and is used as built: no
-    vertex but the basepoint has degree below two, so none is trimmed.  Returns
-    ``(basis_pair, rewritten_u)`` entries sorted by the basis pair.
+    is a folded quotient of the u-labelled cycle.  The walk builds them by
+    reading ``u`` from the basepoint: it follows an existing edge for the
+    letter (which keeps the graph folded), or branches into opening a new
+    vertex or joining an existing vertex whose slot for the letter is free.
+    The second join is closed at once by following the rest of ``u``, which
+    must end at the basepoint.  Branches share one signed edge map: a visit
+    adds its two steps and the undo record stacked beneath it deletes them.
+    Each quotient is reached once and used as built: it is folded, and no
+    vertex but the basepoint has degree below two.
+
+    The opening edges form a spanning tree whose non-tree edges are the two
+    joins.  ``u``'s signed crossings of them and the rewritten ``u``'s
+    exponent sums are coordinates of one class of ``H1 = Z^2`` in two bases,
+    which differ by a matrix in ``GL(2, Z)``, so both have the same gcd.  A
+    quotient whose crossings miss ``sums_gcd`` is dropped before its basis
+    is read.  Returns ``(basis_pair, rewritten_u)`` entries sorted by the
+    basis pair.
     """
     u = eq.rhs
     if not u:
         raise WordError("terminal candidates need a non-trivial right side")
     m = len(u)
+    inv = u.swapcase()
     results = []
-    # A partial walk: letters read, vertex reached, vertex count, rank, and
-    # the signed edge map (vertex, letter) -> vertex.
-    stack = [(0, 0, 1, 0, {})]
+    step = {}  # the signed edge map (vertex, letter) -> vertex, shared by all branches
+    # Visits (i, s, v, n, join): the branch reading letter i - 1 from s to v
+    # (s is None at the root), over n vertices, ``join`` being the first
+    # join's two steps or None.  Undo records (key, back): a branch's two steps.
+    stack = [(0, None, 0, 1, None)]
     while stack:
-        i, v, n, rank, step = stack.pop()
-        while i < m and (v, u[i]) in step:
-            v = step[v, u[i]]
+        entry = stack.pop()
+        if len(entry) == 2:
+            del step[entry[0]], step[entry[1]]
+            continue
+        i, s, v, n, join = entry
+        if s is not None:
+            step[s, u[i - 1]] = v
+            step[v, inv[i - 1]] = s
+        while i < m and (nxt := step.get((v, u[i]))) is not None:
+            v = nxt
             i += 1
         if i == m:
-            if v == 0 and rank == 2:
-                edges = [(s, c, t) for (s, c), t in step.items() if c.islower()]
-                basis = CoreGraph(eq.alphabet, n, edges).canonical_basis()
-                results.append((basis.generators, basis.express(u)))
             continue
-        if rank == 2:
-            continue
-        c, back = u[i], u[i].swapcase()
+        c, back = u[i], inv[i]
         for t in (0,) if i == m - 1 else range(n + 1):
             if (t, back) in step:
                 continue
-            grown = dict(step)
-            grown[v, c] = t
-            grown[t, back] = v
-            stack.append((i + 1, t, n + (t == n), rank + (t < n), grown))
+            steps = (v, c), (t, back)
+            if t == n or join is None:  # an opening or the first join
+                stack.append(steps)
+                stack.append((i + 1, v, t, n + (t == n), join if t == n else steps))
+                continue
+            # The second join: close it by following the rest of u.
+            step[v, c] = t
+            step[t, back] = v
+            j, end = i + 1, t
+            while j < m and (nxt := step.get((end, u[j]))) is not None:
+                end = nxt
+                j += 1
+            if j == m and end == 0:
+                (f1, b1), (f2, b2) = join, steps
+                x = c1 = c2 = 0
+                for letter in u:  # count u's signed crossings of the two joins
+                    key = (x, letter)
+                    c1 += (key == f1) - (key == b1)
+                    c2 += (key == f2) - (key == b2)
+                    x = step[key]
+                if gcd(c1, c2) == sums_gcd:
+                    edges = [(a, letter, b) for (a, letter), b in step.items() if letter.islower()]
+                    basis = CoreGraph(eq.alphabet, n, edges).canonical_basis()
+                    results.append((basis.generators, basis.express(u)))
+            del step[v, c], step[t, back]
     results.sort(key=lambda item: pair_key(item[0]))
     return tuple(results)
 
@@ -625,6 +661,8 @@ def minimal_rank2_solutions(
     """Minimal rank-two solutions: one per candidate subgroup whose rewritten
     right side lies in the orbit of the left side, sorted by ``pair_key``.
 
+    The walk yields only the candidates whose rewritten right side's
+    exponent sums have the gcd ``level.gcd``, the first test of ``carry``.
     Each candidate's rewritten right side is looked up on ``level``, the
     minimal level of the left side's orbit that describe built; a hit
     carries the left side to it, and precomposing the basis
@@ -635,7 +673,7 @@ def minimal_rank2_solutions(
     checked against the equation.
     """
     reps = []
-    for pair, rewritten in terminal_candidates(eq):
+    for pair, rewritten in terminal_candidates(eq, level.gcd):
         match = level.carry(rewritten)
         if match is None:
             continue

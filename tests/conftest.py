@@ -514,7 +514,8 @@ def _widening_ball_walk(seed, actions, ball):
 
 def widening_minimal_solutions(eq, gens):
     seeds = set()
-    for pair, rewritten in terminal_candidates(eq):
+    sums_gcd = gcd(exponent_sum(eq.lhs, "x"), exponent_sum(eq.lhs, "y"))
+    for pair, rewritten in terminal_candidates(eq, sums_gcd):
         match = orbit_automorphism(eq.lhs, rewritten)
         if match is not None:
             seeds.add((evaluate(match.image_x, *pair), evaluate(match.image_y, *pair)))

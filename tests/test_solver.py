@@ -17,7 +17,7 @@ from conftest import (
     refolding_terminal_candidates,
     widening_minimal_solutions,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freeq.autf2 as autf2
@@ -29,7 +29,7 @@ from freeq.autf2 import (
     MinimalLevel,
     SearchBudgetExceeded,
 )
-from freeq.graphs import build_subgroup_graph
+from freeq.graphs import CoreGraph, build_subgroup_graph
 from freeq.solver import (
     CASE_HNN,
     CASE_QH,
@@ -83,6 +83,7 @@ from freeq.words import (
     conjugate,
     cyclic_normal_form,
     evaluate,
+    exponent_sum,
     invert,
     multiply,
     pair_key,
@@ -400,7 +401,7 @@ def test_seeds_generate_their_candidate_subgroups():
         desc = describe_variety(e)
         if desc.kind != KIND_JSJ:
             continue
-        candidates = terminal_candidates(desc.reduced)
+        candidates = gated_candidates(desc.reduced)
         graphs = {build_subgroup_graph(AB, pair) for pair, _ in candidates}
         assert len(graphs) == len(candidates), e
         for pair, rewritten in candidates:
@@ -416,19 +417,25 @@ def test_seeds_generate_their_candidate_subgroups():
 def test_minimal_level_carry_matches_orbit_search():
     """One level per left side, looked up for every terminal candidate in
     turn, gives the automorphism the per-pair search gives, or None where it
-    does, on the minimization corpus and the |w| <= 5 probe."""
-    looked_up = matched = 0
+    does, on the minimization corpus and the |w| <= 5 probe.  The walk gated
+    by the level's gcd keeps 2225 of the candidates, every hit among them."""
+    looked_up = matched = kept = kept_matched = 0
     for e in _minimization_corpus() + probe_equations(5):
         desc = describe_variety(e)
         if desc.kind != KIND_JSJ:
             continue
         level = MinimalLevel(desc.reduced.lhs)
-        for _, rewritten in terminal_candidates(desc.reduced):
+        gated = terminal_candidates(desc.reduced, level.gcd)
+        kept += len(gated)
+        for candidate in refolding_terminal_candidates(desc.reduced):
+            rewritten = candidate[1]
             match = level.carry(rewritten)
             assert match == orbit_automorphism(desc.reduced.lhs, rewritten), (e, rewritten)
             looked_up += 1
             matched += match is not None
+            kept_matched += match is not None and candidate in gated
     assert (looked_up, matched) == (3385, 286)
+    assert (kept, kept_matched) == (2225, 286)
 
 
 def _invariants(desc):
@@ -756,9 +763,27 @@ def _edges_covered_by_rhs(graph, u):
     return walked == set(graph.edges)
 
 
+def _sums_gcd(word):
+    return math.gcd(exponent_sum(word, "x"), exponent_sum(word, "y"))
+
+
+def gated_candidates(e, oracle=refolding_terminal_candidates, extra=()):
+    """The oracle's candidates for ``e``, once the gated walk is checked to
+    return them filtered to each gcd of rewritten exponent sums among them,
+    to one gcd absent from them, which keeps nothing, and to each gcd in
+    ``extra``."""
+    full = oracle(e)
+    present = {_sums_gcd(rewritten) for _, rewritten in full}
+    absent = next(g for g in range(len(present) + 1) if g not in present)
+    for g in {*present, absent, *extra}:
+        kept = tuple(item for item in full if _sums_gcd(item[1]) == g)
+        assert terminal_candidates(e, g) == kept, (e, g)
+    return full
+
+
 def test_terminal_candidates_are_quotient_hosts():
     e = eq("xxyy", "aabb")
-    candidates = terminal_candidates(e)
+    candidates = gated_candidates(e)
     assert candidates
     for pair, expr in candidates:
         graph = build_subgroup_graph(AB, list(pair))
@@ -772,7 +797,7 @@ def test_terminal_candidates_complete_for_short_bases():
     """Cross-check against literal enumeration of short basis pairs."""
     e = eq("xxyy", "aabb")
     candidate_graphs = {
-        build_subgroup_graph(AB, list(pair)) for pair, _ in terminal_candidates(e)
+        build_subgroup_graph(AB, list(pair)) for pair, _ in gated_candidates(e)
     }
     short = [w for w in words_upto(AB, 3) if w]
     found = set()
@@ -790,30 +815,62 @@ def test_terminal_candidates_match_partition_oracle_exhaustively():
     for u in words_upto(AB, 5):
         if u:
             e = eq("xxyy", u)
-            assert terminal_candidates(e) == partition_terminal_candidates(e), u
+            gated_candidates(e, partition_terminal_candidates)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.text(alphabet="abAB", min_size=6, max_size=8).map(reduce_word).filter(bool))
 def test_terminal_candidates_match_partition_oracle(u):
-    e = eq("xxyy", u)
-    assert terminal_candidates(e) == partition_terminal_candidates(e)
+    gated_candidates(eq("xxyy", u), partition_terminal_candidates)
 
 
 def test_terminal_candidates_match_refolding_oracle():
     """Reading the basis off the walk's edge map as built gives the tuple
-    that refolding, trimming and relabelling the map first gives."""
+    that refolding, trimming and relabelling the map first gives, filtered
+    by the gcd of the rewritten exponent sums."""
     for u in words_upto(AB, 6):
         if u:
-            e = eq("xxyy", u)
-            assert terminal_candidates(e) == refolding_terminal_candidates(e), u
+            gated_candidates(eq("xxyy", u))
     rng = random.Random(163)
     for _ in range(4):
         u = ""
         while not 16 <= len(u) <= 24:
             u = reduce_word("".join(rng.choice("abAB") for _ in range(rng.randint(16, 30))))
-        e = eq("xxyy", u)
-        assert terminal_candidates(e) == refolding_terminal_candidates(e), u
+        gated_candidates(eq("xxyy", u))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted({e.lhs for e in probe_equations(5)})),
+    st.text(alphabet="abAB", max_size=10).map(reduce_word).filter(bool),
+)
+@example("xxyy", "aBAbbaBBabaBaaBAbAbb")
+@example("xyXY", "abbAbaBabAABabbaBAbaBaab")
+@example("xxxyy", "bbAAbaBAbabbaBBaaa")
+def test_terminal_candidates_gate_matches_filtered_oracle(w, u):
+    """For a left side's gcd, every gcd the candidates show and one they do
+    not, the gated walk returns the refolding oracle's tuple filtered to that
+    gcd of the rewritten exponent sums."""
+    gated_candidates(eq(w, u), extra=[_sums_gcd(w)])
+
+
+@pytest.mark.parametrize(
+    "w,u,bases",
+    [("[x,y]", "[aab,bba]", 2), ("xxyy", "(aab)^2(bab)^2", 1), ("xxxyyy", "aaabbb", 1)],
+)
+def test_gcd_gate_reads_few_bases(monkeypatch, w, u, bases):
+    """Describe reads a basis only for the candidates that pass the gate:
+    reading one for every candidate read 38, 38 and 10."""
+    calls = []
+    original = CoreGraph.canonical_basis
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CoreGraph, "canonical_basis", counting)
+    describe(parse_word(w, "xy"), parse_word(u, "ab"))
+    assert len(calls) == bases
 
 
 def test_terminal_candidates_walk_is_not_recursive():
@@ -821,7 +878,7 @@ def test_terminal_candidates_walk_is_not_recursive():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        candidates = terminal_candidates(eq("xxyy", "a" * 299 + "b"))
+        candidates = gated_candidates(eq("xxyy", "a" * 299 + "b"))
     finally:
         sys.setrecursionlimit(limit)
     assert len(candidates) == 299
