@@ -8,14 +8,15 @@ are relabelled by a breadth-first traversal with a fixed exploration order, so
 equal subgroups yield byte-identical graphs and ``==`` decides subgroup
 equality.
 
-Edges are stored positively: ``(u, c, v)`` means an edge from ``u`` to ``v``
-labelled by the lowercase letter ``c``; reading it backwards spells ``c``'s
-inverse.
+A graph is stored as its signed step map ``(u, letter) -> v``: an edge
+labelled by the lowercase letter ``c`` from ``u`` to ``v`` is the two steps
+``(u, c) -> v`` and ``(v, C) -> u``, ``C`` being ``c``'s inverse.  Positive
+triples ``(u, c, v)`` are the input of ``graph_from_edges`` and the derived
+``CoreGraph.edges``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .words import (
@@ -44,13 +45,16 @@ class CoreGraph:
 
     __slots__ = ("alphabet", "num_vertices", "edges", "_step")
 
-    def __init__(self, alphabet: Alphabet, num_vertices: int, edges: frozenset):
+    def __init__(self, alphabet: Alphabet, num_vertices: int, step: dict[tuple[int, str], int]):
+        """Keep ``step``, the signed step map on vertices ``0 .. num_vertices - 1``,
+        and derive the positive ``edges``.  The graph must be folded: every
+        step ``(u, c) -> v`` has its mirror ``(v, C) -> u``."""
+        if any(step.get((v, c.swapcase())) != u for (u, c), v in step.items()):
+            raise AssertionError("unfolded step map passed to CoreGraph")
         self.alphabet = alphabet
         self.num_vertices = num_vertices
-        self.edges = frozenset(edges)
-        self._step = _step_map(self.edges)
-        if len(self._step) != 2 * len(self.edges):
-            raise AssertionError("unfolded edge set passed to CoreGraph")
+        self.edges = frozenset((u, c, v) for (u, c), v in step.items() if c.islower())
+        self._step = step
 
     def __eq__(self, other) -> bool:
         return (
@@ -86,44 +90,27 @@ class CoreGraph:
     def rank(self) -> int:
         return len(self.edges) - self.num_vertices + 1
 
-    def spanning_tree(self):
-        """Breadth-first spanning tree from the basepoint.
-
-        Returns ``(parent, nontree)`` where ``parent[v]`` is ``(u, letter)``
-        with signed ``letter`` read from ``u`` to ``v``, and ``nontree`` lists
-        the remaining edges as stored (positively), sorted.
-        """
-        parent = _bfs_tree(self._step, 0, self.alphabet)
-        tree_edges = {(u, c, w) if c.islower() else (w, c.lower(), u) for w, (u, c) in parent.items() if c}
-        nontree = sorted(self.edges - tree_edges)
-        return parent, nontree
-
-    def path_from_base(self, v: int, parent) -> str:
-        letters = []
-        while v != 0:
-            u, c = parent[v]
-            letters.append(c)
-            v = u
-        return "".join(reversed(letters))
-
     def canonical_basis(self) -> "SubgroupBasis":
-        """Free basis read off the spanning tree, ShortLex-sorted.
+        """Free basis read off the breadth-first paths from the basepoint,
+        ShortLex-sorted.
 
-        Each non-tree edge ``(s, c, t)`` contributes the generator
-        ``path(0->s) . c . path(t->0)``.
+        An edge ``(s, c, t)`` is a tree edge when it extends the path to one
+        of its ends by its own letter; every other edge contributes the
+        generator ``path[s] . c . path[t]^-1``.
         """
-        parent, nontree = self.spanning_tree()
-        if len(nontree) > len(_BASIS_LETTER_POOL):
-            raise WordError(f"subgroup rank {len(nontree)} exceeds supported basis size")
-        gens = []
-        for (s, c, t) in nontree:
-            word = multiply(self.path_from_base(s, parent), c, invert(self.path_from_base(t, parent)))
-            gens.append((word, (s, c, t)))
-        gens.sort(key=lambda item: shortlex_key(item[0]))
-        generators = tuple(word for word, _ in gens)
-        letters = tuple(_BASIS_LETTER_POOL[i] for i in range(len(gens)))
+        if self.rank() > len(_BASIS_LETTER_POOL):
+            raise WordError(f"subgroup rank {self.rank()} exceeds supported basis size")
+        path = _bfs_paths(self._step, self.alphabet, 0)
+        gens = sorted(
+            ((multiply(path[s], c, invert(path[t])), s, c, t)
+             for (s, c, t) in self.edges
+             if path[t] != path[s] + c and path[s] != path[t] + c.upper()),
+            key=lambda item: shortlex_key(item[0]),
+        )
+        generators = tuple(word for word, *_ in gens)
+        letters = tuple(_BASIS_LETTER_POOL[: len(gens)])
         edge_letters = {}
-        for letter, (_, (s, c, t)) in zip(letters, gens):
+        for letter, (_, s, c, t) in zip(letters, gens):
             edge_letters[s, c] = letter
             edge_letters[t, c.upper()] = letter.upper()
         return SubgroupBasis(self, generators, letters, edge_letters)
@@ -170,23 +157,19 @@ def _step_map(edges) -> dict[tuple[int, str], int]:
     return step
 
 
-def _bfs_tree(step, base: int, alphabet: Alphabet) -> dict[int, tuple[int, str]]:
-    """Breadth-first tree from ``base``, trying signed letters in order a, A, b, B, ...
-
-    Maps each vertex reached, in discovery order, to ``(u, letter)``: the
-    vertex it was reached from and the signed letter read on the way.
-    """
-    parent = {base: (base, "")}
-    order = deque([base])
+def _bfs_paths(step, alphabet: Alphabet, base: int) -> dict[int, str]:
+    """The word read from ``base`` to each vertex it reaches, in breadth-first
+    discovery order, trying signed letters in order a, A, b, B, ..."""
+    path = {base: ""}
+    order = [base]
     signed = alphabet.signed_letters()
-    while order:
-        v = order.popleft()
+    for v in order:  # the list grows while it is walked: breadth first
         for c in signed:
             w = step.get((v, c))
-            if w is not None and w not in parent:
-                parent[w] = (v, c)
+            if w is not None and w not in path:
+                path[w] = path[v] + c
                 order.append(w)
-    return parent
+    return path
 
 
 def _fold_pair(edges) -> tuple[int, int] | None:
@@ -218,46 +201,32 @@ def graph_from_edges(alphabet: Alphabet, edges, base: int = 0) -> CoreGraph:
         if base == drop:
             base = keep
 
-    # Trim: repeatedly discard non-basepoint vertices of total degree <= 1
-    # (a loop contributes two to the degree of its vertex).
-    alive = {base}
-    alive.update(u for (u, _, _) in edge_set)
-    alive.update(v for (_, _, v) in edge_set)
+    # Trim: repeatedly discard non-basepoint vertices with at most one step
+    # out (a loop gives its vertex two).
+    step = _step_map(edge_set)
     while True:
-        degree = {v: 0 for v in alive}
-        for (u, _, v) in edge_set:
-            degree[u] += 1
-            degree[v] += 1
-        dead = {v for v in alive if v != base and degree[v] <= 1}
+        degree = {}
+        for (u, _) in step:
+            degree[u] = degree.get(u, 0) + 1
+        dead = {v for v, d in degree.items() if d <= 1 and v != base}
         if not dead:
             break
-        alive -= dead
-        edge_set = {(u, c, v) for (u, c, v) in edge_set if u not in dead and v not in dead}
+        step = {(u, c): v for (u, c), v in step.items() if u not in dead and v not in dead}
 
     # Canonical relabelling: breadth-first from the basepoint.
-    index = {v: i for i, v in enumerate(_bfs_tree(_step_map(edge_set), base, alphabet))}
-    if len(index) != len(alive):
+    index = {v: i for i, v in enumerate(_bfs_paths(step, alphabet, base))}
+    if len(index) != len({base, *degree}):
         raise AssertionError("core graph is disconnected")
-    relabelled = frozenset((index[u], c, index[v]) for (u, c, v) in edge_set)
-    return CoreGraph(alphabet, len(alive), relabelled)
+    return CoreGraph(alphabet, len(index), {(index[u], c): index[v] for (u, c), v in step.items()})
 
 
 def build_subgroup_graph(alphabet: Alphabet, generators) -> CoreGraph:
     """Core graph of the subgroup generated by the given coefficient words."""
-    edges = []
-    num_vertices = 1
+    edges, fresh = [], 1
     for gen in generators:
         w = reduce_word(alphabet.check_word(gen))
-        if not w:
-            continue
-        prev = 0
-        for i, c in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else num_vertices + i
-            if c.islower():
-                edges.append((prev, c, nxt))
-            else:
-                edges.append((nxt, c.lower(), prev))
-            prev = nxt
-        num_vertices += max(len(w) - 1, 0)
+        path = [0, *range(fresh, fresh + len(w) - 1), 0]  # a loop at 0 spelling w
+        fresh += max(len(w) - 1, 0)
+        for s, c, t in zip(path, w, path[1:]):
+            edges.append((s, c, t) if c.islower() else (t, c.lower(), s))
     return graph_from_edges(alphabet, edges)
-

@@ -1,4 +1,4 @@
-"""Shared test helpers: random words, substitution, reduce-based oracles for
+"""Shared test helpers: substitution, reduce-based oracles for
 the word functions that peel by index, rotation-loop oracles for the word
 functions that find rotations in one pass, the Nielsen move formula, a
 greedy-shortening oracle for the basis check, a graph-free membership oracle,
@@ -43,10 +43,6 @@ from freeq.words import (
     reduce_word,
     words_upto,
 )
-
-
-def random_reduced_word(rng, max_len, letters="abAB"):
-    return reduce_word("".join(rng.choice(letters) for _ in range(rng.randint(1, max_len))))
 
 
 def is_reduced(w):

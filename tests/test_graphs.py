@@ -4,10 +4,13 @@ import random
 
 import pytest
 from conftest import naive_member, naive_nielsen_reduce, substitute
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freeq.graphs import (
     CoreGraph,
     NotInSubgroup,
+    _step_map,
     build_subgroup_graph,
     graph_from_edges,
 )
@@ -16,6 +19,7 @@ from freeq.words import (
     invert,
     multiply,
     reduce_word,
+    shortlex_key,
     words_upto,
 )
 
@@ -99,10 +103,34 @@ def test_folding_confluent_under_input_order():
 
 
 def test_core_graph_rejects_an_unfolded_edge_set():
-    # two a-edges out of vertex 0, then two a-edges into vertex 1
+    # two a-edges out of vertex 0, then two a-edges into vertex 1: in the step
+    # map the later edge overwrites a step, whose mirror is left dangling
     for edges in ([(0, "a", 1), (0, "a", 0), (1, "b", 0)], [(0, "a", 1), (1, "a", 1), (1, "b", 0)]):
         with pytest.raises(AssertionError, match="unfolded"):
-            CoreGraph(AB, 2, edges)
+            CoreGraph(AB, 2, _step_map(edges))
+    # a map that lacks one mirror step: (0, b) -> 1 without (1, B) -> 0
+    with pytest.raises(AssertionError, match="unfolded"):
+        CoreGraph(AB, 2, {(0, "a"): 1, (1, "A"): 0, (0, "b"): 1})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.sampled_from("ab"), st.integers(0, 4)), max_size=10),
+    st.integers(0, 4),
+)
+def test_canonical_basis_spans_the_graph(edges, base):
+    """The basis read off the breadth-first paths is a ShortLex-sorted free
+    basis of the graph's subgroup, and each generator rewrites to its letter."""
+    try:
+        graph = graph_from_edges(AB, edges, base=base)
+    except AssertionError:  # disconnected
+        assume(False)
+    basis = graph.canonical_basis()
+    assert build_subgroup_graph(AB, basis.generators) == graph
+    assert list(basis.generators) == sorted(basis.generators, key=shortlex_key)
+    assert len(basis.generators) == graph.rank()
+    for gen, letter in zip(basis.generators, basis.letters):
+        assert basis.express(gen) == letter
 
 
 def test_graph_from_edges_trims_dead_tails():
