@@ -3,16 +3,15 @@
 A subgroup ``H = <g_1, ..., g_k>`` of the free group on an alphabet is
 represented by its core graph: the wedge of loops spelling the generators,
 folded until no vertex has two outgoing (or two incoming) edges with the same
-label, then trimmed of degree-one vertices away from the basepoint.  Vertices
-are relabelled by a breadth-first traversal with a fixed exploration order, so
-equal subgroups yield byte-identical graphs and ``==`` decides subgroup
-equality.
+label, then trimmed of degree-one vertices away from the basepoint.
 
 A graph is stored as its signed step map ``(u, letter) -> v``: an edge
 labelled by the lowercase letter ``c`` from ``u`` to ``v`` is the two steps
 ``(u, c) -> v`` and ``(v, C) -> u``, ``C`` being ``c``'s inverse.  Positive
 triples ``(u, c, v)`` are the input of ``graph_from_edges`` and the derived
-``CoreGraph.edges``.
+``CoreGraph.edges``.  Every ``CoreGraph`` is relabelled breadth first with a
+fixed exploration order, so equal subgroups yield byte-identical graphs and
+``==`` decides subgroup equality.
 """
 
 from __future__ import annotations
@@ -43,18 +42,32 @@ class CoreGraph:
     holds exactly when the two generating sets span the same subgroup.
     """
 
-    __slots__ = ("alphabet", "num_vertices", "edges", "_step")
+    __slots__ = ("alphabet", "num_vertices", "edges", "_step", "_path")
 
-    def __init__(self, alphabet: Alphabet, num_vertices: int, step: dict[tuple[int, str], int]):
-        """Keep ``step``, the signed step map on vertices ``0 .. num_vertices - 1``,
-        and derive the positive ``edges``.  The graph must be folded: every
-        step ``(u, c) -> v`` has its mirror ``(v, C) -> u``."""
+    def __init__(self, alphabet: Alphabet, step: dict[tuple[int, str], int], base: int = 0):
+        """Relabel the folded signed step map ``step`` breadth first from
+        ``base`` (letters tried a, A, b, B, ...), which becomes ``0``, and
+        keep the renamed map and each vertex's path word.  Raises unless every
+        step ``(u, c) -> v`` has its mirror ``(v, C) -> u`` and ``base``
+        reaches every vertex."""
         if any(step.get((v, c.swapcase())) != u for (u, c), v in step.items()):
             raise AssertionError("unfolded step map passed to CoreGraph")
+        index, order, path = {base: 0}, [base], [""]
+        signed = alphabet.signed_letters()
+        for i, v in enumerate(order):  # the list grows while it is walked
+            for c in signed:
+                w = step.get((v, c))
+                if w is not None and w not in index:
+                    index[w] = len(order)
+                    order.append(w)
+                    path.append(path[i] + c)
+        if any(u not in index for u, _ in step):
+            raise AssertionError("core graph is disconnected")
         self.alphabet = alphabet
-        self.num_vertices = num_vertices
-        self.edges = frozenset((u, c, v) for (u, c), v in step.items() if c.islower())
-        self._step = step
+        self.num_vertices = len(order)
+        self._step = {(index[u], c): index[v] for (u, c), v in step.items()}
+        self._path = path
+        self.edges = frozenset((u, c, v) for (u, c), v in self._step.items() if c.islower())
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,8 +104,8 @@ class CoreGraph:
         return len(self.edges) - self.num_vertices + 1
 
     def canonical_basis(self) -> "SubgroupBasis":
-        """Free basis read off the breadth-first paths from the basepoint,
-        ShortLex-sorted.
+        """Free basis read off the breadth-first paths that the constructor
+        kept, ShortLex-sorted.
 
         An edge ``(s, c, t)`` is a tree edge when it extends the path to one
         of its ends by its own letter; every other edge contributes the
@@ -100,7 +113,7 @@ class CoreGraph:
         """
         if self.rank() > len(_BASIS_LETTER_POOL):
             raise WordError(f"subgroup rank {self.rank()} exceeds supported basis size")
-        path = _bfs_paths(self._step, self.alphabet, 0)
+        path = self._path
         gens = sorted(
             ((multiply(path[s], c, invert(path[t])), s, c, t)
              for (s, c, t) in self.edges
@@ -148,62 +161,38 @@ class SubgroupBasis:
         return reduce_word("".join(out))
 
 
-def _step_map(edges) -> dict[tuple[int, str], int]:
-    """The signed steps ``(vertex, letter) -> vertex`` of positively stored edges."""
-    step = {}
-    for (u, c, v) in edges:
-        step[u, c] = v
-        step[v, c.upper()] = u
-    return step
-
-
-def _bfs_paths(step, alphabet: Alphabet, base: int) -> dict[int, str]:
-    """The word read from ``base`` to each vertex it reaches, in breadth-first
-    discovery order, trying signed letters in order a, A, b, B, ..."""
-    path = {base: ""}
-    order = [base]
-    signed = alphabet.signed_letters()
-    for v in order:  # the list grows while it is walked: breadth first
-        for c in signed:
-            w = step.get((v, c))
-            if w is not None and w not in path:
-                path[w] = path[v] + c
-                order.append(w)
-    return path
-
-
-def _fold_pair(edges) -> tuple[int, int] | None:
-    """Two distinct vertices one signed step reaches from a shared vertex, if any."""
-    step = {}
-    for (u, c, v) in edges:
-        for key, end in (((u, c), v), ((v, c.upper()), u)):
-            seen = step.setdefault(key, end)
-            if seen != end:
-                return seen, end
-    return None
-
-
 def graph_from_edges(alphabet: Alphabet, edges, base: int = 0) -> CoreGraph:
     """Fold an arbitrary labelled graph and return its canonical core.
 
-    ``edges`` holds positively oriented triples ``(u, letter, v)``.  Each
-    folding pass finds one vertex with two equal-labelled edges out (or in)
-    and identifies their other ends, renaming the larger id to the smaller
-    in every edge and in ``base``, until no such pair remains; then vertices
-    of degree at most one other than the basepoint are trimmed and the rest
-    renamed in breadth-first order, so the result does not depend on which
-    pair each pass merged.
+    ``edges`` holds positively oriented triples ``(u, letter, v)``, added one
+    by one from a worklist as the two steps of each edge in one step map.
+    Where a step's slot already leads to another vertex, the two vertices are
+    identified: the larger id's steps leave the map and go back on the list
+    under the smaller id, which also replaces it in the pending edges and in
+    ``base``.  Then vertices of degree at most one other than the basepoint
+    are trimmed, and ``CoreGraph`` renames the rest breadth first, so the
+    result does not depend on the order of the merges.
     """
-    edge_set = set(edges)
-    while (pair := _fold_pair(edge_set)) is not None:
-        keep, drop = min(pair), max(pair)
-        edge_set = {(keep if u == drop else u, c, keep if v == drop else v) for (u, c, v) in edge_set}
+    step, work = {}, list(edges)
+    signed = alphabet.signed_letters()
+    while work:
+        u, c, v = work.pop()
+        w, x = step.get((u, c), v), step.get((v, c.swapcase()), u)
+        if w == v and x == u:
+            step[u, c], step[v, c.swapcase()] = v, u
+            continue
+        keep, drop = sorted((v, w) if w != v else (u, x))
+        work.append((u, c, v))
+        for d in signed:
+            if (t := step.pop((drop, d), None)) is not None:
+                step.pop((t, d.swapcase()), None)
+                work.append((drop, d, t))
+        work = [(keep if s == drop else s, d, keep if t == drop else t) for s, d, t in work]
         if base == drop:
             base = keep
 
     # Trim: repeatedly discard non-basepoint vertices with at most one step
     # out (a loop gives its vertex two).
-    step = _step_map(edge_set)
     while True:
         degree = {}
         for (u, _) in step:
@@ -212,12 +201,7 @@ def graph_from_edges(alphabet: Alphabet, edges, base: int = 0) -> CoreGraph:
         if not dead:
             break
         step = {(u, c): v for (u, c), v in step.items() if u not in dead and v not in dead}
-
-    # Canonical relabelling: breadth-first from the basepoint.
-    index = {v: i for i, v in enumerate(_bfs_paths(step, alphabet, base))}
-    if len(index) != len({base, *degree}):
-        raise AssertionError("core graph is disconnected")
-    return CoreGraph(alphabet, len(index), {(index[u], c): index[v] for (u, c), v in step.items()})
+    return CoreGraph(alphabet, step, base)
 
 
 def build_subgroup_graph(alphabet: Alphabet, generators) -> CoreGraph:

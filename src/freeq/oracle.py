@@ -56,7 +56,6 @@ from .solver import (
 from .words import (
     WordError,
     conjugating_word,
-    cyclic_reduce,
     evaluate,  # not called here; bench/test_bench.py patches oracle.evaluate
     exponent_sum,
     kth_root,
@@ -115,28 +114,23 @@ def _single_run_shape(w: str) -> tuple[str, int, int, int] | None:
     return None
 
 
-def _join(v: str, w: str) -> str:
-    """The product of two reduced words, cancelling only at the junction."""
-    j = 0
-    n = min(len(v), len(w))
-    while j < n and v[-1 - j] == w[j].swapcase():
-        j += 1
-    return v[:len(v) - j] + w[j:]
+def _flank(g: str, a: int, u: str, b: int) -> str:
+    """``g^-a · u · g^-b`` for reduced ``g`` and ``u``.  ``words.power`` spells
+    each power reduced, so the product cancels only at its two junctions."""
+    word = power(g, -a)
+    for w in (u, power(g, -b)):
+        j, n = 0, min(len(word), len(w))
+        while j < n and word[-1 - j] == w[j].swapcase():
+            j += 1
+        word = word[:len(word) - j] + w[j:]
+    return word
 
 
 def _single_run_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
-    """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
-
-    Each value g = c^-1 h c of s is peeled once, so g^-a = c^-1 h^-a c and
-    g^-b are spelled without reduction, and g^-a u g^-b cancels only at its
-    two junctions."""
+    """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b."""
     z, a, k, b = shape
     for g in ball:
-        core, conj = cyclic_reduce(g)
-        head = g[:len(conj)]
-        left = head + power(core, -a) + conj if a else ""
-        right = head + power(core, -b) + conj if b else ""
-        root = kth_root(_join(_join(left, eq.rhs), right), k)
+        root = kth_root(_flank(g, a, eq.rhs, b), k)
         if root is not None and len(root) <= max_len:
             yield (g, root) if z == "y" else (root, g)
 
@@ -168,7 +162,7 @@ def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str
     the ball."""
     z, a, e, b, c = shape
     for g in ball:
-        target = multiply(power(g, -a), eq.rhs, power(g, -c))
+        target = _flank(g, a, eq.rhs, c)
         if not g:
             others = () if target else ball
         else:

@@ -521,7 +521,7 @@ def terminal_candidates(eq: Equation, sums_gcd: int):
     The second join is closed at once by following the rest of ``u``, which
     must end at the basepoint.  Branches share one signed edge map: a visit
     adds its two steps and the undo record stacked beneath it deletes them.
-    Each quotient is reached once, and a copy of its map is its CoreGraph:
+    Each quotient is reached once, and its map, relabelled, is its CoreGraph:
     it is folded, and no vertex but the basepoint has degree below two.
 
     The opening edges form a spanning tree whose non-tree edges are the two
@@ -582,7 +582,7 @@ def terminal_candidates(eq: Equation, sums_gcd: int):
                     c2 += (key == f2) - (key == b2)
                     x = step[key]
                 if gcd(c1, c2) == sums_gcd:
-                    basis = CoreGraph(eq.alphabet, n, dict(step)).canonical_basis()
+                    basis = CoreGraph(eq.alphabet, step).canonical_basis()
                     results.append((basis.generators, basis.express(u)))
             del step[v, c], step[t, back]
     results.sort(key=lambda item: pair_key(item[0]))

@@ -4,13 +4,12 @@ import random
 
 import pytest
 from conftest import naive_member, naive_nielsen_reduce, substitute
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freeq.graphs import (
     CoreGraph,
     NotInSubgroup,
-    _step_map,
     build_subgroup_graph,
     graph_from_edges,
 )
@@ -102,15 +101,27 @@ def test_folding_confluent_under_input_order():
         assert graph_from_edges(AB, renamed, base=names[0]) == reference
 
 
+def step_map(edges):
+    """The signed steps ``(vertex, letter) -> vertex`` of positive ``edges``."""
+    step = {}
+    for (u, c, v) in edges:
+        step[u, c] = v
+        step[v, c.upper()] = u
+    return step
+
+
 def test_core_graph_rejects_an_unfolded_edge_set():
     # two a-edges out of vertex 0, then two a-edges into vertex 1: in the step
     # map the later edge overwrites a step, whose mirror is left dangling
     for edges in ([(0, "a", 1), (0, "a", 0), (1, "b", 0)], [(0, "a", 1), (1, "a", 1), (1, "b", 0)]):
         with pytest.raises(AssertionError, match="unfolded"):
-            CoreGraph(AB, 2, _step_map(edges))
+            CoreGraph(AB, step_map(edges))
     # a map that lacks one mirror step: (0, b) -> 1 without (1, B) -> 0
     with pytest.raises(AssertionError, match="unfolded"):
-        CoreGraph(AB, 2, {(0, "a"): 1, (1, "A"): 0, (0, "b"): 1})
+        CoreGraph(AB, {(0, "a"): 1, (1, "A"): 0, (0, "b"): 1})
+    # a folded map whose b-edge the base does not reach
+    with pytest.raises(AssertionError, match="disconnected"):
+        CoreGraph(AB, step_map([(0, "a", 0), (1, "b", 2)]))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -118,19 +129,25 @@ def test_core_graph_rejects_an_unfolded_edge_set():
     st.lists(st.tuples(st.integers(0, 4), st.sampled_from("ab"), st.integers(0, 4)), max_size=10),
     st.integers(0, 4),
 )
+@example(wedge_edges(["abA", "bab"])[0], 0)
 def test_canonical_basis_spans_the_graph(edges, base):
     """The basis read off the breadth-first paths is a ShortLex-sorted free
-    basis of the graph's subgroup, and each generator rewrites to its letter."""
+    basis of the graph's subgroup, and each generator rewrites to its letter;
+    a step map numbered otherwise than breadth first is relabelled to the
+    same canonical graph."""
     try:
         graph = graph_from_edges(AB, edges, base=base)
     except AssertionError:  # disconnected
         assume(False)
-    basis = graph.canonical_basis()
-    assert build_subgroup_graph(AB, basis.generators) == graph
-    assert list(basis.generators) == sorted(basis.generators, key=shortlex_key)
-    assert len(basis.generators) == graph.rank()
-    for gen, letter in zip(basis.generators, basis.letters):
-        assert basis.express(gen) == letter
+    n = graph.num_vertices
+    renumbered = step_map((u and n - u, c, v and n - v) for (u, c, v) in graph.edges)
+    for g in (graph, CoreGraph(AB, renumbered)):
+        basis = g.canonical_basis()
+        assert build_subgroup_graph(AB, basis.generators) == g
+        assert list(basis.generators) == sorted(basis.generators, key=shortlex_key)
+        assert len(basis.generators) == g.rank()
+        for gen, letter in zip(basis.generators, basis.letters):
+            assert basis.express(gen) == letter
 
 
 def test_graph_from_edges_trims_dead_tails():
