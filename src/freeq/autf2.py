@@ -16,16 +16,21 @@ the Nielsen moves, themselves automorphisms, to basis pairs.
 
 Inversion shortens the images by Nielsen moves down to a signed permutation
 of ``(x, y)``; the inverse is that trail of moves followed by the inverse of
-the permutation.  The minimal level of a word's orbit, built once per word
-and walked only as far as lookups need, decides which words share that
-orbit: primitivity is the lookup of ``x``, and membership in the orbit of
-``[x, y]`` the lookup of ``XYxy``.
+the permutation.  Whitehead minimization reads every type-2 move's change
+in cyclic length off one count of letter pairs (Lyndon–Schupp I.4), applies
+only the moves that shorten most, and composes its inverse as it goes.  The
+minimal level of a word's orbit, built once per word and walked only as far
+as lookups need, decides which words share that orbit: primitivity is the
+lookup of ``x``, and membership in the orbit of ``[x, y]`` the lookup of
+``XYxy``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, inf
+from operator import add
 
 from .words import (
     VARIABLES,
@@ -33,7 +38,7 @@ from .words import (
     commutator,
     conjugate,
     conjugating_word,
-    cyclic_length,
+    cyclic_core,
     cyclic_normal_form,
     exponent_sum,
     invert,
@@ -237,39 +242,63 @@ TYPE2_AUTOMORPHISMS = _type2_automorphisms()
 WHITEHEAD_AUTOMORPHISMS = TYPE1_AUTOMORPHISMS + TYPE2_AUTOMORPHISMS
 
 
-def whitehead_minimize(w: str) -> tuple[str, AutF2]:
-    """Greedily drive the cyclic length down; returns ``(image, aut)``.
+def _length_change_coefficients(t: AutF2) -> dict[str, int]:
+    """Whitehead's cut count for the type-2 move ``t``, ``z -> l.z.r``: it
+    changes the cyclic length of a cyclically reduced word by the sum of
+    ``coefficient[pq]`` over its cyclic letter pairs ``pq``.  ``t(p)`` adds
+    ``|t(p)| - 1`` letters, and the pair loses two when the last letter of
+    ``t(p)`` cancels the first of ``t(q)``; those cancellations never cascade."""
+    image = {"x": t.image_x, "X": invert(t.image_x), "y": t.image_y, "Y": invert(t.image_y)}
+    return {
+        p + q: len(image[p]) - 1 - 2 * (image[p][-1] == image[q][0].swapcase())
+        for p in image for q in image if q != p.swapcase()
+    }
 
-    Each step applies the single-letter Whitehead automorphism that shortens
-    the cyclic length the most (ties broken by the image's cyclic normal
-    form, then by position in the fixed automorphism list), stopping when no
-    strict improvement exists.  The image is then rotated to its cyclic
-    normal form by a final conjugation, so it is cyclically reduced and
-    canonical; the returned ``aut`` satisfies ``aut.apply(w) == image``
-    exactly.
+
+# Type-2 move i is (a, kind) with a = "xXyY"[i // 3]: its inverse is (a^-1, kind).
+TYPE2_INVERSES = tuple(TYPE2_AUTOMORPHISMS[3 * (i // 3 ^ 1) + i % 3] for i in range(12))
+_TYPE2_COEFFICIENTS = tuple(_length_change_coefficients(t) for t in TYPE2_AUTOMORPHISMS)
+
+
+def _length_changes(w: str) -> list[int]:
+    """The change in cyclic length of ``w`` under each type-2 Whitehead
+    automorphism, in list order, from one count of its cyclic letter pairs."""
+    core = cyclic_core(w)
+    pairs = Counter(map(add, core, core[1:] + core[:1])).items()
+    return [sum(n * coefficient[pq] for pq, n in pairs) for coefficient in _TYPE2_COEFFICIENTS]
+
+
+def whitehead_minimize(w: str) -> tuple[str, AutF2, AutF2]:
+    """Greedily drive the cyclic length down; returns ``(image, aut, inverse)``.
+
+    Each step applies the type-2 Whitehead automorphism that shortens the
+    cyclic length the most (ties broken by the image's cyclic normal form,
+    then by position in the fixed automorphism list), stopping when no
+    strict improvement exists; the changes come from ``_length_changes``,
+    so only the moves of the least change are applied.  The image is then
+    rotated to its cyclic normal form by a final conjugation, so it is
+    cyclically reduced and canonical, and ``aut.apply(w) == image`` exactly.
+    ``inverse`` is ``aut.inverse()``, composed from the inverse moves.
     """
     cur = reduce_word(w)
-    total = IDENTITY
+    aut = inverse = IDENTITY
     while True:
-        base = cyclic_length(cur)
-        best = None
-        for idx, t in enumerate(TYPE2_AUTOMORPHISMS):
-            img = t.apply(cur)
-            cl = cyclic_length(img)
-            if cl < base:
-                cand = (cl, shortlex_key(cyclic_normal_form(img)), idx)
-                if best is None or cand < best[0]:
-                    best = (cand, t, img)
-        if best is None:
+        changes = _length_changes(cur)
+        least = min(changes)
+        if least >= 0:
             break
-        _, t, cur = best
-        total = t.compose(total)
+        images = {i: TYPE2_AUTOMORPHISMS[i].apply(cur) for i, d in enumerate(changes) if d == least}
+        i = min(images, key=lambda i: shortlex_key(cyclic_normal_form(images[i])))
+        cur = images[i]
+        aut = TYPE2_AUTOMORPHISMS[i].compose(aut)
+        inverse = inverse.compose(TYPE2_INVERSES[i])
     form = cyclic_normal_form(cur)
     if form != cur:
         h = conjugating_word(cur, form)
-        total = inner(h).compose(total)
+        aut = inner(h).compose(aut)
+        inverse = inverse.compose(inner(invert(h)))
         cur = form
-    return cur, total
+    return cur, aut, inverse
 
 
 class MinimalLevel:
@@ -287,24 +316,27 @@ class MinimalLevel:
     def __init__(self, w: str) -> None:
         w = reduce_word(w)
         self.gcd = gcd(exponent_sum(w, "x"), exponent_sum(w, "y"))
-        self.minimal, self.aut = whitehead_minimize(w)
+        self.minimal, self.aut, _ = whitehead_minimize(w)
         self.forms = [self.minimal]
         self.reached: dict[str, tuple[AutF2, str]] = {self.minimal: (IDENTITY, self.minimal)}
         self.head = 0
 
     def _reaches(self, form: str) -> bool:
         """Whether ``form`` is on the level: expand heads until it is reached
-        or the level is exhausted."""
+        or the level is exhausted.  A head's neighbours on the level are its
+        images under the signed permutations and under the type-2 moves that
+        keep its length."""
         while form not in self.reached and self.head < len(self.forms):
-            aut, word = self.reached[self.forms[self.head]]
+            head = self.forms[self.head]
+            aut, word = self.reached[head]
             self.head += 1
-            for t in WHITEHEAD_AUTOMORPHISMS:
+            keep = [t for t, d in zip(TYPE2_AUTOMORPHISMS, _length_changes(head)) if d == 0]
+            for t in TYPE1_AUTOMORPHISMS + tuple(keep):
                 img = t.apply(word)
-                if cyclic_length(img) == len(self.minimal):
-                    new = cyclic_normal_form(img)
-                    if new not in self.reached:
-                        self.reached[new] = (t.compose(aut), img)
-                        self.forms.append(new)
+                new = cyclic_normal_form(img)
+                if new not in self.reached:
+                    self.reached[new] = (t.compose(aut), img)
+                    self.forms.append(new)
         return form in self.reached
 
     def carry(self, target: str) -> AutF2 | None:
@@ -318,12 +350,12 @@ class MinimalLevel:
         target = reduce_word(target)
         if gcd(exponent_sum(target, "x"), exponent_sum(target, "y")) != self.gcd:
             return None
-        m, a = whitehead_minimize(target)
+        m, _, a_inverse = whitehead_minimize(target)
         if len(m) != len(self.minimal) or not self._reaches(m):
             return None
         path, word = self.reached[m]
         h = conjugating_word(word, m)
-        return a.inverse().compose(inner(h).compose(path.compose(self.aut)))
+        return a_inverse.compose(inner(h).compose(path.compose(self.aut)))
 
 
 def is_primitive(w: str) -> AutF2 | None:

@@ -80,7 +80,7 @@ def _add_equation_args(parser) -> None:
 def _add_budget_args(parser) -> None:
     parser.add_argument("--hnn-budget", type=_positive, metavar="N",
                         default=HNN_MAX_BASES,
-                        help="tested bases before the splitting search gives up")
+                        help="bases walked before the splitting search gives up")
 
 
 def _count(text: str, least: int = 0) -> int:

@@ -32,6 +32,7 @@ returned.
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
@@ -105,7 +106,7 @@ DELTA_X_INVERSE = AutF2("Yx", "y")
 DELTA_Y_INVERSE = AutF2("x", "Xy")
 
 
-# The bases the edge-splitting search tests before it gives up.
+# The bases the edge-splitting search walks, tested or not, before it gives up.
 HNN_MAX_BASES = 10**4
 
 
@@ -333,16 +334,17 @@ class _BasisWalk:
     """The breadth-first walk over basis pairs of total length at most ``bound``.
 
     Pairs are reached from (x, y) under elementary Nielsen moves.  The walk
-    holds the pairs in breadth-first order, the exponent sums ``(p_x, p_y)``
-    of the first component of each, the set of pairs reached, the index of
-    the next pair to expand and the graphs ``edge_group`` built.  It grows
-    only as far as a caller reads it.
+    holds the pairs in breadth-first order, the set of pairs reached, the
+    index of the next pair to expand and the graphs ``edge_group`` built.
+    It grows only as far as a caller reads it.  ``lines`` files each pair's
+    index, in breadth-first order, under ``±(p_x, p_y)``, the exponent sums of
+    its first component, and under ``(0, 0)``.
     """
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
         self.pairs: list[Pair] = [("x", "y")]
-        self.sums: list[tuple[int, int]] = [(1, 0)]
+        self.lines = defaultdict(list, {(1, 0): [0], (-1, 0): [0], (0, 0): [0]})
         self.visited = set(self.pairs)
         self.head = 0
         self.graphs: dict[int, CoreGraph] = {}
@@ -356,7 +358,7 @@ class _BasisWalk:
 
     def reaches(self, i: int) -> bool:
         """Whether node ``i`` exists: expand heads until it does or the walk ends."""
-        pairs = self.pairs
+        pairs, lines = self.pairs, self.lines
         while len(pairs) <= i and self.head < len(pairs):
             values = _values(pairs[self.head])
             self.head += 1
@@ -364,8 +366,12 @@ class _BasisWalk:
                 new = _act(values, programs, self.bound)
                 if new is not None and new not in self.visited:
                     self.visited.add(new)
+                    px, py = exponent_sum(new[0], "x"), exponent_sum(new[0], "y")
+                    n = len(pairs)
+                    lines[px, py].append(n)
+                    lines[-px, -py].append(n)
+                    lines[0, 0].append(n)
                     pairs.append(new)
-                    self.sums.append((exponent_sum(new[0], "x"), exponent_sum(new[0], "y")))
         return i < len(pairs)
 
 
@@ -381,31 +387,45 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
     moves, expanding only within total length max(|w|, 2).  A pair is a
     witness when w, rewritten over (p, t), has zero t-exponent, and w lies in
     <p, t^-1 p t> (rank two: the image of <x, Yxy> under (p, t)).  Exhausting
-    the bounded space without a witness returns None; testing more than
-    ``hnn_max_bases`` bases raises :class:`SearchBudgetExceeded`.
+    the bounded space without a witness returns None; when the walk holds
+    more than ``hnn_max_bases`` bases and none of the first
+    ``hnn_max_bases`` is a witness, it raises :class:`SearchBudgetExceeded`.
+    The budget counts bases walked, whether or not they are tested.
 
     The walk depends only on the bound, so it is held per bound and shared
     by every call, and it grows only as far as a call reads it; so is the
     subgroup graph of each basis that passes the t-exponent test.  That test
     is on the abelianization: with ``phi = AutF2(p, t)`` the rewritten word
     is ``phi^-1(w)``, whose y-exponent sum is zero exactly when
-    ``p_x * w_y == p_y * w_x``; no basis is inverted and ``w`` is never rewritten.
+    ``p_x * w_y == p_y * w_x``; no basis is inverted and ``w`` is never
+    rewritten.  As ``p`` is primitive, the bases that pass are those filed
+    under ``(w_x, w_y)/gcd``, or all of them when both sums are zero.  The
+    search traces only those, and grows the walk only once it has traced
+    every one reached, so it stops where a scan of every basis would.
     """
     w = reduce_word(w)
-    wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
     walk = _basis_walk(max(len(w), 2))
-    i = 0
-    while walk.reaches(i):
-        if i >= hnn_max_bases:
-            raise SearchBudgetExceeded(
-                f"edge-splitting search tested {hnn_max_bases} bases without a verdict"
-            )
-        px, py = walk.sums[i]
-        if px * wy == py * wx and walk.edge_group(i).trace(w) == 0:
-            p, t = walk.pairs[i]
-            return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=_trusted(p, t))
-        i += 1
-    return None
+    wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
+    d = gcd(wx, wy) or 1
+    line = walk.lines[wx // d, wy // d]
+    k = 0  # line[:k] are traced and are no witness
+    while True:
+        while k < len(line) and line[k] < hnn_max_bases:
+            if walk.edge_group(line[k]).trace(w) == 0:
+                p, t = walk.pairs[line[k]]
+                return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=_trusted(p, t))
+            k += 1
+        # Every basis of the line walked so far is traced: grow the walk by
+        # what the scan would read next, unless that is past the budget.
+        walked = len(walk.pairs)
+        if k == len(line) and walked <= hnn_max_bases:
+            if not walk.reaches(walked):
+                return None
+            if walked < hnn_max_bases:
+                continue
+        raise SearchBudgetExceeded(
+            f"edge-splitting search tested {hnn_max_bases} bases without a verdict"
+        )
 
 
 def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassification:

@@ -4,7 +4,8 @@ functions that find rotations in one pass, the Nielsen move formula, a
 greedy-shortening oracle for the basis check, a graph-free membership oracle,
 a set-partition oracle and a refolding oracle for terminal candidates, a
 rebuild-every-node oracle for the edge-splitting search, a per-pair orbit
-search and two closed forms for the minimal-level lookup, an evaluating action
+search and two closed forms for the minimal-level lookup, an applying oracle
+for Whitehead minimization, an evaluating action
 on solutions, a widening-ball oracle for the orbit minimization, an evaluating
 oracle for the orbit walk, and an orbit-closure oracle and an unseeded-walk
 oracle for certify's rank-two coverage."""
@@ -17,6 +18,7 @@ from math import gcd
 from freeq.autf2 import (
     IDENTITY,
     TYPE1_AUTOMORPHISMS,
+    TYPE2_AUTOMORPHISMS,
     WHITEHEAD_AUTOMORPHISMS,
     AutF2,
     SearchBudgetExceeded,
@@ -41,6 +43,7 @@ from freeq.words import (
     multiply,
     pair_key,
     reduce_word,
+    shortlex_key,
     words_upto,
 )
 
@@ -400,8 +403,8 @@ def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> Au
     tx, ty = abs(exponent_sum(target, "x")), abs(exponent_sum(target, "y"))
     if gcd(sx, sy) != gcd(tx, ty):
         return None
-    m1, a1 = whitehead_minimize(source)
-    m2, a2 = whitehead_minimize(target)
+    m1, a1, _ = whitehead_minimize(source)
+    m2, a2, _ = whitehead_minimize(target)
     level = cyclic_length(m1)
     if level != cyclic_length(m2):
         return None
@@ -447,6 +450,32 @@ def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> Au
     return exact
 
 
+# The applying minimizer: ``autf2.whitehead_minimize`` with every type-2 move
+# applied at every step, where the minimizer reads each move's change in
+# length off its count of letter pairs and applies only the best moves.
+
+
+def applying_whitehead_minimize(w: str) -> tuple[str, AutF2]:
+    cur = reduce_word(w)
+    total = IDENTITY
+    while True:
+        best = None
+        for idx, t in enumerate(TYPE2_AUTOMORPHISMS):
+            img = t.apply(cur)
+            if cyclic_length(img) < cyclic_length(cur):
+                cand = (cyclic_length(img), shortlex_key(cyclic_normal_form(img)), idx)
+                if best is None or cand < best[0]:
+                    best = (cand, t, img)
+        if best is None:
+            break
+        _, t, cur = best
+        total = t.compose(total)
+    form = cyclic_normal_form(cur)
+    if form != cur:
+        total = inner(conjugating_word(cur, form)).compose(total)
+    return form, total
+
+
 # Closed-form oracles for the lookups of ``x`` and ``XYxy`` on a minimal level,
 # with no walk.
 
@@ -455,7 +484,7 @@ def primitive_closed_form(w: str) -> AutF2 | None:
     """The automorphism ``MinimalLevel(w).carry("x")`` finds: by Whitehead,
     ``w`` is primitive exactly when its minimization ends at one letter ``m``,
     and the first signed permutation taking ``m`` to ``x`` finishes it."""
-    m, aut = whitehead_minimize(w)
+    m, aut, _ = whitehead_minimize(w)
     if len(m) != 1:
         return None
     return next(p for p in TYPE1_AUTOMORPHISMS if p.apply(m) == "x").compose(aut)
@@ -468,8 +497,8 @@ def commutator_normalizer(w: str) -> AutF2 | None:
     conjugation, joins the two Whitehead minimizers."""
     if cyclic_normal_form(w) not in _BASIS_COMMUTATORS:
         return None
-    m1, a1 = whitehead_minimize(w)
-    m2, a2 = whitehead_minimize("XYxy")
+    m1, a1, _ = whitehead_minimize(w)
+    m2, a2, _ = whitehead_minimize("XYxy")
     p = next(p for p in TYPE1_AUTOMORPHISMS if cyclic_normal_form(p.apply(m1)) == m2)
     h = conjugating_word(p.apply(m1), m2)
     return a2.inverse().compose(inner(h).compose(p.compose(a1)))

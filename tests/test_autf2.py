@@ -1,10 +1,12 @@
 """Rank-two automorphisms: validation, moves, minimization, orbits."""
 
+import math
 import random
 
 import pytest
 from conftest import (
     NIELSEN_MOVES,
+    applying_whitehead_minimize,
     commutator_normalizer,
     greedy_is_basis_pair,
     nielsen_move,
@@ -24,8 +26,10 @@ from freeq.autf2 import (
     PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
     TYPE2_AUTOMORPHISMS,
+    TYPE2_INVERSES,
     WHITEHEAD_AUTOMORPHISMS,
     _act,
+    _length_changes,
     _letter_programs,
     _program,
     _values,
@@ -40,6 +44,7 @@ from freeq.words import (
     Alphabet,
     WordError,
     conjugate,
+    cyclic_core,
     cyclic_length,
     cyclic_normal_form,
     evaluate,
@@ -145,20 +150,30 @@ def test_abelianized_determinant_is_unit():
 def test_abelian_splitting_test_matches_rewritten_y_exponent():
     """With phi = AutF2(p, t), phi^-1(w) has zero y-exponent exactly when
     p_x w_y == p_y w_x: the test the edge-splitting search makes at every
-    basis of its walk, checked on every basis of the bound-6 walk."""
+    basis of its walk, checked on every basis of the bound-6 walk.  Each
+    line of the walk lists, in walk order, exactly the bases that pass the
+    test for a word whose exponent sums lie on that line."""
     walk = _basis_walk(6)
     n = 0
     while walk.reaches(n):
         n += 1
     sample = ["xxxyyy", "XYxy", "xYxy", "xxyXy"]
     sample += random.Random(89).sample(list(words_upto(VARIABLES, 5)), 12)
-    for (p, t), (px, py) in zip(walk.pairs, walk.sums):
-        assert (px, py) == (exponent_sum(p, "x"), exponent_sum(p, "y"))
+    sums = [(exponent_sum(p, "x"), exponent_sum(p, "y")) for p, _ in walk.pairs]
+    for (p, t), (px, py) in zip(walk.pairs, sums):
         basis_inverse = AutF2(p, t).inverse()
         for w in sample:
             wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
             rewritten = basis_inverse.apply(w)
             assert (px * wy == py * wx) == (exponent_sum(rewritten, "y") == 0), (p, t, w)
+    for w in sample:
+        wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
+        d = math.gcd(wx, wy) or 1
+        passing = [i for i, (px, py) in enumerate(sums) if px * wy == py * wx]
+        assert walk.lines.get((wx // d, wy // d), []) == passing, w
+    for (lx, ly), indices in walk.lines.items():
+        assert indices == [i for i, (px, py) in enumerate(sums) if px * ly == py * lx], (lx, ly)
+    assert sum(map(len, walk.lines.values())) == 3 * n
     assert n == len(walk.pairs) == 904
 
 
@@ -264,10 +279,12 @@ def test_whitehead_counts():
     assert len(TYPE1_AUTOMORPHISMS) == 8
     assert len(TYPE2_AUTOMORPHISMS) == 12
     assert len(WHITEHEAD_AUTOMORPHISMS) == 20
+    for t, inverse in zip(TYPE2_AUTOMORPHISMS, TYPE2_INVERSES):
+        assert inverse == t.inverse()
 
 
 def test_whitehead_minimize_golden():
-    form, aut = whitehead_minimize("xyX")
+    form, aut, _ = whitehead_minimize("xyX")
     assert form == "y"
     assert aut.apply("xyX") == "y"
 
@@ -276,12 +293,45 @@ def test_whitehead_minimize_properties():
     rng = random.Random(97)
     for _ in range(150):
         w = random_word(rng, 9)
-        form, aut = whitehead_minimize(w)
+        form, aut, _ = whitehead_minimize(w)
         assert aut.apply(w) == form
         assert cyclic_normal_form(form) == form
         # local minimality over the whole generating set
         for sigma in WHITEHEAD_AUTOMORPHISMS:
             assert cyclic_length(sigma.apply(form)) >= len(form)
+
+
+def test_length_changes_match_applied_moves():
+    """Whitehead's cut count gives the change in cyclic length under every
+    type-2 move: checked against applying the move to every cyclically
+    reduced word of length 1-8."""
+    words = [w for w in words_upto(VARIABLES, 8) if w and cyclic_core(w) == w]
+    for w in words:
+        applied = [cyclic_length(t.apply(w)) - len(w) for t in TYPE2_AUTOMORPHISMS]
+        assert _length_changes(w) == applied, w
+    assert len(words) == 4 + 9852
+
+
+def random_reduced_word(rng, n):
+    word = rng.choice("xyXY")
+    while len(word) < n:
+        word += rng.choice([c for c in "xyXY" if c != word[-1].swapcase()])
+    return word
+
+
+def test_whitehead_minimize_matches_applying_oracle():
+    """Applying only the moves of the least change in length picks the image
+    and automorphism that applying all twelve moves picks, and the inverse
+    carried step by step is the inverse, on every word of length at most 6
+    and on random words of 9-20 letters."""
+    rng = random.Random(113)
+    words = list(words_upto(VARIABLES, 6))
+    words += [random_reduced_word(rng, rng.randint(9, 20)) for _ in range(400)]
+    for w in words:
+        form, aut, inverse = whitehead_minimize(w)
+        assert (form, aut) == applying_whitehead_minimize(w), w
+        assert aut.compose(inverse).is_identity(), w
+        assert inverse == aut.inverse(), w
 
 
 def level_carry(source, target):

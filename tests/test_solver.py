@@ -333,10 +333,10 @@ def test_hnn_search_budget_trip_matches_oracle():
         "edge-splitting search tested 1 bases without a verdict"
     )
     assert detect_hnn_splitting("xYxy", 1).basis_aut.is_identity()
-    for w in words_upto(VARIABLES, 4):
+    for w in words_upto(VARIABLES, 6):
         if {c.lower() for c in w} != {"x", "y"}:
             continue
-        for cap in (1, 2, 7):
+        for cap in (1, 2, 7, 50, 300):
             fast = _hnn_outcome(detect_hnn_splitting, w, cap)
             assert fast == _hnn_outcome(rebuilding_hnn_splitting, w, cap), (w, cap)
 
@@ -447,15 +447,39 @@ def test_coefficient_automorphism_keeps_the_description_shape():
     """For an automorphism alpha of F(a, b), (g1, g2) solves w = u exactly when
     (alpha(g1), alpha(g2)) solves w = alpha(u): both equations describe with
     the same status, kind, case and number of minimal solutions.  Checked
-    with one seeded Whitehead automorphism per equation of the |w| <= 5 probe."""
-    rng = random.Random(61)
+    per equation of the |w| <= 5 probe with one seeded Whitehead
+    automorphism and with a product of two others."""
+    rng, products = random.Random(61), random.Random(67)
     to_xy, to_ab = str.maketrans("abAB", "xyXY"), str.maketrans("xyXY", "abAB")
     equations = probe_equations(5)
     for e in equations:
+        shape = _invariants(describe_variety(e))
         alpha = rng.choice(WHITEHEAD_AUTOMORPHISMS)
-        image = eq(e.lhs, alpha.apply(e.rhs.translate(to_xy)).translate(to_ab))
-        assert _invariants(describe_variety(image)) == _invariants(describe_variety(e)), (e, image)
+        beta = products.choice(WHITEHEAD_AUTOMORPHISMS).compose(products.choice(WHITEHEAD_AUTOMORPHISMS))
+        for phi in (alpha, beta):
+            image = eq(e.lhs, phi.apply(e.rhs.translate(to_xy)).translate(to_ab))
+            assert _invariants(describe_variety(image)) == shape, (e, phi, image)
     assert len(equations) == 410
+
+
+def test_minimizer_carries_its_inverse(monkeypatch):
+    """Every Whitehead minimization that describing the minimization corpus
+    makes returns the inverse of its automorphism."""
+    minimized = []
+    real_minimize = autf2.whitehead_minimize
+
+    def recording_minimize(w):
+        minimized.append(w)
+        return real_minimize(w)
+
+    monkeypatch.setattr(autf2, "whitehead_minimize", recording_minimize)
+    for e in _minimization_corpus():
+        describe_variety(e)
+    for w in minimized:
+        _, aut, inverse = real_minimize(w)
+        assert aut.compose(inverse).is_identity(), w
+        assert inverse == aut.inverse(), w
+    assert len(minimized) > 300
 
 
 # Whitehead minimizations per describe of each bench anchor and of one
