@@ -6,23 +6,23 @@ by Nielsen's test: ``(u, v)`` is a basis exactly when ``[u, v]`` is
 conjugate to ``[x, y]`` or its inverse.
 
 Validation happens once, where images come from outside.  The results of
-``compose``, ``inverse`` and ``inner`` are trusted without a basis check: a
-product of automorphisms is an automorphism, and a conjugation is one by
-construction.
+``compose`` and ``inner`` are trusted without a basis check: a product of
+automorphisms is an automorphism, and a conjugation is one by construction.
 
 One action, ``_act``, substitutes images for letters, cancelling reduced
 factors only where two meet: it is ``apply`` and ``compose``, and it applies
 the Nielsen moves, themselves automorphisms, to basis pairs.
 
-Inversion shortens the images by Nielsen moves down to a signed permutation
-of ``(x, y)``; the inverse is that trail of moves followed by the inverse of
-the permutation.  Whitehead minimization reads every type-2 move's change
-in cyclic length off one count of letter pairs (Lyndon–Schupp I.4), applies
-only the moves that shorten most, and composes its inverse as it goes.  The
-minimal level of a word's orbit, built once per word and walked only as far
-as lookups need, decides which words share that orbit: primitivity is the
-lookup of ``x``, and membership in the orbit of ``[x, y]`` the lookup of
-``XYxy``.
+No automorphism is inverted after the fact: each is a product of moves
+with tabled inverses (``TYPE1_INVERSES``, ``TYPE2_INVERSES``) and of
+conjugations, and its inverse, the reversed product of theirs, is composed
+alongside it.  Whitehead minimization reads every type-2 move's change in
+cyclic length off one count of letter pairs (Lyndon–Schupp I.4) and applies
+only the moves that shorten most.  The minimal level of a word's orbit,
+built once per word and walked only as far as lookups need, keeps each
+form's path with its inverse and decides which words share that orbit:
+primitivity is the lookup of ``x``, and membership in the orbit of
+``[x, y]`` the lookup of ``XYxy``.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class AutF2:
     """An automorphism of F(x, y), stored by its images of x and y.
 
     Construction reduces both images and raises :class:`NotAnAutomorphism`
-    unless they form a free basis.  Automorphisms built by ``compose``,
-    ``inverse`` and ``inner`` skip that check.
+    unless they form a free basis.  Automorphisms built by ``compose`` and
+    ``inner`` skip that check.
     """
 
     image_x: str
@@ -85,23 +85,6 @@ class AutF2:
     def compose(self, other: "AutF2") -> "AutF2":
         """self after other: ``(self.compose(other)).apply(w) == self.apply(other.apply(w))``."""
         return _trusted(*_act(_values((self.image_x, self.image_y)), _letter_programs(other)))
-
-    def inverse(self) -> "AutF2":
-        """Greedy shortening carries the images to a signed permutation P
-        through moves M1..Mk, so ``self . M1 ... Mk == P`` and the inverse is
-        ``M1 ... Mk . P^-1``.  Each step takes the first product move that
-        shortens the pair; a basis pair of total length above two always
-        has one, and any such trail gives the unique inverse."""
-        pair, inv = (self.image_x, self.image_y), IDENTITY
-        while (total := len(pair[0]) + len(pair[1])) > 2:
-            values = _values(pair)
-            for move, programs in zip(PRODUCT_MOVES, _PRODUCT_PROGRAMS):
-                if (new := _act(values, programs, total - 1)) is not None:
-                    pair, inv = new, inv.compose(move)
-                    break
-            else:
-                raise AssertionError(f"no product move shortens the pair {pair!r}")
-        return inv.compose(_trusted(*_permutation_inverse(pair)))
 
     def is_identity(self) -> bool:
         return self.image_x == "x" and self.image_y == "y"
@@ -173,13 +156,6 @@ def _act(values: tuple[str, ...], programs, ball: float = inf) -> tuple[str, ...
     return tuple(image)
 
 
-def _permutation_inverse(pair: Pair) -> Pair:
-    """The images of the inverse of the signed letter permutation with images
-    ``pair``, read off letter by letter: if ``x -> Y``, then ``y -> X``."""
-    inv = {img.lower(): var if img.islower() else var.upper() for var, img in zip("xy", pair)}
-    return inv["x"], inv["y"]
-
-
 # The cyclic words of [x, y] and [y, x].
 _BASIS_COMMUTATORS = frozenset({cyclic_normal_form("XYxy"), cyclic_normal_form("YXyx")})
 
@@ -206,7 +182,6 @@ PRODUCT_MOVES = tuple(AutF2(ix, iy) for ix, iy in (
     ("x", "Yx"), ("x", "Xy"), ("x", "YX"), ("x", "xy"),
 ))
 INVERSION_MOVES = (AutF2("X", "y"), AutF2("x", "Y"))
-_PRODUCT_PROGRAMS = tuple(_letter_programs(move) for move in PRODUCT_MOVES)
 
 
 def inner(g: str) -> AutF2:
@@ -240,6 +215,11 @@ def _type2_automorphisms() -> tuple[AutF2, ...]:
 TYPE1_AUTOMORPHISMS = _type1_automorphisms()
 TYPE2_AUTOMORPHISMS = _type2_automorphisms()
 WHITEHEAD_AUTOMORPHISMS = TYPE1_AUTOMORPHISMS + TYPE2_AUTOMORPHISMS
+# The signed permutations form the dihedral group of order 8, so p^-1 == p^3.
+TYPE1_INVERSES = tuple(p.compose(p).compose(p) for p in TYPE1_AUTOMORPHISMS)
+# Type-2 move i is (a, kind) with a = "xXyY"[i // 3]: its inverse is (a^-1, kind).
+TYPE2_INVERSES = tuple(TYPE2_AUTOMORPHISMS[3 * (i // 3 ^ 1) + i % 3] for i in range(12))
+WHITEHEAD_INVERSES = TYPE1_INVERSES + TYPE2_INVERSES
 
 
 def _length_change_coefficients(t: AutF2) -> dict[str, int]:
@@ -255,8 +235,6 @@ def _length_change_coefficients(t: AutF2) -> dict[str, int]:
     }
 
 
-# Type-2 move i is (a, kind) with a = "xXyY"[i // 3]: its inverse is (a^-1, kind).
-TYPE2_INVERSES = tuple(TYPE2_AUTOMORPHISMS[3 * (i // 3 ^ 1) + i % 3] for i in range(12))
 _TYPE2_COEFFICIENTS = tuple(_length_change_coefficients(t) for t in TYPE2_AUTOMORPHISMS)
 
 
@@ -278,7 +256,7 @@ def whitehead_minimize(w: str) -> tuple[str, AutF2, AutF2]:
     so only the moves of the least change are applied.  The image is then
     rotated to its cyclic normal form by a final conjugation, so it is
     cyclically reduced and canonical, and ``aut.apply(w) == image`` exactly.
-    ``inverse`` is ``aut.inverse()``, composed from the inverse moves.
+    ``inverse`` is composed alongside, from ``TYPE2_INVERSES`` in reverse order.
     """
     cur = reduce_word(w)
     aut = inverse = IDENTITY
@@ -307,18 +285,19 @@ class MinimalLevel:
     The level is the cyclic forms of the minimal length in the orbit, joined
     by Whitehead automorphisms that stay on it; in rank two it is finite.
     It holds the gcd of ``w``'s exponent sums, the minimizer ``aut`` with
-    ``aut.apply(w) == minimal``, the forms reached in breadth-first order from
-    ``minimal``, each with its path automorphism ``A_f`` and image word, and
-    the index of the next form to expand.  The order does not depend on what
-    is looked up, so every lookup finds a form by the same path.
+    ``aut.apply(w) == minimal`` and its ``inverse``, the forms reached in
+    breadth-first order from ``minimal``, each with its path automorphism
+    ``A_f``, the inverse ``A_f^-1`` and the image word, and the index of the
+    next form to expand.  The order does not depend on what is looked up, so
+    every lookup finds a form by the same path.
     """
 
     def __init__(self, w: str) -> None:
         w = reduce_word(w)
         self.gcd = gcd(exponent_sum(w, "x"), exponent_sum(w, "y"))
-        self.minimal, self.aut, _ = whitehead_minimize(w)
+        self.minimal, self.aut, self.inverse = whitehead_minimize(w)
         self.forms = [self.minimal]
-        self.reached: dict[str, tuple[AutF2, str]] = {self.minimal: (IDENTITY, self.minimal)}
+        self.reached = {self.minimal: (IDENTITY, IDENTITY, self.minimal)}
         self.head = 0
 
     def _reaches(self, form: str) -> bool:
@@ -328,38 +307,44 @@ class MinimalLevel:
         keep its length."""
         while form not in self.reached and self.head < len(self.forms):
             head = self.forms[self.head]
-            aut, word = self.reached[head]
+            aut, inverse, word = self.reached[head]
             self.head += 1
-            keep = [t for t, d in zip(TYPE2_AUTOMORPHISMS, _length_changes(head)) if d == 0]
-            for t in TYPE1_AUTOMORPHISMS + tuple(keep):
+            changes = [0] * len(TYPE1_AUTOMORPHISMS) + _length_changes(head)
+            for t, t_inverse, d in zip(WHITEHEAD_AUTOMORPHISMS, WHITEHEAD_INVERSES, changes):
+                if d:
+                    continue
                 img = t.apply(word)
                 new = cyclic_normal_form(img)
                 if new not in self.reached:
-                    self.reached[new] = (t.compose(aut), img)
+                    self.reached[new] = (t.compose(aut), inverse.compose(t_inverse), img)
                     self.forms.append(new)
         return form in self.reached
 
-    def carry(self, target: str) -> AutF2 | None:
-        """An automorphism with ``aut.apply(w) == target``, or None when the
+    def carry(self, target: str) -> tuple[AutF2, AutF2] | None:
+        """``(aut, inverse)`` with ``aut.apply(w) == target``, or None when the
         two words lie in different orbits.
 
         The gcd of the exponent sums and the minimal length are invariants of
         the orbit.  Past them, the minimized target's form ``f`` on the level
         gives ``A_f`` with ``A_f(minimal)`` conjugate to the minimized
-        target, and one conjugation makes the match exact."""
+        target, and one conjugation ``inner(h)`` makes the match exact.  With
+        ``a`` the target's minimizer, ``aut = a^-1 . inner(h) . A_f . self.aut``,
+        and its inverse is ``self.inverse . A_f^-1 . inner(h^-1) . a``."""
         target = reduce_word(target)
         if gcd(exponent_sum(target, "x"), exponent_sum(target, "y")) != self.gcd:
             return None
-        m, _, a_inverse = whitehead_minimize(target)
+        m, a, a_inverse = whitehead_minimize(target)
         if len(m) != len(self.minimal) or not self._reaches(m):
             return None
-        path, word = self.reached[m]
+        path, path_inverse, word = self.reached[m]
         h = conjugating_word(word, m)
-        return a_inverse.compose(inner(h).compose(path.compose(self.aut)))
+        return (a_inverse.compose(inner(h).compose(path.compose(self.aut))),
+                self.inverse.compose(path_inverse.compose(inner(invert(h)).compose(a))))
 
 
 def is_primitive(w: str) -> AutF2 | None:
     """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive: the
     lookup of ``x`` on the minimal level of ``w``'s orbit.  By Whitehead,
     ``w`` is primitive exactly when its minimization ends at one letter."""
-    return MinimalLevel(w).carry("x")
+    carried = MinimalLevel(w).carry("x")
+    return carried and carried[0]

@@ -38,9 +38,11 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .autf2 import (
+    IDENTITY,
     INVERSION_MOVES,
     PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
+    TYPE1_INVERSES,
     AutF2,
     MinimalLevel,
     SearchBudgetExceeded,
@@ -208,6 +210,7 @@ class HnnWitness:
     q: str
     t: str
     basis_aut: AutF2  # x -> p, y -> t
+    basis_inverse: AutF2
 
 
 @dataclass(frozen=True)
@@ -215,6 +218,7 @@ class JsjClassification:
     kind: str
     hnn: HnnWitness | None = None
     normalizer: AutF2 | None = None  # carries w to the commutator XYxy
+    normalizer_inverse: AutF2 | None = None
     note: str = ""
 
 
@@ -328,14 +332,19 @@ def reduce_proper_power(eq: Equation) -> Equation | None:
 
 
 _BASIS_PROGRAMS = tuple(_letter_programs(move) for move in PRODUCT_MOVES + INVERSION_MOVES)
+# Product move i sets x to (x^e1 y^e2)^e3 (or y likewise, i >= 8), the bits of i % 8
+# being e1 e2 e3 with 1 for -1: its inverse is (x^e3 y^-e2)^e1.  Inversions are involutions.
+_BASIS_INVERSES = tuple(PRODUCT_MOVES[i & 8 | (2, 6, 0, 4, 3, 7, 1, 5)[i & 7]]
+                        for i in range(16)) + INVERSION_MOVES
 
 
 class _BasisWalk:
     """The breadth-first walk over basis pairs of total length at most ``bound``.
 
     Pairs are reached from (x, y) under elementary Nielsen moves.  The walk
-    holds the pairs in breadth-first order, the set of pairs reached, the
-    index of the next pair to expand and the graphs ``edge_group`` built.
+    holds the pairs in breadth-first order, the index of each reached pair's
+    parent and of the move that reached it, the index of the next pair to
+    expand and the graphs ``edge_group`` built.
     It grows only as far as a caller reads it.  ``lines`` files each pair's
     index, in breadth-first order, under ``±(p_x, p_y)``, the exponent sums of
     its first component, and under ``(0, 0)``.
@@ -345,7 +354,7 @@ class _BasisWalk:
         self.bound = bound
         self.pairs: list[Pair] = [("x", "y")]
         self.lines = defaultdict(list, {(1, 0): [0], (-1, 0): [0], (0, 0): [0]})
-        self.visited = set(self.pairs)
+        self.visited: dict[Pair, tuple[int, int] | None] = {self.pairs[0]: None}
         self.head = 0
         self.graphs: dict[int, CoreGraph] = {}
 
@@ -361,17 +370,17 @@ class _BasisWalk:
         pairs, lines = self.pairs, self.lines
         while len(pairs) <= i and self.head < len(pairs):
             values = _values(pairs[self.head])
-            self.head += 1
-            for programs in _BASIS_PROGRAMS:
+            for move, programs in enumerate(_BASIS_PROGRAMS):
                 new = _act(values, programs, self.bound)
                 if new is not None and new not in self.visited:
-                    self.visited.add(new)
+                    self.visited[new] = (self.head, move)
                     px, py = exponent_sum(new[0], "x"), exponent_sum(new[0], "y")
                     n = len(pairs)
                     lines[px, py].append(n)
                     lines[-px, -py].append(n)
                     lines[0, 0].append(n)
                     pairs.append(new)
+            self.head += 1
         return i < len(pairs)
 
 
@@ -397,11 +406,12 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
     subgroup graph of each basis that passes the t-exponent test.  That test
     is on the abelianization: with ``phi = AutF2(p, t)`` the rewritten word
     is ``phi^-1(w)``, whose y-exponent sum is zero exactly when
-    ``p_x * w_y == p_y * w_x``; no basis is inverted and ``w`` is never
-    rewritten.  As ``p`` is primitive, the bases that pass are those filed
-    under ``(w_x, w_y)/gcd``, or all of them when both sums are zero.  The
-    search traces only those, and grows the walk only once it has traced
-    every one reached, so it stops where a scan of every basis would.
+    ``p_x * w_y == p_y * w_x``, and ``w`` is never rewritten.  As ``p`` is
+    primitive, the bases that pass are those filed under ``(w_x, w_y)/gcd``,
+    or all of them when both sums are zero.  The search traces only those,
+    and grows the walk only once it has traced every one reached, so it
+    stops where a scan of every basis would.  The witness's ``basis_inverse``
+    composes the inverses of the moves that reached its basis.
     """
     w = reduce_word(w)
     walk = _basis_walk(max(len(w), 2))
@@ -413,7 +423,12 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
         while k < len(line) and line[k] < hnn_max_bases:
             if walk.edge_group(line[k]).trace(w) == 0:
                 p, t = walk.pairs[line[k]]
-                return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=_trusted(p, t))
+                inverse, i = IDENTITY, line[k]
+                while i:  # node i is its parent composed with move: invert up to (x, y)
+                    i, move = walk.visited[walk.pairs[i]]
+                    inverse = inverse.compose(_BASIS_INVERSES[move])
+                return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=_trusted(p, t),
+                                  basis_inverse=inverse)
             k += 1
         # Every basis of the line walked so far is traced: grow the walk by
         # what the scan would read next, unless that is past the budget.
@@ -447,9 +462,9 @@ def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassificatio
 def _classify(w: str, level: MinimalLevel, hnn_max_bases: int) -> JsjClassification:
     """``classify_jsj`` of a checked ``w`` with its minimal level."""
     # xyXY is a rotation of XYxy, hence in the same orbit: one target.
-    nu = level.carry("XYxy")
-    if nu is not None:
-        return JsjClassification(kind=CASE_QH, normalizer=nu)
+    carried = level.carry("XYxy")
+    if carried is not None:
+        return JsjClassification(kind=CASE_QH, normalizer=carried[0], normalizer_inverse=carried[1])
     try:
         witness = detect_hnn_splitting(w, hnn_max_bases)
     except SearchBudgetExceeded as exc:
@@ -478,12 +493,12 @@ def _symmetry_generators(w: str) -> list[tuple[AutF2, AutF2]]:
     the abelianization of its ``pi``, so none repeats and none is the identity.
     """
     out = []
-    for perm in TYPE1_AUTOMORPHISMS:
+    for perm, perm_inverse in zip(TYPE1_AUTOMORPHISMS, TYPE1_INVERSES):
         if perm.is_identity():
             continue
         h = conjugating_word(perm.apply(w), w)
         if h is not None:
-            out.append((inner(h).compose(perm), perm.inverse().compose(inner(invert(h)))))
+            out.append((inner(h).compose(perm), perm_inverse.compose(inner(invert(h)))))
     return out
 
 
@@ -498,12 +513,12 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
     w = reduce_word(w)
     gens = [CanonicalGenerator(_CONJUGATION, "conjugation-by-lhs", inner(w), inner(invert(w)))]
     if cls.kind == CASE_HNN:
-        basis, basis_inverse = cls.hnn.basis_aut, cls.hnn.basis_aut.inverse()
+        basis, basis_inverse = cls.hnn.basis_aut, cls.hnn.basis_inverse
         gens.append(CanonicalGenerator("t", "edge-twist",
                                        basis.compose(DELTA_Y).compose(basis_inverse),
                                        basis.compose(DELTA_Y_INVERSE).compose(basis_inverse)))
     elif cls.kind == CASE_QH:
-        nu, nui = cls.normalizer, cls.normalizer.inverse()
+        nu, nui = cls.normalizer, cls.normalizer_inverse
         gens.append(CanonicalGenerator("d", "boundary-twist-x", nui.compose(DELTA_X).compose(nu),
                                        nui.compose(DELTA_X_INVERSE).compose(nu)))
         gens.append(CanonicalGenerator("e", "boundary-twist-y", nui.compose(DELTA_Y).compose(nu),
@@ -696,7 +711,7 @@ def minimal_rank2_solutions(
         match = level.carry(rewritten)
         if match is None:
             continue
-        seed = _act(_values(pair), _letter_programs(match))
+        seed = _act(_values(pair), _letter_programs(match[0]))
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
         least = descend(seed, gens, eq.rhs)
@@ -737,9 +752,9 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
         return dataclasses.replace(inner_desc, equation=eq)
 
     level = MinimalLevel(w)
-    to_x = level.carry("x")
-    if to_x is not None:
-        family = ParametricFamily(aut=to_x, recover_y=to_x.inverse().image_y)
+    carried = level.carry("x")
+    if carried is not None:
+        family = ParametricFamily(aut=carried[0], recover_y=carried[1].image_y)
         g1, g2 = family.member(eq.rhs, "")
         if not eq.holds_for(g1, g2):
             raise AssertionError("parametric family failed verification")

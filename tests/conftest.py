@@ -1,14 +1,14 @@
-"""Shared test helpers: substitution, reduce-based oracles for
-the word functions that peel by index, rotation-loop oracles for the word
-functions that find rotations in one pass, the Nielsen move formula, a
-greedy-shortening oracle for the basis check, a graph-free membership oracle,
-a set-partition oracle and a refolding oracle for terminal candidates, a
-rebuild-every-node oracle for the edge-splitting search, a per-pair orbit
+"""Shared test helpers: substitution, reduce-based oracles for the word
+functions that peel by index, rotation-loop oracles for the word functions
+that find rotations in one pass, the Nielsen move formula, greedy-shortening
+oracles for the basis check and for the inverse, a graph-free membership
+oracle, a set-partition oracle and a refolding oracle for terminal candidates,
+a rebuild-every-node oracle for the edge-splitting search, a per-pair orbit
 search and two closed forms for the minimal-level lookup, an applying oracle
-for Whitehead minimization, an evaluating action
-on solutions, a widening-ball oracle for the orbit minimization, an evaluating
-oracle for the orbit walk, and an orbit-closure oracle and an unseeded-walk
-oracle for certify's rank-two coverage."""
+for Whitehead minimization, an evaluating action on solutions, a widening-ball
+oracle for the orbit minimization, an evaluating oracle for the orbit walk,
+and an orbit-closure oracle and an unseeded-walk oracle for certify's rank-two
+coverage."""
 
 import functools
 import itertools
@@ -17,6 +17,7 @@ from math import gcd
 
 from freeq.autf2 import (
     IDENTITY,
+    PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
     TYPE2_AUTOMORPHISMS,
     WHITEHEAD_AUTOMORPHISMS,
@@ -179,6 +180,27 @@ def greedy_is_basis_pair(w1, w2):
         if best is None:
             return sorted(c.lower() for c in cur) == ["x", "y"]
         cur = best[1]
+
+
+# The greedy inverse: shorten the images by the first product move that
+# shortens the pair, down to a signed permutation P of (x, y).  Then
+# ``aut . M1 ... Mk == P``, and the inverse is ``M1 ... Mk . P^-1``, P^-1 read
+# off letter by letter.  The library never searches for an inverse: it
+# composes each one alongside its automorphism.
+
+
+def nielsen_inverse(aut):
+    pair, inverse = (aut.image_x, aut.image_y), IDENTITY
+    while (total := len(pair[0]) + len(pair[1])) > 2:
+        for move, formula in zip(PRODUCT_MOVES, NIELSEN_MOVES):
+            new = nielsen_move(formula, pair)
+            if len(new[0]) + len(new[1]) < total:
+                pair, inverse = new, inverse.compose(move)
+                break
+        else:
+            raise AssertionError(f"no product move shortens the pair {pair!r}")
+    letters = {img.lower(): var if img.islower() else var.upper() for var, img in zip("xy", pair)}
+    return inverse.compose(AutF2(letters["x"], letters["y"]))
 
 
 def recursive_words_of_length(alphabet, n):
@@ -357,7 +379,7 @@ def pairs_in_search_order(bound):
 
 @functools.lru_cache(maxsize=None)
 def _bases_in_search_order(bound):
-    return tuple(((p, t), AutF2(p, t).inverse()) for p, t in pairs_in_search_order(bound))
+    return tuple(((p, t), nielsen_inverse(AutF2(p, t))) for p, t in pairs_in_search_order(bound))
 
 
 def rebuilding_hnn_splitting(w, hnn_max_bases=HNN_MAX_BASES):
@@ -373,7 +395,7 @@ def rebuilding_hnn_splitting(w, hnn_max_bases=HNN_MAX_BASES):
             q = conjugate(p, t)
             sub = build_subgroup_graph(VARIABLES, [p, q])
             if sub.rank() == 2 and sub.contains(w):
-                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t))
+                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t), basis_inverse=basis_inverse)
     return None
 
 
@@ -444,7 +466,7 @@ def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> Au
     h = conjugating_word(found.apply(m1), m2)
     if h is None:
         raise AssertionError("cyclic forms matched but words are not conjugate")
-    exact = a2.inverse().compose(inner(h).compose(found.compose(a1)))
+    exact = nielsen_inverse(a2).compose(inner(h).compose(found.compose(a1)))
     if exact.apply(source) != target:
         raise AssertionError("orbit search produced a wrong automorphism")
     return exact
@@ -501,7 +523,7 @@ def commutator_normalizer(w: str) -> AutF2 | None:
     m2, a2, _ = whitehead_minimize("XYxy")
     p = next(p for p in TYPE1_AUTOMORPHISMS if cyclic_normal_form(p.apply(m1)) == m2)
     h = conjugating_word(p.apply(m1), m2)
-    return a2.inverse().compose(inner(h).compose(p.compose(a1)))
+    return nielsen_inverse(a2).compose(inner(h).compose(p.compose(a1)))
 
 
 # The evaluating action: precompose a solution with an automorphism by
@@ -544,7 +566,7 @@ def widening_minimal_solutions(eq, gens):
         match = orbit_automorphism(eq.lhs, rewritten)
         if match is not None:
             seeds.add((evaluate(match.image_x, *pair), evaluate(match.image_y, *pair)))
-    actions = [g.aut for g in gens] + [g.aut.inverse() for g in gens]
+    actions = [g.aut for g in gens] + [nielsen_inverse(g.aut) for g in gens]
     reps = set()
     claimed = set()
     for seed in sorted(seeds, key=pair_key):

@@ -9,6 +9,7 @@ from conftest import (
     applying_whitehead_minimize,
     commutator_normalizer,
     greedy_is_basis_pair,
+    nielsen_inverse,
     nielsen_move,
     orbit_automorphism,
     pairs_in_search_order,
@@ -26,8 +27,9 @@ from freeq.autf2 import (
     PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
     TYPE2_AUTOMORPHISMS,
-    TYPE2_INVERSES,
+    TYPE1_INVERSES,
     WHITEHEAD_AUTOMORPHISMS,
+    WHITEHEAD_INVERSES,
     _act,
     _length_changes,
     _letter_programs,
@@ -38,7 +40,7 @@ from freeq.autf2 import (
     is_primitive,
     whitehead_minimize,
 )
-from freeq.solver import _basis_walk, _BasisWalk
+from freeq.solver import _BASIS_INVERSES, _basis_walk, _BasisWalk
 from freeq.words import (
     VARIABLES,
     Alphabet,
@@ -101,8 +103,8 @@ def test_compose_and_inverse():
         w = random_word(rng, 8)
         # compose follows function application: (a . b)(w) = a(b(w))
         assert a.compose(b).apply(w) == a.apply(b.apply(w))
-        assert a.compose(a.inverse()).is_identity()
-        assert a.inverse().compose(a).is_identity()
+        assert a.compose(nielsen_inverse(a)).is_identity()
+        assert nielsen_inverse(a).compose(a).is_identity()
     assert IDENTITY.apply("xYx") == "xYx"
 
 
@@ -112,7 +114,7 @@ def test_inner():
         g = random_word(rng, 6)
         w = random_word(rng, 6)
         assert inner(g).apply(w) == conjugate(w, g)
-    assert inner("x").inverse().apply("y") == "xyX"
+    assert nielsen_inverse(inner("x")).apply("y") == "xyX"
 
 
 def test_inner_rejects_foreign_letters():
@@ -129,15 +131,19 @@ def test_inner_rejects_foreign_letters():
     st.text(alphabet="xyXY", max_size=4),
 )
 def test_trusted_products_pass_validation(steps, g):
-    # compose, inverse and inner skip the basis check; the validating
-    # constructor must accept every automorphism they build, unchanged.
-    aut = IDENTITY
+    # compose and inner skip the basis check; the validating constructor
+    # must accept every automorphism they build, unchanged.  The inverse
+    # composed alongside, from the tabled inverses, is the greedy inverse.
+    aut = inverse = IDENTITY
     for index, inverted in steps:
-        step = WHITEHEAD_AUTOMORPHISMS[index]
-        aut = (step.inverse() if inverted else step).compose(aut)
-    for built in (aut, aut.inverse(), inner(g).compose(aut), inner(g)):
+        step, step_inverse = WHITEHEAD_AUTOMORPHISMS[index], WHITEHEAD_INVERSES[index]
+        if inverted:
+            step, step_inverse = step_inverse, step
+        aut, inverse = step.compose(aut), inverse.compose(step_inverse)
+    for built in (aut, inverse, inner(g).compose(aut), inner(g)):
         assert AutF2(built.image_x, built.image_y) == built
-    assert aut.inverse().compose(aut).is_identity()
+    assert inverse.compose(aut).is_identity()
+    assert inverse == nielsen_inverse(aut)
 
 
 def test_abelianized_determinant_is_unit():
@@ -161,7 +167,7 @@ def test_abelian_splitting_test_matches_rewritten_y_exponent():
     sample += random.Random(89).sample(list(words_upto(VARIABLES, 5)), 12)
     sums = [(exponent_sum(p, "x"), exponent_sum(p, "y")) for p, _ in walk.pairs]
     for (p, t), (px, py) in zip(walk.pairs, sums):
-        basis_inverse = AutF2(p, t).inverse()
+        basis_inverse = nielsen_inverse(AutF2(p, t))
         for w in sample:
             wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
             rewritten = basis_inverse.apply(w)
@@ -178,12 +184,15 @@ def test_abelian_splitting_test_matches_rewritten_y_exponent():
 
 
 def test_inverse_of_signed_permutations():
-    # The inverse of a signed permutation is read off letter by letter; alone
-    # and behind a random automorphism it composes to the identity both ways.
+    # The tabled inverse of each signed permutation is the greedy inverse,
+    # which reads it off letter by letter; the greedy inverse of the
+    # permutation alone and behind a random automorphism composes to the
+    # identity both ways.
     rng = random.Random(79)
-    for perm in TYPE1_AUTOMORPHISMS:
+    for perm, perm_inverse in zip(TYPE1_AUTOMORPHISMS, TYPE1_INVERSES):
+        assert perm_inverse == nielsen_inverse(perm), perm
         for aut in (perm, random_aut(rng).compose(perm), perm.compose(random_aut(rng))):
-            inv = aut.inverse()
+            inv = nielsen_inverse(aut)
             assert inv.compose(aut) == IDENTITY, aut
             assert aut.compose(inv) == IDENTITY, aut
 
@@ -192,10 +201,12 @@ def test_move_matches_its_automorphism():
     # Each move constant is the move formula applied to (x, y), in the
     # formula's order; the formula on a random basis is that basis composed
     # with the constant, and the action of the constant's programs on it.
+    # The basis walk's tabled inverse of each move is its greedy inverse.
     rng = random.Random(83)
-    assert len(ALL_MOVES) == len(NIELSEN_MOVES) == 18
-    for move, formula in zip(ALL_MOVES, NIELSEN_MOVES):
+    assert len(ALL_MOVES) == len(NIELSEN_MOVES) == len(_BASIS_INVERSES) == 18
+    for move, formula, inverse in zip(ALL_MOVES, NIELSEN_MOVES, _BASIS_INVERSES):
         assert (move.image_x, move.image_y) == nielsen_move(formula, ("x", "y"))
+        assert inverse == nielsen_inverse(move) and move.compose(inverse).is_identity()
         base = random_aut(rng)
         replayed = nielsen_move(formula, (base.image_x, base.image_y))
         composed = base.compose(move)
@@ -279,8 +290,10 @@ def test_whitehead_counts():
     assert len(TYPE1_AUTOMORPHISMS) == 8
     assert len(TYPE2_AUTOMORPHISMS) == 12
     assert len(WHITEHEAD_AUTOMORPHISMS) == 20
-    for t, inverse in zip(TYPE2_AUTOMORPHISMS, TYPE2_INVERSES):
-        assert inverse == t.inverse()
+    assert len(WHITEHEAD_INVERSES) == 20
+    for t, inverse in zip(WHITEHEAD_AUTOMORPHISMS, WHITEHEAD_INVERSES):
+        assert inverse == nielsen_inverse(t)
+        assert t.compose(inverse).is_identity()
 
 
 def test_whitehead_minimize_golden():
@@ -331,11 +344,23 @@ def test_whitehead_minimize_matches_applying_oracle():
         form, aut, inverse = whitehead_minimize(w)
         assert (form, aut) == applying_whitehead_minimize(w), w
         assert aut.compose(inverse).is_identity(), w
-        assert inverse == aut.inverse(), w
+        assert inverse == nielsen_inverse(aut), w
+
+
+def checked_carry(level, target):
+    """The automorphism of ``level.carry(target)``, once the inverse carried
+    with it is checked against the greedy inverse."""
+    carried = level.carry(target)
+    if carried is None:
+        return None
+    aut, inverse = carried
+    assert aut.compose(inverse).is_identity(), target
+    assert inverse == nielsen_inverse(aut), target
+    return aut
 
 
 def level_carry(source, target):
-    return MinimalLevel(source).carry(target)
+    return checked_carry(MinimalLevel(source), target)
 
 
 # The per-pair search oracle and the lookup on a fresh minimal level.
@@ -387,7 +412,7 @@ def test_minimal_level_carries_whitehead_images(w, products):
         for index in product:
             phi = WHITEHEAD_AUTOMORPHISMS[index].compose(phi)
         image = phi.apply(w)
-        aut = level.carry(image)
+        aut = checked_carry(level, image)
         assert aut is not None and aut.apply(w) == image, (w, image)
         assert aut == orbit_automorphism(w, image), (w, image)
 
@@ -402,7 +427,23 @@ def test_minimal_level_lookups_in_any_order_match_orbit_search():
         rng.shuffle(images)
         level = MinimalLevel(w)
         for image in images:
-            assert level.carry(image) == orbit_automorphism(w, image), (w, image)
+            assert checked_carry(level, image) == orbit_automorphism(w, image), (w, image)
+
+
+def test_level_paths_carry_their_inverses():
+    """On the level of every cyclic normal form of length at most 6, walked
+    whole, the minimizer and every form's path carry their inverses."""
+    forms = 0
+    for w in sorted({cyclic_normal_form(w) for w in words_upto(XY, 6)} - {""}):
+        level = MinimalLevel(w)
+        assert not level._reaches("")  # no form is empty: the walk runs to the end
+        assert level.inverse == nielsen_inverse(level.aut), w
+        for form, (path, inverse, image) in level.reached.items():
+            assert path.apply(level.minimal) == image and cyclic_normal_form(image) == form
+            assert path.compose(inverse).is_identity(), (w, form)
+            assert inverse == nielsen_inverse(path), (w, form)
+        forms += len(level.reached)
+    assert forms == 1940
 
 
 def test_is_primitive():
@@ -423,19 +464,19 @@ def test_is_primitive():
     for w in words_upto(XY, 7):
         expected = orbit_automorphism(w, "x")
         assert primitive_closed_form(w) == expected, w
-        assert MinimalLevel(w).carry("x") == expected, w
+        assert checked_carry(MinimalLevel(w), "x") == expected, w
 
 
 def test_commutator_normalizer():
     assert commutator_normalizer("XYxy") == IDENTITY
     assert commutator_normalizer("xxyy") is None
-    assert MinimalLevel("XYxy").carry("XYxy") == IDENTITY
+    assert MinimalLevel("XYxy").carry("XYxy") == (IDENTITY, IDENTITY)
     # The level lookup finds the automorphism the orbit search and Nielsen's
     # closed form find.
     for w in words_upto(XY, 7):
         expected = orbit_automorphism(w, "XYxy")
         assert commutator_normalizer(w) == expected, w
-        assert MinimalLevel(w).carry("XYxy") == expected, w
+        assert checked_carry(MinimalLevel(w), "XYxy") == expected, w
 
 
 def test_primitive_words_conjugation_closed():
