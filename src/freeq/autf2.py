@@ -320,16 +320,16 @@ class MinimalLevel:
                     self.forms.append(new)
         return form in self.reached
 
-    def carry(self, target: str) -> tuple[AutF2, AutF2] | None:
-        """``(aut, inverse)`` with ``aut.apply(w) == target``, or None when the
-        two words lie in different orbits.
+    def _match(self, target: str) -> tuple[AutF2, AutF2, AutF2, str] | None:
+        """``(aut, a, A_f^-1, h)``: the automorphism of ``carry(target)`` and
+        the factors its inverse is composed from, or None when the two words
+        lie in different orbits.
 
         The gcd of the exponent sums and the minimal length are invariants of
         the orbit.  Past them, the minimized target's form ``f`` on the level
         gives ``A_f`` with ``A_f(minimal)`` conjugate to the minimized
         target, and one conjugation ``inner(h)`` makes the match exact.  With
-        ``a`` the target's minimizer, ``aut = a^-1 . inner(h) . A_f . self.aut``,
-        and its inverse is ``self.inverse . A_f^-1 . inner(h^-1) . a``."""
+        ``a`` the target's minimizer, ``aut = a^-1 . inner(h) . A_f . self.aut``."""
         target = reduce_word(target)
         if gcd(exponent_sum(target, "x"), exponent_sum(target, "y")) != self.gcd:
             return None
@@ -338,13 +338,26 @@ class MinimalLevel:
             return None
         path, path_inverse, word = self.reached[m]
         h = conjugating_word(word, m)
-        return (a_inverse.compose(inner(h).compose(path.compose(self.aut))),
-                self.inverse.compose(path_inverse.compose(inner(invert(h)).compose(a))))
+        return a_inverse.compose(inner(h).compose(path.compose(self.aut))), a, path_inverse, h
+
+    def automorphism_to(self, target: str) -> AutF2 | None:
+        """An automorphism with ``aut.apply(w) == target``, or None when the
+        two words lie in different orbits; no inverse is composed."""
+        match = self._match(target)
+        return match and match[0]
+
+    def carry(self, target: str) -> tuple[AutF2, AutF2] | None:
+        """``(aut, inverse)`` for the ``aut`` of ``automorphism_to(target)``:
+        ``inverse = self.inverse . A_f^-1 . inner(h^-1) . a``."""
+        match = self._match(target)
+        if match is None:
+            return None
+        aut, a, path_inverse, h = match
+        return aut, self.inverse.compose(path_inverse.compose(inner(invert(h)).compose(a)))
 
 
 def is_primitive(w: str) -> AutF2 | None:
     """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive: the
     lookup of ``x`` on the minimal level of ``w``'s orbit.  By Whitehead,
     ``w`` is primitive exactly when its minimization ends at one letter."""
-    carried = MinimalLevel(w).carry("x")
-    return carried and carried[0]
+    return MinimalLevel(w).automorphism_to("x")

@@ -6,15 +6,26 @@ words inside a length ball that solves the equation, tagging each with the
 rank of the subgroup the pair generates.  The left side picks one of three
 routes; each walks the values of a kept variable ``s`` once and names the
 values of the other variable ``z`` to test, using only word arithmetic, and
-one loop confirms every candidate pair:
+one loop confirms every candidate pair.  Every route first keeps only the
+values the abelianized equation ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows,
+``ab`` being the exponent sums over the coefficient letters, grouping the
+ball by ``ab`` where that can remove some:
 
-- single run, ``s^a z^k s^b``: for each value of ``s``, ``z`` is the unique
-  k-th root of ``s^-a u s^-b``, found by one period test on the peeled core;
-- conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: for each value of
-  ``s``, ``z^-e`` conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z``
-  form one coset of a cyclic centralizer;
+- single run, ``s^a z^k s^b``: only the values of ``s`` with k dividing
+  ``ab(u) - (a+b)·ab(s)`` are kept (all or none of them when k divides
+  a+b); for each, ``z`` is the unique k-th root of ``s^-a u s^-b``, found by
+  one period test on the peeled core;
+- conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: only the values
+  of ``s`` with ``(a+b+c)·ab(s) = ab(u)`` are kept; for each, ``z^-e``
+  conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z`` form one
+  coset of a cyclic centralizer;
 - abelianization filter: for every other left side, ``z`` ranges over the
-  ball words whose exponent sums ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows.
+  ball words whose exponent sums the abelianized equation allows.
+
+Every sweep over the powers of a root ``r`` is bounded by its cyclic length,
+as a reduced ``r^n`` has length ``|n|·|core r| + 2|conj r|``: the centralizer
+coset's sweep and the family sweeps of ``certify`` stop at the last power
+that can fit in the ball.
 
 A proper-power left side ``v^n`` first becomes ``v = r``, r being the unique
 n-th root of ``u``, and ``v`` picks the route.  Every pair is confirmed on the
@@ -56,6 +67,8 @@ from .solver import (
 from .words import (
     WordError,
     conjugating_word,
+    cyclic_length,
+    cyclic_reduce,
     evaluate,  # not called here; bench/test_bench.py patches oracle.evaluate
     exponent_sum,
     kth_root,
@@ -127,9 +140,19 @@ def _flank(g: str, a: int, u: str, b: int) -> str:
 
 
 def _single_run_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
-    """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b."""
+    """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
+    The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` keeps only the
+    g with k dividing ``ab(u) - (a+b)·ab(g)``.  When k divides a+b, that
+    holds for every g or for none, so the ball is not bucketed."""
     z, a, k, b = shape
-    for g in ball:
+    ab_u = _ab(eq.rhs, eq.alphabet.letters)
+    if (a + b) % k == 0:
+        values = () if any(t % k for t in ab_u) else ball
+    else:
+        values = [g for key, bucket in _ab_buckets(ball, eq.alphabet.letters).items()
+                  if not any((t - (a + b) * n) % k for t, n in zip(ab_u, key))
+                  for g in bucket]
+    for g in values:
         root = kth_root(_flank(g, a, eq.rhs, b), k)
         if root is not None and len(root) <= max_len:
             yield (g, root) if z == "y" else (root, g)
@@ -154,14 +177,24 @@ def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
 
 
 def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
-    """Candidates for s^a z^e s^b z^-e s^c = u, by conjugacy.  With
-    B = g^b and V = g^-a u g^-c, h' = z^-e satisfies h'^-1 B h' = V.  For
-    B != 1 the solutions are h' = r^k h, where h = conjugating_word(B, V) and
-    r is the primitive root of B, whose cyclic group is the centralizer of B.
-    As |r^k h| >= |k| - |h|, the sweep |k| <= max_len + |h| finds every z in
-    the ball."""
+    """Candidates for s^a z^e s^b z^-e s^c = u, by conjugacy.  The
+    abelianized equation is ``(a+b+c)·ab(g) = ab(u)``, so only one bucket of
+    the ball holds values g of s, and none when a+b+c = 0 and ab(u) != 0.
+    With B = g^b and V = g^-a u g^-c, h' = z^-e satisfies h'^-1 B h' = V.
+    For B != 1 the solutions are h' = r^k h, where h = conjugating_word(B, V)
+    and r is the primitive root of B, whose cyclic group is the centralizer
+    of B.  As |r^k h| >= |k|·|core r| - |h|, the sweep
+    |k| <= (max_len + |h|) // |core r| finds every z in the ball."""
     z, a, e, b, c = shape
-    for g in ball:
+    ab_u = _ab(eq.rhs, eq.alphabet.letters)
+    n = a + b + c
+    if n == 0:
+        values = () if any(ab_u) else ball
+    elif any(t % n for t in ab_u):
+        values = ()
+    else:
+        values = _ab_buckets(ball, eq.alphabet.letters).get(tuple(t // n for t in ab_u), ())
+    for g in values:
         target = _flank(g, a, eq.rhs, c)
         if not g:
             others = () if target else ball
@@ -171,38 +204,45 @@ def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str
             if h is None:
                 continue
             root = primitive_root(base)[0]
-            span = max_len + len(h)
+            span = (max_len + len(h)) // cyclic_length(root)
             others = (power(multiply(power(root, k), h), -e) for k in range(-span, span + 1))
         for other in others:
             if len(other) <= max_len:
                 yield (g, other) if z == "y" else (other, g)
 
 
+def _ab(v: str, letters: str) -> tuple[int, ...]:
+    """The abelianization of ``v``: its exponent sums over ``letters``."""
+    return tuple(exponent_sum(v, c) for c in letters)
+
+
+def _ab_buckets(ball: list[str], letters: str) -> dict[tuple[int, ...], list[str]]:
+    """The ball's words grouped by abelianization, each group in ball order."""
+    buckets: dict[tuple[int, ...], list[str]] = {}
+    for v in ball:
+        buckets.setdefault(_ab(v, letters), []).append(v)
+    return buckets
+
+
 def _abelian_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
-    """Candidates for every other left side, by the abelianization ``ab``
-    (the exponent sums over the coefficient letters): ``w_s·ab(g) + w_z·ab(z)
-    = ab(u)``, so the value g of s fixes the one bucket of the ball that z
-    comes from.  When both exponent sums are zero, every pair is a candidate
-    if ``ab(u) = 0``, and none otherwise."""
+    """Candidates for every other left side, by the abelianized equation
+    ``w_s·ab(g) + w_z·ab(z) = ab(u)``: the value g of s fixes the one bucket
+    of the ball that z comes from.  When both exponent sums are zero, every
+    pair is a candidate if ``ab(u) = 0``, and none otherwise."""
     z, ws, wz = shape
-    letters = eq.alphabet.letters
-
-    def ab(v: str) -> tuple[int, ...]:
-        return tuple(exponent_sum(v, c) for c in letters)
-
-    target = ab(eq.rhs)
+    ab_u = _ab(eq.rhs, eq.alphabet.letters)
     if wz == 0:
-        if not any(target):
+        if not any(ab_u):
             yield from itertools.product(ball, repeat=2)
         return
-    keys = [ab(v) for v in ball]
-    buckets: dict[tuple[int, ...], list[str]] = {}
-    for v, key in zip(ball, keys):
-        buckets.setdefault(key, []).append(v)
-    for g, key in zip(ball, keys):
-        need = [t - ws * n for t, n in zip(target, key)]
-        if not any(n % wz for n in need):
-            for other in buckets.get(tuple(n // wz for n in need), ()):
+    buckets = _ab_buckets(ball, eq.alphabet.letters)
+    for key, values in buckets.items():
+        need = [t - ws * n for t, n in zip(ab_u, key)]
+        if any(n % wz for n in need):
+            continue
+        others = buckets.get(tuple(n // wz for n in need), ())
+        for g in values:
+            for other in others:
                 yield (g, other) if z == "y" else (other, g)
 
 
@@ -243,14 +283,21 @@ def brute_force_solutions(eq: Equation, max_len: int) -> BruteForceResult:
     return BruteForceResult(equation=eq, max_len=max_len, solutions=solutions)
 
 
+def _power_span(r: str, max_len: int) -> int:
+    """The largest |n| with |r^n| <= max_len, for a reduced r != 1 (negative
+    when only r^0 fits): r^n, n != 0, has length |n|·|core r| + 2|conj r|."""
+    core, conj = cyclic_reduce(r)
+    return (max_len - 2 * len(conj)) // len(core)
+
+
 def _rank1_in_ball(family: Rank1Family | None, max_len: int) -> set:
-    # A reduced power r^n has length |n|*|core(r)| + 2|conjugator|, so |n| can
-    # never exceed the ball radius; sweeping that far and filtering by actual
-    # length is exact even for cyclically non-reduced roots.
+    # Both exponents (p + n·dx, q + n·dy) of a member in the ball are 0 or at
+    # most m = _power_span(root) in size, and one of dx, dy is non-zero, so
+    # |n| <= max(m, 0) + |p| + |q|; filtering that sweep by length is exact.
     out: set[Pair] = set()
     if family is None or family.is_empty():
         return out
-    span = max_len + abs(family.base[0]) + abs(family.base[1]) + 2
+    span = max(_power_span(family.root, max_len), 0) + abs(family.base[0]) + abs(family.base[1])
     for n in range(-span, span + 1):
         n1, n2 = family.exponents(n)
         g1, g2 = power(family.root, n1), power(family.root, n2)
@@ -264,12 +311,12 @@ def _trivial_in_ball(family: TrivialFamily, eq: Equation, max_len: int) -> set:
     for r in words_upto(eq.alphabet, max_len):
         if not r or primitive_root(r)[1] > 1:
             continue
-        for n1 in range(-max_len, max_len + 1):
-            for n2 in range(-max_len, max_len + 1):
+        span = _power_span(r, max_len)
+        exponents = range(-span, span + 1)
+        for n1 in exponents:
+            for n2 in exponents:
                 if family.contains_exponents(n1, n2):
-                    g1, g2 = power(r, n1), power(r, n2)
-                    if len(g1) <= max_len and len(g2) <= max_len:
-                        out.add((g1, g2))
+                    out.add((power(r, n1), power(r, n2)))
     return out
 
 

@@ -453,7 +453,7 @@ def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassificatio
     """
     root, _ = primitive_root(_check_lhs(w))
     level = MinimalLevel(root)
-    if level.carry("x") is not None:
+    if level.automorphism_to("x") is not None:
         raise WordError(f"the root {root} of the left side is primitive: "
                         "its equations are parametric, with no splitting case")
     return _classify(root, level, hnn_max_bases)
@@ -696,10 +696,10 @@ def minimal_rank2_solutions(
     right side lies in the orbit of the left side, sorted by ``pair_key``.
 
     The walk yields only the candidates whose rewritten right side's
-    exponent sums have the gcd ``level.gcd``, the first test of ``carry``.
-    Each candidate's rewritten right side is looked up on ``level``, the
-    minimal level of the left side's orbit that describe built; a hit
-    carries the left side to it, and precomposing the basis
+    exponent sums have the gcd ``level.gcd``, the first test of
+    ``automorphism_to``.  Each candidate's rewritten right side is looked up
+    on ``level``, the minimal level of the left side's orbit that describe
+    built; a hit carries the left side to it, and precomposing the basis
     with that automorphism gives a seed.  ``descend`` carries the seed to
     the least pair of its orbit under the canonical generators.
     Precomposing with an automorphism keeps ``<g1, g2>``, so the orbits of
@@ -708,10 +708,10 @@ def minimal_rank2_solutions(
     """
     reps = []
     for pair, rewritten in terminal_candidates(eq, level.gcd):
-        match = level.carry(rewritten)
+        match = level.automorphism_to(rewritten)
         if match is None:
             continue
-        seed = _act(_values(pair), _letter_programs(match[0]))
+        seed = _act(_values(pair), _letter_programs(match))
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
         least = descend(seed, gens, eq.rhs)
@@ -798,7 +798,8 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
 
 
 def _checked(eq: Equation, pair: Pair) -> Pair:
-    pair = (reduce_word(pair[0]), reduce_word(pair[1]))
+    """``pair`` once it solves ``eq``.  Every pair checked here is already
+    reduced: it comes from ``_act``, ``power`` or ``evaluate``."""
     if not eq.holds_for(*pair):
         raise AssertionError("generated pair failed verification against the equation")
     return pair

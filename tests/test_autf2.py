@@ -349,8 +349,10 @@ def test_whitehead_minimize_matches_applying_oracle():
 
 def checked_carry(level, target):
     """The automorphism of ``level.carry(target)``, once the inverse carried
-    with it is checked against the greedy inverse."""
+    with it is checked against the greedy inverse and the automorphism
+    against ``level.automorphism_to(target)``, which composes no inverse."""
     carried = level.carry(target)
+    assert level.automorphism_to(target) == (carried and carried[0]), target
     if carried is None:
         return None
     aut, inverse = carried

@@ -16,11 +16,20 @@ from freeq import oracle, solver
 from freeq.graphs import build_subgroup_graph
 from freeq.oracle import (
     _conjugate_pair_shape,
+    _rank1_in_ball,
     _single_run_shape,
+    _trivial_in_ball,
     brute_force_solutions,
     certify,
 )
-from freeq.solver import KIND_JSJ, STATUS_OK, Equation, describe_variety
+from freeq.solver import (
+    KIND_JSJ,
+    STATUS_OK,
+    Equation,
+    describe_variety,
+    rank1_family,
+    solve_trivial_rhs,
+)
 from freeq.words import (
     Alphabet,
     WordError,
@@ -102,6 +111,9 @@ def single_run_word(z, a, k, b):
     st.sampled_from(list(words_upto(AB, 2))),
     st.integers(0, 3),
 )
+@example("y", 2, 3, 0, "planted", "ab", "b", 3)  # xxyyy: k does not divide a+b
+@example("y", 2, 4, 0, "letter", "", "", 3)  # xxyyyy = a: 4 divides no 1 - 2·ab(g)
+@example("y", 2, 2, 0, "letter", "", "", 3)  # xxyy = a: k | a+b, k does not divide ab(u)
 def test_single_run_elimination_matches_naive_scan(z, a, k, b, kind, g1, g2, max_len):
     # The root route must find exactly the pairs of the full double loop.
     w = single_run_word(z, a, k, b)
@@ -154,6 +166,9 @@ def test_conjugate_pair_shape_detection():
     st.sampled_from(list(words_upto(AB, 2))),
     st.integers(0, 3),
 )
+@example("y", 1, -1, -1, 0, "unsolvable", "", "", 3)  # xYXy = a: a+b+c = 0, ab(u) != 0
+@example("y", 1, -1, 1, 0, "planted", "ab", "b", 3)  # xYxy: a+b+c = 2, one ab bucket
+@example("x", -1, 1, 2, 0, "planted", "aB", "ab", 3)  # YxyyX: a+b+c = 1
 def test_conjugate_pair_elimination_matches_naive_scan(z, a, e, b, c, kind, g1, g2, max_len):
     # The conjugacy route (or the single-run route, which some of these
     # words also fit) must find exactly the pairs of the full double loop.
@@ -244,6 +259,57 @@ def test_abelianization_filter_tests_exactly_the_allowed_pairs(monkeypatch, w, u
     allowed = [(g1, g2) for g1 in ball for g2 in ball
                if tuple(wx * m + wy * n for m, n in zip(ab(g1), ab(g2))) == ab(u)]
     assert sorted(tested) == sorted(allowed)
+
+
+def counting_conjugacy_tests(monkeypatch):
+    """Count the calls of ``conjugating_word`` made by the oracle."""
+    calls = [0]
+    conjugating_word = oracle.conjugating_word
+
+    def counting(*args):
+        calls[0] += 1
+        return conjugating_word(*args)
+
+    monkeypatch.setattr(oracle, "conjugating_word", counting)
+    return calls
+
+
+def test_conjugate_pair_tests_only_the_allowed_bucket(monkeypatch):
+    # xYxy = aBab forces 2·ab(g) = ab(aBab) = (2, 0): only the values g of x
+    # with ab(g) = (1, 0) are tested for conjugacy.
+    calls = counting_conjugacy_tests(monkeypatch)
+    result = brute_force_solutions(eq("xYxy", "aBab"), 5)
+    bucket = [g for g in words_upto(AB, 5) if (exponent_sum(g, "a"), exponent_sum(g, "b")) == (1, 0)]
+    assert calls[0] == len(bucket)
+    assert len(result.solutions) == 19
+
+
+def test_conjugate_pair_with_zero_exponent_sum_tests_nothing(monkeypatch):
+    # [x,y] has a+b+c = 0 and ab(ab) != 0: no value of x is tested.
+    calls = counting_conjugacy_tests(monkeypatch)
+    assert brute_force_solutions(eq("XYxy", "ab"), 5).solutions == ()
+    assert calls[0] == 0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from([w for w in words_upto(Alphabet.from_string("xy"), 4) if w]),
+    st.sampled_from(("", "a", "aa", "ab", "abab", "abA", "aBBA", "abb", "aabAA")),
+    st.integers(0, 3),
+)
+@example("xxyy", "", 4)  # roots up to the ball's length, conjugated ones too
+@example("xy", "abb", 3)  # the root is as long as the ball: one power fits
+@example("xxy", "aaabAAA", 4)  # |conj r| = 3 > 4/2: only r^0 fits
+@example("xxxyy", "a" * 12, 4)  # (a^2, a^3) is n = -5 from the Bezout base (12, -12)
+def test_family_sweeps_match_naive_scan(w, u, max_len):
+    # The commuting solutions of w = u are the rank-one family's members in
+    # the ball, and every solution of w = 1 is a trivial-family member.
+    e = eq(w, u)
+    expected = {pair for pair in naive_scan(e, max_len) if pair_rank(*pair) < 2}
+    if u:
+        assert _rank1_in_ball(rank1_family(e), max_len) == expected
+    else:
+        assert _trivial_in_ball(solve_trivial_rhs(e), e, max_len) == expected
 
 
 def test_certify_full_scan_at_larger_ball():
