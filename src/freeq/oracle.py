@@ -8,8 +8,8 @@ routes; each walks the values of a kept variable ``s`` once and names the
 values of the other variable ``z`` to test, using only word arithmetic, and
 one loop confirms every candidate pair.  Every route first keeps only the
 values the abelianized equation ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows,
-``ab`` being the exponent sums over the coefficient letters, grouping the
-ball by ``ab`` where that can remove some:
+``ab`` being the exponent sums over the coefficient letters; ``ab`` of a
+ball word is computed only where the equation can remove some values:
 
 - single run, ``s^a z^k s^b``: only the values of ``s`` with k dividing
   ``ab(u) - (a+b)·ab(s)`` are kept (all or none of them when k divides
@@ -142,14 +142,16 @@ def _flank(g: str, a: int, u: str, b: int) -> str:
 def _single_run_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
     """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
     The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` keeps only the
-    g with k dividing ``ab(u) - (a+b)·ab(g)``.  When k divides a+b, that
-    holds for every g or for none, so the ball is not bucketed."""
+    g with k dividing ``ab(u) - (a+b)·ab(g)``, tested once per bucket of the
+    ball by ``ab``.  When k divides a+b, that holds for every g or for none,
+    so the ball is not bucketed."""
     z, a, k, b = shape
-    ab_u = _ab(eq.rhs, eq.alphabet.letters)
+    letters = eq.alphabet.letters
+    ab_u = _ab(eq.rhs, letters)
     if (a + b) % k == 0:
         values = () if any(t % k for t in ab_u) else ball
     else:
-        values = [g for key, bucket in _ab_buckets(ball, eq.alphabet.letters).items()
+        values = [g for key, bucket in _ab_buckets(ball, letters).items()
                   if not any((t - (a + b) * n) % k for t, n in zip(ab_u, key))
                   for g in bucket]
     for g in values:
@@ -178,22 +180,23 @@ def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
 
 def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
     """Candidates for s^a z^e s^b z^-e s^c = u, by conjugacy.  The
-    abelianized equation is ``(a+b+c)·ab(g) = ab(u)``, so only one bucket of
-    the ball holds values g of s, and none when a+b+c = 0 and ab(u) != 0.
+    abelianized equation is ``(a+b+c)·ab(g) = ab(u)``, so only the g with
+    ``ab(g) = ab(u) / (a+b+c)`` are values of s: every g or none when
+    a+b+c = 0, and none when a+b+c does not divide ab(u).
     With B = g^b and V = g^-a u g^-c, h' = z^-e satisfies h'^-1 B h' = V.
     For B != 1 the solutions are h' = r^k h, where h = conjugating_word(B, V)
     and r is the primitive root of B, whose cyclic group is the centralizer
     of B.  As |r^k h| >= |k|·|core r| - |h|, the sweep
     |k| <= (max_len + |h|) // |core r| finds every z in the ball."""
     z, a, e, b, c = shape
-    ab_u = _ab(eq.rhs, eq.alphabet.letters)
+    letters = eq.alphabet.letters
+    ab_u = _ab(eq.rhs, letters)
     n = a + b + c
-    if n == 0:
+    if n == 0 or any(t % n for t in ab_u):
         values = () if any(ab_u) else ball
-    elif any(t % n for t in ab_u):
-        values = ()
     else:
-        values = _ab_buckets(ball, eq.alphabet.letters).get(tuple(t // n for t in ab_u), ())
+        key = tuple(t // n for t in ab_u)
+        values = [g for g in ball if _ab(g, letters) == key]
     for g in values:
         target = _flank(g, a, eq.rhs, c)
         if not g:
@@ -212,8 +215,9 @@ def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str
 
 
 def _ab(v: str, letters: str) -> tuple[int, ...]:
-    """The abelianization of ``v``: its exponent sums over ``letters``."""
-    return tuple(exponent_sum(v, c) for c in letters)
+    """The abelianization of ``v``: its exponent sums over the lowercase
+    ``letters``, as ``exponent_sum`` counts them."""
+    return tuple([v.count(c) - v.count(c.upper()) for c in letters])
 
 
 def _ab_buckets(ball: list[str], letters: str) -> dict[tuple[int, ...], list[str]]:
