@@ -9,9 +9,10 @@ Validation happens once, where images come from outside.  The results of
 ``compose`` and ``inner`` are trusted without a basis check: a product of
 automorphisms is an automorphism, and a conjugation is one by construction.
 
-One action, ``_act``, substitutes images for letters, cancelling reduced
-factors only where two meet: it is ``apply`` and ``compose``, and it applies
-the Nielsen moves, themselves automorphisms, to basis pairs.
+One action, ``_act``, reads image words letter by letter and substitutes
+each letter's value from a per-letter table, cancelling reduced factors
+only where two meet: it is ``apply`` and ``compose``, and it applies the
+Nielsen moves, themselves automorphisms, to basis pairs by their images.
 
 No automorphism is inverted after the fact: each is a product of moves
 with tabled inverses (``TYPE1_INVERSES``, ``TYPE2_INVERSES``) and of
@@ -80,11 +81,14 @@ class AutF2:
 
     def apply(self, w: str) -> str:
         """The image of ``w``, a word in x and y, reduced or not."""
-        return _act(_values((self.image_x, self.image_y)), (_program(w),))[0]
+        try:
+            return _act(_values((self.image_x, self.image_y)), (w,))[0]
+        except KeyError:
+            raise WordError(f"{w!r} is not a word in x and y") from None
 
     def compose(self, other: "AutF2") -> "AutF2":
         """self after other: ``(self.compose(other)).apply(w) == self.apply(other.apply(w))``."""
-        return _trusted(*_act(_values((self.image_x, self.image_y)), _letter_programs(other)))
+        return _trusted(*_act(_values((self.image_x, self.image_y)), (other.image_x, other.image_y)))
 
     def is_identity(self) -> bool:
         return self.image_x == "x" and self.image_y == "y"
@@ -108,52 +112,37 @@ def _trusted(image_x: str, image_y: str) -> AutF2:
     return aut
 
 
-# Images are spelled as programs over slot values: slot i ^ 1 holds the
-# inverse of slot i, so x, X, y, Y index a pair's values (g1, g1^-1, g2,
-# g2^-1).  The solver appends (u, u^-1) as slots 4 and 5.
-_SLOTS = {"x": 0, "X": 1, "y": 2, "Y": 3}
+def _values(pair: Pair) -> dict[str, tuple[str, str]]:
+    """The value table of a pair of reduced words: each of x, X, y, Y with
+    its value on the pair and that value's inverse.  The solver adds u and U
+    for its right side."""
+    g1, g2 = pair
+    G1, G2 = invert(g1), invert(g2)
+    return {"x": (g1, G1), "X": (G1, g1), "y": (g2, G2), "Y": (G2, g2)}
 
 
-def _program(w: str) -> tuple[int, ...]:
-    """The program that spells ``w`` letter by letter."""
-    try:
-        return tuple(_SLOTS[c] for c in w)
-    except KeyError:
-        raise WordError(f"{w!r} is not a word in x and y") from None
-
-
-def _letter_programs(aut: AutF2) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The programs that spell the images of ``aut`` letter by letter."""
-    return _program(aut.image_x), _program(aut.image_y)
-
-
-def _values(pair: Pair, conj: tuple[str, ...] = ()) -> tuple[str, ...]:
-    """The slot values of a pair of reduced words, then those of ``conj``."""
-    return (pair[0], invert(pair[0]), pair[1], invert(pair[1])) + conj
-
-
-def _act(values: tuple[str, ...], programs, ball: float = inf) -> tuple[str, ...] | None:
-    """The words that ``programs`` spell over the slot ``values``, or None
-    once their total length exceeds ``ball``.  Reduced factors cancel only
-    where two meet (Lyndon–Schupp I.1), by the common suffix of the product
-    so far and the next factor's inverse."""
-    image, total = [], 0
-    for program in programs:
+def _act(values: dict[str, tuple[str, str]], images, ball: float = inf) -> tuple[str, ...] | None:
+    """The words that ``images`` spell over the letters of ``values``, or
+    None once their total length exceeds ``ball``.  Reduced factors cancel
+    only where two meet (Lyndon–Schupp I.1), by the common suffix of the
+    product so far and the next factor's inverse."""
+    out_images, total = [], 0
+    for image in images:
         out = ""
-        for i in program:
-            inv = values[i ^ 1]
+        for c in image:
+            value, inv = values[c]
             if out and out[-1] == inv[-1:]:
                 k, n = 1, min(len(out), len(inv))
                 while k < n and out[-1 - k] == inv[-1 - k]:
                     k += 1
-                out = out[:len(out) - k] + values[i][k:]
+                out = out[:len(out) - k] + value[k:]
             else:
-                out += values[i]
+                out += value
         total += len(out)
         if total > ball:
             return None
-        image.append(out)
-    return tuple(image)
+        out_images.append(out)
+    return tuple(out_images)
 
 
 # The cyclic words of [x, y] and [y, x].
@@ -320,16 +309,16 @@ class MinimalLevel:
                     self.forms.append(new)
         return form in self.reached
 
-    def _match(self, target: str) -> tuple[AutF2, AutF2, AutF2, str] | None:
-        """``(aut, a, A_f^-1, h)``: the automorphism of ``carry(target)`` and
-        the factors its inverse is composed from, or None when the two words
-        lie in different orbits.
+    def carry(self, target: str) -> tuple[AutF2, AutF2] | None:
+        """``(aut, inverse)`` with ``aut.apply(w) == target``, or None when
+        the two words lie in different orbits.
 
         The gcd of the exponent sums and the minimal length are invariants of
         the orbit.  Past them, the minimized target's form ``f`` on the level
         gives ``A_f`` with ``A_f(minimal)`` conjugate to the minimized
         target, and one conjugation ``inner(h)`` makes the match exact.  With
-        ``a`` the target's minimizer, ``aut = a^-1 . inner(h) . A_f . self.aut``."""
+        ``a`` the target's minimizer, ``aut = a^-1 . inner(h) . A_f . self.aut``
+        and ``inverse = self.inverse . A_f^-1 . inner(h^-1) . a``."""
         target = reduce_word(target)
         if gcd(exponent_sum(target, "x"), exponent_sum(target, "y")) != self.gcd:
             return None
@@ -338,26 +327,13 @@ class MinimalLevel:
             return None
         path, path_inverse, word = self.reached[m]
         h = conjugating_word(word, m)
-        return a_inverse.compose(inner(h).compose(path.compose(self.aut))), a, path_inverse, h
-
-    def automorphism_to(self, target: str) -> AutF2 | None:
-        """An automorphism with ``aut.apply(w) == target``, or None when the
-        two words lie in different orbits; no inverse is composed."""
-        match = self._match(target)
-        return match and match[0]
-
-    def carry(self, target: str) -> tuple[AutF2, AutF2] | None:
-        """``(aut, inverse)`` for the ``aut`` of ``automorphism_to(target)``:
-        ``inverse = self.inverse . A_f^-1 . inner(h^-1) . a``."""
-        match = self._match(target)
-        if match is None:
-            return None
-        aut, a, path_inverse, h = match
-        return aut, self.inverse.compose(path_inverse.compose(inner(invert(h)).compose(a)))
+        return (a_inverse.compose(inner(h).compose(path.compose(self.aut))),
+                self.inverse.compose(path_inverse.compose(inner(invert(h)).compose(a))))
 
 
 def is_primitive(w: str) -> AutF2 | None:
     """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive: the
     lookup of ``x`` on the minimal level of ``w``'s orbit.  By Whitehead,
     ``w`` is primitive exactly when its minimization ends at one letter."""
-    return MinimalLevel(w).automorphism_to("x")
+    carried = MinimalLevel(w).carry("x")
+    return carried and carried[0]

@@ -71,6 +71,7 @@ from .words import (
     cyclic_reduce,
     evaluate,  # not called here; bench/test_bench.py patches oracle.evaluate
     exponent_sum,
+    invert,
     kth_root,
     multiply,
     pair_key,
@@ -311,16 +312,21 @@ def _rank1_in_ball(family: Rank1Family | None, max_len: int) -> set:
 
 
 def _trivial_in_ball(family: TrivialFamily, eq: Equation, max_len: int) -> set:
+    # The members (r^n1, r^n2) over primitive roots r, the lesser of r and
+    # r^-1 only, as the lattice is symmetric: every exponent pair for two
+    # generators, the multiples k·(d1, d2) with |k·d1|, |k·d2| <= span for one.
     out = {("", "")}
     for r in words_upto(eq.alphabet, max_len):
-        if not r or primitive_root(r)[1] > 1:
+        if not r or invert(r) < r or primitive_root(r)[1] > 1:
             continue
         span = _power_span(r, max_len)
-        exponents = range(-span, span + 1)
-        for n1 in exponents:
-            for n2 in exponents:
-                if family.contains_exponents(n1, n2):
-                    out.add((power(r, n1), power(r, n2)))
+        if len(family.generators) == 2:
+            powers = [power(r, n) for n in range(-span, span + 1)]
+            out.update(itertools.product(powers, repeat=2))
+            continue
+        (d1, d2), = family.generators
+        m = span // max(abs(d1), abs(d2))
+        out.update((power(r, k * d1), power(r, k * d2)) for k in range(-m, m + 1))
     return out
 
 

@@ -23,7 +23,8 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
 Steps 4 and 7 ask whether ``w`` lies in the orbit of ``x``, of ``[x, y]``
 and of each candidate's rewritten right side: each is a lookup on one
 ``MinimalLevel`` of ``w``, built once per left side.  Nielsen moves act on
-basis pairs, and generators on solutions, by ``autf2._act``.
+basis pairs, and generators on solutions, by ``autf2._act``, which reads
+their image words letter by letter.
 
 Every emitted solution pair is re-verified against the equation before it is
 returned.
@@ -47,7 +48,6 @@ from .autf2 import (
     MinimalLevel,
     SearchBudgetExceeded,
     _act,
-    _letter_programs,
     _trusted,
     _values,
     inner,
@@ -331,7 +331,7 @@ def reduce_proper_power(eq: Equation) -> Equation | None:
     return Equation(eq.alphabet, root_w, root_u)
 
 
-_BASIS_PROGRAMS = tuple(_letter_programs(move) for move in PRODUCT_MOVES + INVERSION_MOVES)
+_BASIS_MOVES = tuple((move.image_x, move.image_y) for move in PRODUCT_MOVES + INVERSION_MOVES)
 # Product move i sets x to (x^e1 y^e2)^e3 (or y likewise, i >= 8), the bits of i % 8
 # being e1 e2 e3 with 1 for -1: its inverse is (x^e3 y^-e2)^e1.  Inversions are involutions.
 _BASIS_INVERSES = tuple(PRODUCT_MOVES[i & 8 | (2, 6, 0, 4, 3, 7, 1, 5)[i & 7]]
@@ -370,8 +370,8 @@ class _BasisWalk:
         pairs, lines = self.pairs, self.lines
         while len(pairs) <= i and self.head < len(pairs):
             values = _values(pairs[self.head])
-            for move, programs in enumerate(_BASIS_PROGRAMS):
-                new = _act(values, programs, self.bound)
+            for move, images in enumerate(_BASIS_MOVES):
+                new = _act(values, images, self.bound)
                 if new is not None and new not in self.visited:
                     self.visited[new] = (self.head, move)
                     px, py = exponent_sum(new[0], "x"), exponent_sum(new[0], "y")
@@ -453,7 +453,7 @@ def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassificatio
     """
     root, _ = primitive_root(_check_lhs(w))
     level = MinimalLevel(root)
-    if level.automorphism_to("x") is not None:
+    if level.carry("x") is not None:
         raise WordError(f"the root {root} of the left side is primitive: "
                         "its equations are parametric, with no splitting case")
     return _classify(root, level, hnn_max_bases)
@@ -531,17 +531,28 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
     return tuple(gens)
 
 
-# A generator acts on a solution (g1, g2) of w = u by ``_act`` over the slot
-# values (g1, g1^-1, g2, g2^-1, u, u^-1); c = inner(w) takes each g to
-# w(g1, g2)^-1 g w(g1, g2) = u^-1 g u.
-_CONJUGATION_PROGRAMS = (((5, 0, 4), (5, 2, 4)), ((4, 0, 5), (4, 2, 5)))
+# A generator acts on a solution (g1, g2) of w = u by ``_act`` over the pair's
+# value table with u and U, the right side and its inverse; c = inner(w) takes
+# each g to w(g1, g2)^-1 g w(g1, g2) = u^-1 g u, so c is spelled (Uxu, Uyu).
+_CONJUGATION_IMAGES = (("Uxu", "Uyu"), ("uxU", "uyU"))
 
 
-def _programs(gen: CanonicalGenerator, inverse: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The programs of ``gen``, or of its inverse, on a solution."""
+def _images(gen: CanonicalGenerator, inverse: bool) -> Pair:
+    """The images of ``gen``, or of its inverse, on a solution."""
     if gen.symbol == _CONJUGATION:
-        return _CONJUGATION_PROGRAMS[inverse]
-    return _letter_programs(gen.inverse if inverse else gen.aut)
+        return _CONJUGATION_IMAGES[inverse]
+    aut = gen.inverse if inverse else gen.aut
+    return aut.image_x, aut.image_y
+
+
+def _actions(gens) -> list[Pair]:
+    """The images of every generator in ``gens``, then of each inverse."""
+    return [_images(g, inverse) for inverse in (False, True) for g in gens]
+
+
+def _rhs_values(rhs: str) -> dict[str, Pair]:
+    """The entries of u and U in a solution's value table."""
+    return {"u": (rhs, invert(rhs)), "U": (invert(rhs), rhs)}
 
 
 def terminal_candidates(eq: Equation, sums_gcd: int):
@@ -636,16 +647,16 @@ def orbit_walk(seed: Pair, gens, rhs: str) -> set[Pair]:
     the walk ends.
     """
     ball = max(2 * len(rhs) + 4, len(seed[0]) + len(seed[1]))
-    actions = [_programs(g, False) for g in gens] + [_programs(g, True) for g in gens]
-    conj = (rhs, invert(rhs))
+    actions = _actions(gens)
+    rhs_values = _rhs_values(rhs)
     queue = [(seed, -1)]  # each pair with the action that leads back to its parent
     visited = {seed}
     for pair, back in queue:  # the list grows while it is walked: breadth first
-        values = _values(pair, conj)
-        for i, programs in enumerate(actions):
+        values = _values(pair) | rhs_values
+        for i, images in enumerate(actions):
             if i == back:
                 continue
-            new = _act(values, programs, ball)
+            new = _act(values, images, ball)
             if new is None or new in visited:
                 continue
             visited.add(new)
@@ -665,16 +676,16 @@ def descend(seed: Pair, gens, rhs: str) -> Pair:
     solve ``w = u``, ``u`` being ``rhs``.  No step lengthens a pair, so no
     ball is needed.
     """
-    actions = [_programs(g, False) for g in gens] + [_programs(g, True) for g in gens]
-    conj = (rhs, invert(rhs))
+    actions = _actions(gens)
+    rhs_values = _rhs_values(rhs)
     pair = seed
     while True:
         total = len(pair[0]) + len(pair[1])
         plateau, seen, shorter = [pair], {pair}, []
         for node in plateau:  # the list grows while it is walked: breadth first
-            values = _values(node, conj)
-            for programs in actions:
-                new = _act(values, programs, total)
+            values = _values(node) | rhs_values
+            for images in actions:
+                new = _act(values, images, total)
                 if new is None or new in seen:
                     continue
                 seen.add(new)
@@ -697,7 +708,7 @@ def minimal_rank2_solutions(
 
     The walk yields only the candidates whose rewritten right side's
     exponent sums have the gcd ``level.gcd``, the first test of
-    ``automorphism_to``.  Each candidate's rewritten right side is looked up
+    ``level.carry``.  Each candidate's rewritten right side is looked up
     on ``level``, the minimal level of the left side's orbit that describe
     built; a hit carries the left side to it, and precomposing the basis
     with that automorphism gives a seed.  ``descend`` carries the seed to
@@ -708,10 +719,10 @@ def minimal_rank2_solutions(
     """
     reps = []
     for pair, rewritten in terminal_candidates(eq, level.gcd):
-        match = level.automorphism_to(rewritten)
-        if match is None:
+        carried = level.carry(rewritten)
+        if carried is None:
             continue
-        seed = _act(_values(pair), _letter_programs(match))
+        seed = _act(_values(pair), (carried[0].image_x, carried[0].image_y))
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
         least = descend(seed, gens, eq.rhs)
@@ -860,14 +871,12 @@ def generate_orbit(desc: VarietyDescription, index: int, sigma: str) -> Pair:
     """
     sol = _minimal_solution(desc, index)
     symbols = {g.symbol for g in desc.generators}
-    conj = (desc.reduced.rhs, invert(desc.reduced.rhs))
-    programs = {}
+    rhs_values = _rhs_values(desc.reduced.rhs)
     for c in sigma:
         if c.lower() not in symbols:
             raise WordError(f"unknown canonical generator {c!r}")
-        if c not in programs:
-            programs[c] = _programs(desc.generator_by_symbol(c.lower()), c.isupper())
-        sol = _act(_values(sol, conj), programs[c])
+        images = _images(desc.generator_by_symbol(c.lower()), c.isupper())
+        sol = _act(_values(sol) | rhs_values, images)
     return _checked(desc.reduced, sol)
 
 

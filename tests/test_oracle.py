@@ -301,6 +301,7 @@ def test_conjugate_pair_with_zero_exponent_sum_tests_nothing(monkeypatch):
 @example("xy", "abb", 3)  # the root is as long as the ball: one power fits
 @example("xxy", "aaabAAA", 4)  # |conj r| = 3 > 4/2: only r^0 fits
 @example("xxxyy", "a" * 12, 4)  # (a^2, a^3) is n = -5 from the Bezout base (12, -12)
+@example("XYxy", "", 3)  # both exponent sums zero: a two-generator lattice
 def test_family_sweeps_match_naive_scan(w, u, max_len):
     # The commuting solutions of w = u are the rank-one family's members in
     # the ball, and every solution of w = 1 is a trivial-family member.

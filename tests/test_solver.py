@@ -845,10 +845,10 @@ def test_solution_actions_match_apply_to_solution():
                 members.append(pair)
         for pair in members:
             assert desc.reduced.holds_for(*pair)
-            values = solver._values(pair, (rhs, invert(rhs)))
+            values = solver._values(pair) | {"u": (rhs, invert(rhs)), "U": (invert(rhs), rhs)}
             for g, inverse in actions:
                 expected = apply_to_solution(g.inverse if inverse else g.aut, pair)
-                assert solver._act(values, solver._programs(g, inverse), math.inf) == expected
+                assert solver._act(values, solver._images(g, inverse), math.inf) == expected
                 compared += 1
     assert compared > 1000
     assert power.reduced.rhs == "aabb"
