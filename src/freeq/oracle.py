@@ -11,10 +11,11 @@ values the abelianized equation ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows,
 ``ab`` being the exponent sums over the coefficient letters; ``ab`` of a
 ball word is computed only where the equation can remove some values:
 
-- single run, ``s^a z^k s^b``: only the values of ``s`` with k dividing
-  ``ab(u) - (a+b)·ab(s)`` are kept (all or none of them when k divides
-  a+b); for each, ``z`` is the unique k-th root of ``s^-a u s^-b``, found by
-  one period test on the peeled core;
+- single run, ``s^a z^k s^b``: the values of ``s`` are the ball words, or
+  only those the cancellation bound below allows; of these, only the ones
+  with k dividing ``ab(u) - (a+b)·ab(s)`` are kept (all or none of them when
+  k divides a+b); for each, ``z`` is the unique k-th root of
+  ``s^-a u s^-b``, found by one period test on the peeled core;
 - conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: only the values
   of ``s`` with ``(a+b+c)·ab(s) = ab(u)`` are kept; for each, ``z^-e``
   conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z`` form one
@@ -26,6 +27,33 @@ Every sweep over the powers of a root ``r`` is bounded by its cyclic length,
 as a reduced ``r^n`` has length ``|n|·|core r| + 2|conj r|``: the centralizer
 coset's sweep and the family sweeps of ``certify`` stop at the last power
 that can fit in the ball.
+
+The cancellation bound (after Lyndon and Schützenberger, *The equation
+a^M = b^N c^P in a free group*, 1962).  Write ``‖v‖`` for the cyclic length.
+If g and z do not commute, then ``‖g^n z^k‖ >= (|n|-2)·‖g‖ + (|k|-2)·‖z‖``.
+Proof: with ``g = c^-1 h c`` and ``z = d^-1 r d``, h and r cyclically
+reduced, ``g^n z^k`` is conjugate to ``h^n · f^-1 r^k f``, ``f = d c^-1``.
+Cyclic reduction cancels letters only at the two junctions of h^n with the
+rest, and the letters cancelled there, read across both junctions, form one
+common factor of the periodic words ``h^∞`` and ``r^∓∞``.  By the theorem of
+Fine and Wilf (*Uniqueness theorems for periodic functions*, 1965), a common
+factor of length at least ``|h| + |r| - gcd(|h|, |r|)`` has period
+``gcd(|h|, |r|)``; its end is aligned with a period of both words, so h and
+the matching conjugate of r would be powers of one word, and g and z would
+commute.  So fewer than ``|h| + |r|`` letter pairs cancel, and
+``‖g^n z^k‖ > |n|·|h| + |k|·|r| - 2(|h| + |r|)``, which is the bound.  The
+tests check it on every non-commuting pair of the radius-4 ball and on
+random pairs built to cancel much.
+
+A single run ``s^a z^k s^b = u`` with ``n = a+b`` is conjugate, by ``g^b``,
+to ``g^n z^k = u``, so ``‖u‖ = ‖g^n z^k‖``.  When ``|n| >= 3``, ``|k| >= 2``
+and ``u != 1``, a solution with g and z not commuting has ``‖z‖ >= 1``, so
+``‖g‖ <= (‖u‖ - |k| + 2) // (|n| - 2)``; a commuting one lies in one cyclic
+group, which holds ``u``, so g is a power of u's primitive root.  Brute force
+then tests only the ball words of cyclic length up to that bound, spelled as
+``c^-1 h c`` without listing the ball, and the longer powers of the root in
+the ball: ``xxxyyy = aaabbb`` at L=9 tests 4 359 of the ball's 39 365 words.
+Every other left side tests the whole ball.
 
 A proper-power left side ``v^n`` first becomes ``v = r``, r being the unique
 n-th root of ``u``, and ``v`` picks the route.  Every pair is confirmed on the
@@ -140,25 +168,71 @@ def _flank(g: str, a: int, u: str, b: int) -> str:
     return word
 
 
-def _single_run_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
+def _single_run_candidates(eq: Equation, shape, max_len: int):
     """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
+
+    The values g of s: when ``|a+b| >= 3``, ``|k| >= 2`` and ``u != 1``, the
+    cancellation bound of the module docstring (``‖g^n z^k‖ >= (|n|-2)·‖g‖
+    + (|k|-2)·‖z‖`` unless g and z commute, after Lyndon–Schützenberger 1962
+    and Fine–Wilf 1965) applies to ``‖u‖ = ‖g^(a+b) z^k‖``.  A solution with
+    g and z not commuting has z != 1, so ``‖g‖ <= (‖u‖ - |k| + 2) //
+    (|a+b| - 2)``; a commuting one has g in the cyclic group of u's primitive
+    root, which also covers g = 1 and z = 1.  The values are then the ball
+    words of cyclic length at most that bound and the longer powers of the
+    root in the ball, two disjoint lists.  Every other shape, and u = 1,
+    takes the whole ball.
+
     The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` keeps only the
     g with k dividing ``ab(u) - (a+b)·ab(g)``, tested once per bucket of the
-    ball by ``ab``.  When k divides a+b, that holds for every g or for none,
-    so the ball is not bucketed."""
+    values by ``ab``.  When k divides a+b, that holds for every g or for
+    none, so the values are not bucketed."""
     z, a, k, b = shape
+    n, u = a + b, eq.rhs
     letters = eq.alphabet.letters
-    ab_u = _ab(eq.rhs, letters)
-    if (a + b) % k == 0:
-        values = () if any(t % k for t in ab_u) else ball
+    ab_u = _ab(u, letters)
+    if n % k == 0 and any(t % k for t in ab_u):
+        return
+    if abs(n) >= 3 and abs(k) >= 2 and u:
+        bound = min((cyclic_length(u) - abs(k) + 2) // (abs(n) - 2), max_len)
+        rho = primitive_root(u)[0]
+        span = max(_power_span(rho, max_len), 0)
+        values = _short_core_words(eq.alphabet, bound, max_len) + [
+            power(rho, i) for i in range(-span, span + 1) if abs(i) * cyclic_length(rho) > bound]
     else:
-        values = [g for key, bucket in _ab_buckets(ball, letters).items()
-                  if not any((t - (a + b) * n) % k for t, n in zip(ab_u, key))
+        values = list(words_upto(eq.alphabet, max_len))
+    if n % k:
+        values = [g for key, bucket in _ab_buckets(values, letters).items()
+                  if not any((t - n * m) % k for t, m in zip(ab_u, key))
                   for g in bucket]
     for g in values:
-        root = kth_root(_flank(g, a, eq.rhs, b), k)
+        root = kth_root(_flank(g, a, u, b), k)
         if root is not None and len(root) <= max_len:
             yield (g, root) if z == "y" else (root, g)
+
+
+def _short_core_words(alphabet, bound: int, max_len: int) -> list[str]:
+    """The ball words of cyclic length at most ``bound`` (none when it is
+    negative), listed without the ball: each is ``c^-1 h c`` for one
+    cyclically reduced h with |h| <= bound and one reduced c with
+    |h| + 2|c| <= max_len whose first letter is neither h[0] nor h[-1]^-1,
+    which is what keeps the product reduced with core h."""
+    if bound < 0:
+        return []
+    conjugators = list(words_upto(alphabet, (max_len - 1) // 2))[1:]
+    starting = {d: [c for c in conjugators if c[0] == d] for d in alphabet.signed_letters()}
+    out = [""]
+    for h in words_upto(alphabet, bound):
+        if not h or h[0] == h[-1].swapcase():
+            continue
+        out.append(h)
+        room = (max_len - len(h)) // 2
+        for d, cs in starting.items():
+            if d != h[0] and d != h[-1].swapcase():
+                for c in cs:
+                    if len(c) > room:
+                        break
+                    out.append(invert(c) + h + c)
+    return out
 
 
 def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
@@ -179,7 +253,7 @@ def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
     return None
 
 
-def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
+def _conjugate_pair_candidates(eq: Equation, shape, max_len: int):
     """Candidates for s^a z^e s^b z^-e s^c = u, by conjugacy.  The
     abelianized equation is ``(a+b+c)·ab(g) = ab(u)``, so only the g with
     ``ab(g) = ab(u) / (a+b+c)`` are values of s: every g or none when
@@ -192,6 +266,7 @@ def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, ball: list[str
     z, a, e, b, c = shape
     letters = eq.alphabet.letters
     ab_u = _ab(eq.rhs, letters)
+    ball = list(words_upto(eq.alphabet, max_len))
     n = a + b + c
     if n == 0 or any(t % n for t in ab_u):
         values = () if any(ab_u) else ball
@@ -221,21 +296,22 @@ def _ab(v: str, letters: str) -> tuple[int, ...]:
     return tuple([v.count(c) - v.count(c.upper()) for c in letters])
 
 
-def _ab_buckets(ball: list[str], letters: str) -> dict[tuple[int, ...], list[str]]:
-    """The ball's words grouped by abelianization, each group in ball order."""
+def _ab_buckets(values: list[str], letters: str) -> dict[tuple[int, ...], list[str]]:
+    """The words grouped by abelianization, each group in input order."""
     buckets: dict[tuple[int, ...], list[str]] = {}
-    for v in ball:
+    for v in values:
         buckets.setdefault(_ab(v, letters), []).append(v)
     return buckets
 
 
-def _abelian_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
+def _abelian_candidates(eq: Equation, shape, max_len: int):
     """Candidates for every other left side, by the abelianized equation
     ``w_s·ab(g) + w_z·ab(z) = ab(u)``: the value g of s fixes the one bucket
     of the ball that z comes from.  When both exponent sums are zero, every
     pair is a candidate if ``ab(u) = 0``, and none otherwise."""
     z, ws, wz = shape
     ab_u = _ab(eq.rhs, eq.alphabet.letters)
+    ball = list(words_upto(eq.alphabet, max_len))
     if wz == 0:
         if not any(ab_u):
             yield from itertools.product(ball, repeat=2)
@@ -251,7 +327,7 @@ def _abelian_candidates(eq: Equation, shape, max_len: int, ball: list[str]):
                 yield (g, other) if z == "y" else (other, g)
 
 
-def _candidates(eq: Equation, max_len: int, ball: list[str]):
+def _candidates(eq: Equation, max_len: int):
     """The pairs (g1, g2) in the ball that the left side's route names.  Each
     route takes the shape (z, ...), z being the eliminated variable.  A
     proper-power left side names no pair when u has no n-th root."""
@@ -266,11 +342,11 @@ def _candidates(eq: Equation, max_len: int, ball: list[str]):
                                (_conjugate_pair_shape, _conjugate_pair_candidates)):
         shape = detect(eq.lhs)
         if shape is not None:
-            return candidates(eq, shape, max_len, ball)
+            return candidates(eq, shape, max_len)
     wx, wy = exponent_sum(eq.lhs, "x"), exponent_sum(eq.lhs, "y")
     # z is y unless only x has a non-zero exponent sum; the shape is (z, w_s, w_z).
     shape = ("x", wy, wx) if wy == 0 and wx != 0 else ("y", wx, wy)
-    return _abelian_candidates(eq, shape, max_len, ball)
+    return _abelian_candidates(eq, shape, max_len)
 
 
 def brute_force_solutions(eq: Equation, max_len: int) -> BruteForceResult:
@@ -282,8 +358,7 @@ def brute_force_solutions(eq: Equation, max_len: int) -> BruteForceResult:
     """
     if max_len < 0:
         raise WordError("the ball radius must be non-negative")
-    ball = list(words_upto(eq.alphabet, max_len))
-    pairs = {pair for pair in _candidates(eq, max_len, ball) if eq.holds_for(*pair)}
+    pairs = {pair for pair in _candidates(eq, max_len) if eq.holds_for(*pair)}
     solutions = tuple((g1, g2, pair_rank(g1, g2)) for g1, g2 in sorted(pairs, key=pair_key))
     return BruteForceResult(equation=eq, max_len=max_len, solutions=solutions)
 

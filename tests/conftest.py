@@ -7,8 +7,8 @@ a rebuild-every-node oracle for the edge-splitting search, a per-pair orbit
 search and two closed forms for the minimal-level lookup, an applying oracle
 for Whitehead minimization, an evaluating action on solutions, a widening-ball
 oracle for the orbit minimization, an evaluating oracle for the orbit walk,
-and an orbit-closure oracle and an unseeded-walk oracle for certify's rank-two
-coverage."""
+an orbit-closure oracle and an unseeded-walk oracle for certify's rank-two
+coverage, and a full-ball oracle for brute force's single-run route."""
 
 import functools
 import itertools
@@ -41,8 +41,10 @@ from freeq.words import (
     evaluate,
     exponent_sum,
     invert,
+    kth_root,
     multiply,
     pair_key,
+    power,
     reduce_word,
     shortlex_key,
     words_upto,
@@ -661,3 +663,25 @@ def probe_equations(max_w):
            if "x" in w.lower() and "y" in w.lower() and cyclic_normal_form(w) == w]
     ab = Alphabet.from_string("ab")
     return [Equation(ab, w, evaluate(w, *plant)) for w in lhs for plant in PROBE_PLANTS]
+
+
+@functools.cache
+def _flanks(alphabet, a, b, u, max_len):
+    """``g^-a u g^-b`` for every ball word g, in ball order, as ``multiply``
+    reduces it; left sides that differ only in k share these."""
+    return [multiply(power(g, -a), u, power(g, -b)) for g in words_upto(alphabet, max_len)]
+
+
+@functools.cache
+def full_ball_single_run(alphabet, a, k, b, u, max_len):
+    """The pairs (g, z) of the ball with g^a z^k g^b = u, by testing every
+    ball word g: z is the k-th root of g^-a u g^-b.  The oracle for brute
+    force's single-run route, which tests only short-core values and the
+    powers of u's root.  Left sides that differ only in which variable is z
+    share it."""
+    out = set()
+    for g, flank in zip(words_upto(alphabet, max_len), _flanks(alphabet, a, b, u, max_len)):
+        root = kth_root(flank, k)
+        if root is not None and len(root) <= max_len:
+            out.add((g, root))
+    return frozenset(out)

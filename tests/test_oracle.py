@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from conftest import (
     closure_uncovered,
+    full_ball_single_run,
     probe_equations,
     reducing_kth_root,
     unseeded_walk_uncovered,
@@ -31,8 +32,11 @@ from freeq.solver import (
     solve_trivial_rhs,
 )
 from freeq.words import (
+    VARIABLES,
     Alphabet,
     WordError,
+    cyclic_core,
+    cyclic_length,
     evaluate,
     exponent_sum,
     invert,
@@ -42,6 +46,8 @@ from freeq.words import (
     pair_rank,
     parse_word,
     power,
+    primitive_root,
+    reduce_word,
     words_upto,
 )
 
@@ -114,6 +120,9 @@ def single_run_word(z, a, k, b):
 @example("y", 2, 3, 0, "planted", "ab", "b", 3)  # xxyyy: k does not divide a+b
 @example("y", 2, 4, 0, "letter", "", "", 3)  # xxyyyy = a: 4 divides no 1 - 2·ab(g)
 @example("y", 2, 2, 0, "letter", "", "", 3)  # xxyy = a: k | a+b, k does not divide ab(u)
+@example("y", 3, 3, 0, "planted", "a", "a", 3)  # xxxyyy = a^6: the commuting sweep
+@example("y", -3, 2, 0, "planted", "ab", "b", 3)  # XXXyy: negative exponents
+@example("y", 3, 3, 0, "planted", "ab", "A", 3)  # u = abababAAA: |u| = 9, ‖u‖ = 7
 def test_single_run_elimination_matches_naive_scan(z, a, k, b, kind, g1, g2, max_len):
     # The root route must find exactly the pairs of the full double loop.
     w = single_run_word(z, a, k, b)
@@ -124,6 +133,91 @@ def test_single_run_elimination_matches_naive_scan(z, a, k, b, kind, g1, g2, max
     assert set(brute_force_solutions(equation, max_len).pairs()) == expected
     if kind == "planted" and max_len >= 2:
         assert (g1, g2) in expected
+
+
+def takes_short_core_route(w):
+    """Is ``w`` a cyclically reduced, non-power single run s^a z^k s^b with
+    |a+b| >= 3 and |k| >= 2, so that a non-trivial u scans short cores?"""
+    shape = _single_run_shape(w)
+    return (cyclic_core(w) == w and primitive_root(w)[1] == 1 and shape is not None
+            and abs(shape[1] + shape[3]) >= 3 and abs(shape[2]) >= 2)
+
+
+SHORT_CORE_LHS = [w for w in words_upto(VARIABLES, 7) if w and takes_short_core_route(w)]
+SHORT_CORE_PLANTS = (("a", "b"), ("a", "a"), ("ab", "b"), ("aB", "A"), ("", "ab"), ("ab", ""))
+
+
+def test_brute_short_core_route_matches_full_ball_oracle():
+    # Every left side the route serves with |w| <= 7, against the loop over
+    # the whole ball: all u with |u| <= 3, planted values (commuting ones
+    # included) and powers of a root, at L=4.
+    assert len(SHORT_CORE_LHS) == 176
+    small = list(words_upto(AB, 3))
+    for w in SHORT_CORE_LHS:
+        z, a, k, b = _single_run_shape(w)
+        planted = [evaluate(w, g1, g2) for g1, g2 in SHORT_CORE_PLANTS]
+        for u in dict.fromkeys(small + planted + ["aaaaaa", "ababab"]):
+            expected = full_ball_single_run(AB, a, k, b, u, 4)
+            if z == "x":
+                expected = {(root, g) for g, root in expected}
+            assert set(brute_force_solutions(eq(w, u), 4).pairs()) == expected, (w, u)
+
+
+def test_brute_single_run_with_k_one_scans_the_whole_ball():
+    # |k| = 1 is outside the short-core branch: (|k|-2)·‖z‖ has no lower
+    # bound there, and (aab, (aab)^-3 a) solves xxxy = a with ‖g‖ = 3 > ‖u‖.
+    e = eq("xxxy", "a")
+    pairs = set(brute_force_solutions(e, 8).pairs())
+    assert ("aab", "BAABAABA") in pairs
+    assert pairs == full_ball_single_run(AB, 3, 1, 0, "a", 8)
+
+
+def cancellation_slack(g, z, n, k):
+    """‖g^n z^k‖ - ((|n|-2)‖g‖ + (|k|-2)‖z‖), which the bound behind the
+    short-core route says is non-negative when g and z do not commute."""
+    bound = (abs(n) - 2) * cyclic_length(g) + (abs(k) - 2) * cyclic_length(z)
+    return cyclic_length(multiply(power(g, n), power(z, k))) - bound
+
+
+def test_cancellation_bound_on_the_radius_4_ball():
+    # Every non-commuting pair.  Swapping (g, n) with (z, k) or inverting
+    # both exponents keeps the cyclic length, and the bound is 0 when
+    # |n| = |k| = 2, so n = 3 covers every exponent of size at most 3.
+    ball = list(words_upto(AB, 4))
+    for g in ball:
+        for z in ball:
+            if multiply(g, z) != multiply(z, g):
+                for k in (2, -2, 3, -3):
+                    assert cancellation_slack(g, z, 3, k) >= 0, (g, z, k)
+
+
+RANDOM_WORDS = st.text("aAbB", max_size=6).map(reduce_word)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    RANDOM_WORDS,
+    RANDOM_WORDS,
+    RANDOM_WORDS,
+    RANDOM_WORDS,
+    st.sampled_from(("apart", "shared conjugator", "near inverse", "common root")),
+    st.sampled_from((-5, -4, -3, -2, 2, 3, 4, 5)),
+    st.sampled_from((-4, -3, -2, 2, 3, 4)),
+)
+@example("ab", "b", "a", "", "near inverse", 3, 3)
+@example("ab", "a", "bb", "", "common root", -4, 2)
+def test_cancellation_bound_on_random_pairs(h, r, c, d, relation, n, k):
+    # g = c^-1 h c; z shares g's conjugator, inverts most of h, or is a
+    # power of h times r, so that the two junctions can cancel much.
+    z = {
+        "apart": multiply(invert(d), r, d),
+        "shared conjugator": multiply(invert(c), r, d, c),
+        "near inverse": multiply(invert(c), invert(h), r, c),
+        "common root": multiply(invert(c), h, h, r, c),
+    }[relation]
+    g = multiply(invert(c), h, c)
+    if multiply(g, z) != multiply(z, g):
+        assert cancellation_slack(g, z, n, k) >= 0
 
 
 @pytest.mark.parametrize("alphabet,bound", [(AB, 8), (ABC, 5)])
@@ -340,11 +434,13 @@ def test_brute_conjugate_pair_totals(w, u, max_len, total):
 
 @pytest.mark.parametrize(
     "w,u,max_len,total",
-    [("xxxyyy", "aaabbb", 11, 3), ("xxyy", "aaaa", 10, 19), ("xxyy", "aabb", 9, 25)],
+    [("xxxyyy", "aaabbb", 11, 3), ("xxxyyy", "aaabbb", 13, 5), ("xxyy", "aaaa", 10, 19),
+     ("xxyy", "aabb", 9, 25)],
 )
 def test_certify_single_run_at_larger_balls(w, u, max_len, total):
     # Radii past the benchmark's; the totals match the reduce-based root
-    # route (``reducing_kth_root`` in conftest.py).
+    # route (``reducing_kth_root`` in conftest.py) and, at L=13, the loop
+    # over the whole ball of 3 188 645 words.
     e = eq(w, u)
     report = certify(e, describe_variety(e), max_len)
     assert report.covered
