@@ -30,7 +30,8 @@ that can fit in the ball.
 
 The cancellation bound (after Lyndon and Schützenberger, *The equation
 a^M = b^N c^P in a free group*, 1962).  Write ``‖v‖`` for the cyclic length.
-If g and z do not commute, then ``‖g^n z^k‖ >= (|n|-2)·‖g‖ + (|k|-2)·‖z‖``.
+If g and z do not commute, then
+``‖g^n z^k‖ >= (|n|-2)·‖g‖ + (|k|-2)·‖z‖ + 2·gcd(‖g‖, ‖z‖) + 2``.
 Proof: with ``g = c^-1 h c`` and ``z = d^-1 r d``, h and r cyclically
 reduced, ``g^n z^k`` is conjugate to ``h^n · f^-1 r^k f``, ``f = d c^-1``.
 Cyclic reduction cancels letters only at the two junctions of h^n with the
@@ -40,20 +41,21 @@ Fine and Wilf (*Uniqueness theorems for periodic functions*, 1965), a common
 factor of length at least ``|h| + |r| - gcd(|h|, |r|)`` has period
 ``gcd(|h|, |r|)``; its end is aligned with a period of both words, so h and
 the matching conjugate of r would be powers of one word, and g and z would
-commute.  So fewer than ``|h| + |r|`` letter pairs cancel, and
-``‖g^n z^k‖ > |n|·|h| + |k|·|r| - 2(|h| + |r|)``, which is the bound.  The
-tests check it on every non-commuting pair of the radius-4 ball and on
-random pairs built to cancel much.
+commute.  So at most ``|h| + |r| - gcd(|h|, |r|) - 1`` letter pairs cancel,
+which is the bound.  It is sharp: ``a^n b^k`` cancels nothing.  The tests
+check it on every non-commuting pair of the radius-4 ball and on random
+pairs built to cancel much.
 
 A single run ``s^a z^k s^b = u`` with ``n = a+b`` is conjugate, by ``g^b``,
 to ``g^n z^k = u``, so ``‖u‖ = ‖g^n z^k‖``.  When ``|n| >= 3``, ``|k| >= 2``
-and ``u != 1``, a solution with g and z not commuting has ``‖z‖ >= 1``, so
-``‖g‖ <= (‖u‖ - |k| + 2) // (|n| - 2)``; a commuting one lies in one cyclic
-group, which holds ``u``, so g is a power of u's primitive root.  Brute force
-then tests only the ball words of cyclic length up to that bound, spelled as
-``c^-1 h c`` without listing the ball, and the longer powers of the root in
-the ball: ``xxxyyy = aaabbb`` at L=9 tests 4 359 of the ball's 39 365 words.
-Every other left side tests the whole ball.
+and ``u != 1``, a solution with g and z not commuting has ``‖z‖ >= 1`` and
+a gcd of at least 1, so ``‖g‖ <= (‖u‖ - |k| - 2) // (|n| - 2)``; a
+commuting one lies in one cyclic group, which holds ``u``, so g is a power
+of u's primitive root.  Brute force then tests only the ball words of
+cyclic length up to that bound, spelled as ``c^-1 h c`` without listing the
+ball, and the longer powers of the root in the ball: ``xxxyyy = aaabbb`` at
+L=9 tests 327 of the ball's 39 365 words.  Every other left side tests the
+whole ball.
 
 A proper-power left side ``v^n`` first becomes ``v = r``, r being the unique
 n-th root of ``u``, and ``v`` picks the route.  Every pair is confirmed on the
@@ -78,6 +80,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .solver import (
     KIND_EMPTY,
@@ -173,27 +176,28 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
 
     The values g of s: when ``|a+b| >= 3``, ``|k| >= 2`` and ``u != 1``, the
     cancellation bound of the module docstring (``‖g^n z^k‖ >= (|n|-2)·‖g‖
-    + (|k|-2)·‖z‖`` unless g and z commute, after Lyndon–Schützenberger 1962
-    and Fine–Wilf 1965) applies to ``‖u‖ = ‖g^(a+b) z^k‖``.  A solution with
-    g and z not commuting has z != 1, so ``‖g‖ <= (‖u‖ - |k| + 2) //
-    (|a+b| - 2)``; a commuting one has g in the cyclic group of u's primitive
-    root, which also covers g = 1 and z = 1.  The values are then the ball
-    words of cyclic length at most that bound and the longer powers of the
-    root in the ball, two disjoint lists.  Every other shape, and u = 1,
-    takes the whole ball.
+    + (|k|-2)·‖z‖ + 2·gcd(‖g‖, ‖z‖) + 2`` unless g and z commute, after
+    Lyndon–Schützenberger 1962 and Fine–Wilf 1965) applies to
+    ``‖u‖ = ‖g^(a+b) z^k‖``.  A solution with g and z not commuting has
+    z != 1, so ``‖g‖ <= (‖u‖ - |k| - 2) // (|a+b| - 2)``; a commuting one has
+    g in the cyclic group of u's primitive root, which also covers g = 1 and
+    z = 1.  The values are then the ball words of cyclic length at most that
+    bound and the longer powers of the root in the ball, two disjoint lists.
+    Every other shape, and u = 1, takes the whole ball.
 
-    The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` keeps only the
-    g with k dividing ``ab(u) - (a+b)·ab(g)``, tested once per bucket of the
-    values by ``ab``.  When k divides a+b, that holds for every g or for
-    none, so the values are not bucketed."""
+    The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` has no
+    solution unless ``gcd(a+b, k)`` divides ``ab(u)``; otherwise it keeps
+    only the g with k dividing ``ab(u) - (a+b)·ab(g)``, tested once per
+    bucket of the values by ``ab``.  When k divides a+b, that holds for
+    every g, so the values are not bucketed."""
     z, a, k, b = shape
     n, u = a + b, eq.rhs
     letters = eq.alphabet.letters
     ab_u = _ab(u, letters)
-    if n % k == 0 and any(t % k for t in ab_u):
+    if any(t % gcd(n, k) for t in ab_u):
         return
     if abs(n) >= 3 and abs(k) >= 2 and u:
-        bound = min((cyclic_length(u) - abs(k) + 2) // (abs(n) - 2), max_len)
+        bound = min((cyclic_length(u) - abs(k) - 2) // (abs(n) - 2), max_len)
         rho = primitive_root(u)[0]
         span = max(_power_span(rho, max_len), 0)
         values = _short_core_words(eq.alphabet, bound, max_len) + [

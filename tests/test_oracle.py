@@ -1,6 +1,7 @@
 """Brute-force enumeration and certification against descriptions."""
 
 import dataclasses
+from math import gcd
 
 import pytest
 from conftest import (
@@ -144,13 +145,16 @@ def takes_short_core_route(w):
 
 
 SHORT_CORE_LHS = [w for w in words_upto(VARIABLES, 7) if w and takes_short_core_route(w)]
-SHORT_CORE_PLANTS = (("a", "b"), ("a", "a"), ("ab", "b"), ("aB", "A"), ("", "ab"), ("ab", ""))
+SHORT_CORE_PLANTS = (("a", "b"), ("a", "a"), ("ab", "b"), ("aB", "A"), ("", "ab"), ("ab", ""),
+                     ("ab", "bA"), ("aab", "ba"))
 
 
 def test_brute_short_core_route_matches_full_ball_oracle():
     # Every left side the route serves with |w| <= 7, against the loop over
     # the whole ball: all u with |u| <= 3, planted values (commuting ones
-    # included) and powers of a root, at L=4.
+    # included) and powers of a root, at L=4.  The plant (a, b) has ‖g‖
+    # equal to the bound on every left side, and (ab, bA) on 20 of them, so
+    # a bound one smaller would miss them.
     assert len(SHORT_CORE_LHS) == 176
     small = list(words_upto(AB, 3))
     for w in SHORT_CORE_LHS:
@@ -173,22 +177,26 @@ def test_brute_single_run_with_k_one_scans_the_whole_ball():
 
 
 def cancellation_slack(g, z, n, k):
-    """‖g^n z^k‖ - ((|n|-2)‖g‖ + (|k|-2)‖z‖), which the bound behind the
-    short-core route says is non-negative when g and z do not commute."""
-    bound = (abs(n) - 2) * cyclic_length(g) + (abs(k) - 2) * cyclic_length(z)
+    """‖g^n z^k‖ - ((|n|-2)‖g‖ + (|k|-2)‖z‖ + 2·gcd(‖g‖, ‖z‖) + 2), which
+    the bound behind the short-core route says is non-negative when g and z
+    do not commute."""
+    cg, cz = cyclic_length(g), cyclic_length(z)
+    bound = (abs(n) - 2) * cg + (abs(k) - 2) * cz + 2 * gcd(cg, cz) + 2
     return cyclic_length(multiply(power(g, n), power(z, k))) - bound
 
 
 def test_cancellation_bound_on_the_radius_4_ball():
     # Every non-commuting pair.  Swapping (g, n) with (z, k) or inverting
-    # both exponents keeps the cyclic length, and the bound is 0 when
-    # |n| = |k| = 2, so n = 3 covers every exponent of size at most 3.
+    # both exponents keeps the cyclic length, so n = 2 and n = 3 cover every
+    # exponent of size 2 or 3.
     ball = list(words_upto(AB, 4))
     for g in ball:
         for z in ball:
             if multiply(g, z) != multiply(z, g):
-                for k in (2, -2, 3, -3):
-                    assert cancellation_slack(g, z, 3, k) >= 0, (g, z, k)
+                for n, k in ((2, 2), (2, -2), (3, 2), (3, -2), (3, 3), (3, -3)):
+                    assert cancellation_slack(g, z, n, k) >= 0, (g, z, n, k)
+    # The bound is sharp: a^3 b^3 cancels nothing.
+    assert cancellation_slack("a", "b", 3, 3) == 0
 
 
 RANDOM_WORDS = st.text("aAbB", max_size=6).map(reduce_word)
