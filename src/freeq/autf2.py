@@ -1,42 +1,41 @@
 """Automorphisms of the free group of rank two.
 
-An automorphism is stored by its images of ``x`` and ``y``.  The public
-constructor ``AutF2(ix, iy)`` validates that the image pair is a free basis
-by Nielsen's test: ``(u, v)`` is a basis exactly when ``[u, v]`` is
-conjugate to ``[x, y]`` or its inverse.
+An automorphism is stored by its images of ``x`` and ``y`` and by the images
+of its inverse.  The public constructor ``AutF2(ix, iy, jx, jy)`` checks one
+composition: that ``x -> ix, y -> iy`` carries ``(jx, jy)`` to ``(x, y)``.
+That makes the map onto, and a free group of finite rank is Hopfian
+(Lyndon–Schupp, ch. I), so the map is an automorphism and ``(jx, jy)`` are
+the images of its inverse.
 
-Validation happens once, where images come from outside.  The results of
-``compose`` and ``inner`` are trusted without a basis check: a product of
-automorphisms is an automorphism, and a conjugation is one by construction.
+Validation happens once, where images come from outside.  ``compose``,
+``inner`` and ``inverse`` build both pairs of images and are trusted
+without a check.
 
 One action, ``_act``, reads image words letter by letter and substitutes
 each letter's value from a per-letter table, cancelling reduced factors
 only where two meet: it is ``apply`` and ``compose``, and it applies the
 Nielsen moves, themselves automorphisms, to basis pairs by their images.
 
-No automorphism is inverted after the fact: each is a product of moves
-with tabled inverses (``TYPE1_INVERSES``, ``TYPE2_INVERSES``) and of
-conjugations, and its inverse, the reversed product of theirs, is composed
-alongside it.  Whitehead minimization reads every type-2 move's change in
-cyclic length off one count of letter pairs (Lyndon–Schupp I.4) and applies
-only the moves that shorten most.  The minimal level of a word's orbit,
-built once per word and walked only as far as lookups need, keeps each
-form's path with its inverse and decides which words share that orbit:
-primitivity is the lookup of ``x``, and membership in the orbit of
-``[x, y]`` the lookup of ``XYxy``.
+No inverse is searched for: each move is built with its own, and every
+product carries the reversed product of its factors' inverses.  Whitehead
+minimization reads every type-2 move's change in cyclic length off one
+count of letter pairs (Lyndon–Schupp I.4) and applies only the moves that
+shorten most.  The minimal level of a word's orbit, built once per word and
+walked only as far as lookups need, keeps each form's path and decides
+which words share that orbit: primitivity is the lookup of ``x``, and
+membership in the orbit of ``[x, y]`` the lookup of ``XYxy``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, inf
 from operator import add
 
 from .words import (
     VARIABLES,
     WordError,
-    commutator,
     conjugate,
     conjugating_word,
     cyclic_core,
@@ -52,7 +51,7 @@ Pair = tuple[str, str]
 
 
 class NotAnAutomorphism(WordError):
-    """The given images of x and y do not form a free basis."""
+    """The given images do not form an automorphism with the claimed inverse."""
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -61,23 +60,27 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class AutF2:
-    """An automorphism of F(x, y), stored by its images of x and y.
+    """An automorphism of F(x, y), stored by its images of x and y and by
+    the images ``inverse_x``, ``inverse_y`` of its inverse, which stay out
+    of equality, hashing and repr.
 
-    Construction reduces both images and raises :class:`NotAnAutomorphism`
-    unless they form a free basis.  Automorphisms built by ``compose`` and
-    ``inner`` skip that check.
+    Construction reduces the four images and raises
+    :class:`NotAnAutomorphism` unless ``x -> image_x, y -> image_y`` carries
+    ``(inverse_x, inverse_y)`` to ``(x, y)``.  Automorphisms built by
+    ``compose``, ``inner`` and ``inverse`` skip that check.
     """
 
     image_x: str
     image_y: str
+    inverse_x: str = field(compare=False, repr=False)
+    inverse_y: str = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ix = reduce_word(VARIABLES.check_word(self.image_x))
-        iy = reduce_word(VARIABLES.check_word(self.image_y))
-        object.__setattr__(self, "image_x", ix)
-        object.__setattr__(self, "image_y", iy)
-        if not is_basis_pair(ix, iy):
-            raise NotAnAutomorphism(f"({ix!r}, {iy!r}) is not a free basis")
+        ix, iy, jx, jy = (reduce_word(VARIABLES.check_word(w))
+                          for w in (self.image_x, self.image_y, self.inverse_x, self.inverse_y))
+        self.__dict__.update(image_x=ix, image_y=iy, inverse_x=jx, inverse_y=jy)
+        if _act(_values((ix, iy)), (jx, jy)) != ("x", "y"):
+            raise NotAnAutomorphism(f"({ix!r}, {iy!r}) does not carry ({jx!r}, {jy!r}) to (x, y)")
 
     def apply(self, w: str) -> str:
         """The image of ``w``, a word in x and y, reduced or not."""
@@ -87,8 +90,17 @@ class AutF2:
             raise WordError(f"{w!r} is not a word in x and y") from None
 
     def compose(self, other: "AutF2") -> "AutF2":
-        """self after other: ``(self.compose(other)).apply(w) == self.apply(other.apply(w))``."""
-        return _trusted(*_act(_values((self.image_x, self.image_y)), (other.image_x, other.image_y)))
+        """self after other: ``(self.compose(other)).apply(w) == self.apply(other.apply(w))``,
+        built with its inverse, other's inverse after self's."""
+        return _trusted(
+            *_act(_values((self.image_x, self.image_y)), (other.image_x, other.image_y)),
+            *_act(_values((other.inverse_x, other.inverse_y)), (self.inverse_x, self.inverse_y)),
+        )
+
+    @property
+    def inverse(self) -> "AutF2":
+        """The inverse automorphism: the two pairs of images swapped."""
+        return _trusted(self.inverse_x, self.inverse_y, self.image_x, self.image_y)
 
     def is_identity(self) -> bool:
         return self.image_x == "x" and self.image_y == "y"
@@ -104,11 +116,10 @@ class AutF2:
         return f"x->{self.image_x or '1'}, y->{self.image_y or '1'}"
 
 
-def _trusted(image_x: str, image_y: str) -> AutF2:
-    """An automorphism from reduced images already known to form a basis."""
+def _trusted(image_x: str, image_y: str, inverse_x: str, inverse_y: str) -> AutF2:
+    """An automorphism from reduced images already known to invert each other."""
     aut = object.__new__(AutF2)
-    object.__setattr__(aut, "image_x", image_x)
-    object.__setattr__(aut, "image_y", image_y)
+    aut.__dict__.update(image_x=image_x, image_y=image_y, inverse_x=inverse_x, inverse_y=inverse_y)
     return aut
 
 
@@ -145,70 +156,60 @@ def _act(values: dict[str, tuple[str, str]], images, ball: float = inf) -> tuple
     return tuple(out_images)
 
 
-# The cyclic words of [x, y] and [y, x].
-_BASIS_COMMUTATORS = frozenset({cyclic_normal_form("XYxy"), cyclic_normal_form("YXyx")})
-
-
-def is_basis_pair(w1: str, w2: str) -> bool:
-    """Do the two words form a free basis of F(x, y)?  After the cheap
-    determinant check on the abelianization, Nielsen's test: ``[w1, w2]`` is
-    conjugate to ``[x, y]`` or ``[y, x]``."""
-    a = exponent_sum(w1, "x") * exponent_sum(w2, "y")
-    b = exponent_sum(w1, "y") * exponent_sum(w2, "x")
-    if abs(a - b) != 1:
-        return False
-    return cyclic_normal_form(commutator(w1, w2)) in _BASIS_COMMUTATORS
-
-
-IDENTITY = AutF2("x", "y")
+IDENTITY = AutF2("x", "y", "x", "y")
 
 # The Nielsen moves: x -> (x^e1 y^e2)^e3 or y -> (y^e1 x^e2)^e3, for e1, e2,
 # e3 in (1, -1) in that nesting order, and the inversions of x and of y.
-PRODUCT_MOVES = tuple(AutF2(ix, iy) for ix, iy in (
+_PRODUCT_IMAGES = (
     ("xy", "y"), ("YX", "y"), ("xY", "y"), ("yX", "y"),
     ("Xy", "y"), ("Yx", "y"), ("XY", "y"), ("yx", "y"),
     ("x", "yx"), ("x", "XY"), ("x", "yX"), ("x", "xY"),
     ("x", "Yx"), ("x", "Xy"), ("x", "YX"), ("x", "xy"),
-))
-INVERSION_MOVES = (AutF2("X", "y"), AutF2("x", "Y"))
+)
+# Move i sets x (y when i >= 8) to (x^e1 y^e2)^e3, the bits of i % 8 being
+# e1 e2 e3 with 1 for -1; its inverse sets it to (x^e3 y^-e2)^e1.
+PRODUCT_MOVES = tuple(
+    AutF2(*_PRODUCT_IMAGES[i], *_PRODUCT_IMAGES[i & 8 | (2, 6, 0, 4, 3, 7, 1, 5)[i & 7]])
+    for i in range(16)
+)
+INVERSION_MOVES = (AutF2("X", "y", "X", "y"), AutF2("x", "Y", "x", "Y"))
 
 
 def inner(g: str) -> AutF2:
     """Conjugation by ``g``: every word maps to ``g^-1 w g``."""
     VARIABLES.check_word(g)
-    return _trusted(conjugate("x", g), conjugate("y", g))
+    h = invert(g)
+    return _trusted(conjugate("x", g), conjugate("y", g), conjugate("x", h), conjugate("y", h))
 
 
 def _type1_automorphisms() -> tuple[AutF2, ...]:
-    images = [
-        (a, b)
-        for a in ("x", "X", "y", "Y")
-        for b in ("x", "X", "y", "Y")
-        if a.lower() != b.lower()
-    ]
-    return tuple(AutF2(a, b) for a, b in images)
+    """The signed permutations.  They form the dihedral group of order 8, so
+    ``p^-1 == p^3``."""
+    auts = []
+    for a in ("x", "X", "y", "Y"):
+        for b in ("x", "X", "y", "Y"):
+            if a.lower() != b.lower():
+                values = _values((a, b))
+                auts.append(AutF2(a, b, *_act(values, _act(values, (a, b)))))
+    return tuple(auts)
 
 
 def _type2_automorphisms() -> tuple[AutF2, ...]:
-    auts = []
+    """The moves ``(a, kind)``: ``z -> za``, ``z -> a^-1 z`` or ``z -> a^-1 z a``
+    for each letter ``a`` and the other variable ``z``.  The inverse of
+    ``(a, kind)`` is ``(a^-1, kind)``."""
+    images = []
     for a in ("x", "X", "y", "Y"):
         z = "y" if a.lower() == "x" else "x"
         for image in (multiply(z, a), multiply(invert(a), z), conjugate(z, a)):
-            if a.lower() == "x":
-                auts.append(AutF2("x", image))
-            else:
-                auts.append(AutF2(image, "y"))
-    return tuple(auts)
+            images.append(("x", image) if a.lower() == "x" else (image, "y"))
+    # Move i is (a, kind) with a = "xXyY"[i // 3], so a^-1 = "xXyY"[i // 3 ^ 1].
+    return tuple(AutF2(*images[i], *images[3 * (i // 3 ^ 1) + i % 3]) for i in range(12))
 
 
 TYPE1_AUTOMORPHISMS = _type1_automorphisms()
 TYPE2_AUTOMORPHISMS = _type2_automorphisms()
 WHITEHEAD_AUTOMORPHISMS = TYPE1_AUTOMORPHISMS + TYPE2_AUTOMORPHISMS
-# The signed permutations form the dihedral group of order 8, so p^-1 == p^3.
-TYPE1_INVERSES = tuple(p.compose(p).compose(p) for p in TYPE1_AUTOMORPHISMS)
-# Type-2 move i is (a, kind) with a = "xXyY"[i // 3]: its inverse is (a^-1, kind).
-TYPE2_INVERSES = tuple(TYPE2_AUTOMORPHISMS[3 * (i // 3 ^ 1) + i % 3] for i in range(12))
-WHITEHEAD_INVERSES = TYPE1_INVERSES + TYPE2_INVERSES
 
 
 def _length_change_coefficients(t: AutF2) -> dict[str, int]:
@@ -235,8 +236,8 @@ def _length_changes(w: str) -> list[int]:
     return [sum(n * coefficient[pq] for pq, n in pairs) for coefficient in _TYPE2_COEFFICIENTS]
 
 
-def whitehead_minimize(w: str) -> tuple[str, AutF2, AutF2]:
-    """Greedily drive the cyclic length down; returns ``(image, aut, inverse)``.
+def whitehead_minimize(w: str) -> tuple[str, AutF2]:
+    """Greedily drive the cyclic length down; returns ``(image, aut)``.
 
     Each step applies the type-2 Whitehead automorphism that shortens the
     cyclic length the most (ties broken by the image's cyclic normal form,
@@ -245,10 +246,9 @@ def whitehead_minimize(w: str) -> tuple[str, AutF2, AutF2]:
     so only the moves of the least change are applied.  The image is then
     rotated to its cyclic normal form by a final conjugation, so it is
     cyclically reduced and canonical, and ``aut.apply(w) == image`` exactly.
-    ``inverse`` is composed alongside, from ``TYPE2_INVERSES`` in reverse order.
     """
     cur = reduce_word(w)
-    aut = inverse = IDENTITY
+    aut = IDENTITY
     while True:
         changes = _length_changes(cur)
         least = min(changes)
@@ -258,14 +258,11 @@ def whitehead_minimize(w: str) -> tuple[str, AutF2, AutF2]:
         i = min(images, key=lambda i: shortlex_key(cyclic_normal_form(images[i])))
         cur = images[i]
         aut = TYPE2_AUTOMORPHISMS[i].compose(aut)
-        inverse = inverse.compose(TYPE2_INVERSES[i])
     form = cyclic_normal_form(cur)
     if form != cur:
-        h = conjugating_word(cur, form)
-        aut = inner(h).compose(aut)
-        inverse = inverse.compose(inner(invert(h)))
+        aut = inner(conjugating_word(cur, form)).compose(aut)
         cur = form
-    return cur, aut, inverse
+    return cur, aut
 
 
 class MinimalLevel:
@@ -274,19 +271,19 @@ class MinimalLevel:
     The level is the cyclic forms of the minimal length in the orbit, joined
     by Whitehead automorphisms that stay on it; in rank two it is finite.
     It holds the gcd of ``w``'s exponent sums, the minimizer ``aut`` with
-    ``aut.apply(w) == minimal`` and its ``inverse``, the forms reached in
-    breadth-first order from ``minimal``, each with its path automorphism
-    ``A_f``, the inverse ``A_f^-1`` and the image word, and the index of the
-    next form to expand.  The order does not depend on what is looked up, so
-    every lookup finds a form by the same path.
+    ``aut.apply(w) == minimal``, the forms reached in breadth-first order
+    from ``minimal``, each with its path automorphism ``A_f`` and the image
+    word, and the index of the next form to expand.  The order does not
+    depend on what is looked up, so every lookup finds a form by the same
+    path.
     """
 
     def __init__(self, w: str) -> None:
         w = reduce_word(w)
         self.gcd = gcd(exponent_sum(w, "x"), exponent_sum(w, "y"))
-        self.minimal, self.aut, self.inverse = whitehead_minimize(w)
+        self.minimal, self.aut = whitehead_minimize(w)
         self.forms = [self.minimal]
-        self.reached = {self.minimal: (IDENTITY, IDENTITY, self.minimal)}
+        self.reached = {self.minimal: (IDENTITY, self.minimal)}
         self.head = 0
 
     def _reaches(self, form: str) -> bool:
@@ -296,44 +293,40 @@ class MinimalLevel:
         keep its length."""
         while form not in self.reached and self.head < len(self.forms):
             head = self.forms[self.head]
-            aut, inverse, word = self.reached[head]
+            aut, word = self.reached[head]
             self.head += 1
             changes = [0] * len(TYPE1_AUTOMORPHISMS) + _length_changes(head)
-            for t, t_inverse, d in zip(WHITEHEAD_AUTOMORPHISMS, WHITEHEAD_INVERSES, changes):
+            for t, d in zip(WHITEHEAD_AUTOMORPHISMS, changes):
                 if d:
                     continue
                 img = t.apply(word)
                 new = cyclic_normal_form(img)
                 if new not in self.reached:
-                    self.reached[new] = (t.compose(aut), inverse.compose(t_inverse), img)
+                    self.reached[new] = (t.compose(aut), img)
                     self.forms.append(new)
         return form in self.reached
 
-    def carry(self, target: str) -> tuple[AutF2, AutF2] | None:
-        """``(aut, inverse)`` with ``aut.apply(w) == target``, or None when
-        the two words lie in different orbits.
+    def carry(self, target: str) -> AutF2 | None:
+        """An automorphism ``aut`` with ``aut.apply(w) == target``, or None
+        when the two words lie in different orbits.
 
         The gcd of the exponent sums and the minimal length are invariants of
         the orbit.  Past them, the minimized target's form ``f`` on the level
         gives ``A_f`` with ``A_f(minimal)`` conjugate to the minimized
         target, and one conjugation ``inner(h)`` makes the match exact.  With
-        ``a`` the target's minimizer, ``aut = a^-1 . inner(h) . A_f . self.aut``
-        and ``inverse = self.inverse . A_f^-1 . inner(h^-1) . a``."""
+        ``a`` the target's minimizer, ``aut = a^-1 . inner(h) . A_f . self.aut``."""
         target = reduce_word(target)
         if gcd(exponent_sum(target, "x"), exponent_sum(target, "y")) != self.gcd:
             return None
-        m, a, a_inverse = whitehead_minimize(target)
+        m, a = whitehead_minimize(target)
         if len(m) != len(self.minimal) or not self._reaches(m):
             return None
-        path, path_inverse, word = self.reached[m]
-        h = conjugating_word(word, m)
-        return (a_inverse.compose(inner(h).compose(path.compose(self.aut))),
-                self.inverse.compose(path_inverse.compose(inner(invert(h)).compose(a))))
+        path, word = self.reached[m]
+        return a.inverse.compose(inner(conjugating_word(word, m)).compose(path.compose(self.aut)))
 
 
 def is_primitive(w: str) -> AutF2 | None:
     """An automorphism carrying ``w`` to ``x``, if ``w`` is primitive: the
     lookup of ``x`` on the minimal level of ``w``'s orbit.  By Whitehead,
     ``w`` is primitive exactly when its minimization ends at one letter."""
-    carried = MinimalLevel(w).carry("x")
-    return carried and carried[0]
+    return MinimalLevel(w).carry("x")

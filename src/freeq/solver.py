@@ -9,7 +9,14 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
 3. proper-power ``w = v^n``: take the unique n-th root of both sides;
 4. primitive ``w``: one free parameter describes everything;
 5. the rank-one lattice of commuting solutions;
-6. right side a proper power: no non-commuting solutions exist at all;
+6. right side a proper power: no non-commuting solutions exist at all.
+   For a single run ``s^a z^k s^b`` this is Lyndon–Schützenberger (1962):
+   ``g^M h^N = c^P`` with ``M, N, P >= 2`` forces ``g`` and ``h`` to
+   commute.  For a commutator it is Schützenberger's theorem that a
+   non-trivial commutator is never a proper power.  For every other ``w`` it
+   is only measured: no ``w`` of at most 6 letters that reaches this step
+   takes a proper-power value at a non-commuting pair of words of at most 3
+   letters;
 7. otherwise classify ``w`` (orbit of the commutator / splits over an edge
    letter / neither), compute canonical solution-moving automorphisms, and
    search the finitely many terminal subgroup bases for seeds, each a
@@ -43,12 +50,10 @@ from .autf2 import (
     INVERSION_MOVES,
     PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
-    TYPE1_INVERSES,
     AutF2,
     MinimalLevel,
     SearchBudgetExceeded,
     _act,
-    _trusted,
     _values,
     inner,
 )
@@ -102,10 +107,8 @@ _FORMULA_BY_CASE = {
     CASE_QH: FORMULA_ORBIT,
 }
 
-DELTA_X = AutF2("yx", "y")
-DELTA_Y = AutF2("x", "xy")
-DELTA_X_INVERSE = AutF2("Yx", "y")
-DELTA_Y_INVERSE = AutF2("x", "Xy")
+DELTA_X = AutF2("yx", "y", "Yx", "y")
+DELTA_Y = AutF2("x", "xy", "x", "Xy")
 
 
 # The bases the edge-splitting search walks, tested or not, before it gives up.
@@ -191,14 +194,13 @@ class TrivialFamily:
 class ParametricFamily:
     """All solutions for a primitive left side, one free word parameter."""
 
-    aut: AutF2  # carries the lhs to the single letter x
-    recover_y: str  # inverse image of y: evaluates to the parameter
+    aut: AutF2  # carries the lhs to x; its inverse's y-image evaluates to the parameter
 
     def member(self, rhs: str, z: str) -> Pair:
         return (evaluate(self.aut.image_x, rhs, z), evaluate(self.aut.image_y, rhs, z))
 
     def parameter_of(self, g1: str, g2: str) -> str:
-        return evaluate(self.recover_y, g1, g2)
+        return evaluate(self.aut.inverse_y, g1, g2)
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,6 @@ class HnnWitness:
     q: str
     t: str
     basis_aut: AutF2  # x -> p, y -> t
-    basis_inverse: AutF2
 
 
 @dataclass(frozen=True)
@@ -218,19 +219,16 @@ class JsjClassification:
     kind: str
     hnn: HnnWitness | None = None
     normalizer: AutF2 | None = None  # carries w to the commutator XYxy
-    normalizer_inverse: AutF2 | None = None
     note: str = ""
 
 
 @dataclass(frozen=True)
 class CanonicalGenerator:
-    """An automorphism fixing the left side, built with its inverse: the
-    reversed product of its factors' inverses."""
+    """An automorphism fixing the left side."""
 
     symbol: str
     name: str
     aut: AutF2
-    inverse: AutF2
 
 
 @dataclass(frozen=True)
@@ -331,11 +329,8 @@ def reduce_proper_power(eq: Equation) -> Equation | None:
     return Equation(eq.alphabet, root_w, root_u)
 
 
-_BASIS_MOVES = tuple((move.image_x, move.image_y) for move in PRODUCT_MOVES + INVERSION_MOVES)
-# Product move i sets x to (x^e1 y^e2)^e3 (or y likewise, i >= 8), the bits of i % 8
-# being e1 e2 e3 with 1 for -1: its inverse is (x^e3 y^-e2)^e1.  Inversions are involutions.
-_BASIS_INVERSES = tuple(PRODUCT_MOVES[i & 8 | (2, 6, 0, 4, 3, 7, 1, 5)[i & 7]]
-                        for i in range(16)) + INVERSION_MOVES
+_MOVES = PRODUCT_MOVES + INVERSION_MOVES
+_BASIS_MOVES = tuple((move.image_x, move.image_y) for move in _MOVES)
 
 
 class _BasisWalk:
@@ -410,8 +405,8 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
     primitive, the bases that pass are those filed under ``(w_x, w_y)/gcd``,
     or all of them when both sums are zero.  The search traces only those,
     and grows the walk only once it has traced every one reached, so it
-    stops where a scan of every basis would.  The witness's ``basis_inverse``
-    composes the inverses of the moves that reached its basis.
+    stops where a scan of every basis would.  The witness's ``basis_aut`` is
+    the product of the moves that reached its basis, so it carries its inverse.
     """
     w = reduce_word(w)
     walk = _basis_walk(max(len(w), 2))
@@ -423,12 +418,11 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
         while k < len(line) and line[k] < hnn_max_bases:
             if walk.edge_group(line[k]).trace(w) == 0:
                 p, t = walk.pairs[line[k]]
-                inverse, i = IDENTITY, line[k]
-                while i:  # node i is its parent composed with move: invert up to (x, y)
+                basis, i = IDENTITY, line[k]
+                while i:  # node i is its parent composed with move: multiply up to (x, y)
                     i, move = walk.visited[walk.pairs[i]]
-                    inverse = inverse.compose(_BASIS_INVERSES[move])
-                return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=_trusted(p, t),
-                                  basis_inverse=inverse)
+                    basis = _MOVES[move].compose(basis)
+                return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=basis)
             k += 1
         # Every basis of the line walked so far is traced: grow the walk by
         # what the scan would read next, unless that is past the budget.
@@ -462,9 +456,9 @@ def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassificatio
 def _classify(w: str, level: MinimalLevel, hnn_max_bases: int) -> JsjClassification:
     """``classify_jsj`` of a checked ``w`` with its minimal level."""
     # xyXY is a rotation of XYxy, hence in the same orbit: one target.
-    carried = level.carry("XYxy")
-    if carried is not None:
-        return JsjClassification(kind=CASE_QH, normalizer=carried[0], normalizer_inverse=carried[1])
+    normalizer = level.carry("XYxy")
+    if normalizer is not None:
+        return JsjClassification(kind=CASE_QH, normalizer=normalizer)
     try:
         witness = detect_hnn_splitting(w, hnn_max_bases)
     except SearchBudgetExceeded as exc:
@@ -481,24 +475,24 @@ _CONJUGATION = "c"  # the symbol of inner(w), which acts on solutions as conjuga
 _SYMMETRY_SYMBOLS = "pqruvz"  # one per symmetry: a seventh raises IndexError
 
 
-def _symmetry_generators(w: str) -> list[tuple[AutF2, AutF2]]:
-    """Finite symmetries of w with inverses: signed letter permutations fixed up by an inner.
+def _symmetry_generators(w: str) -> list[AutF2]:
+    """Finite symmetries of w: signed letter permutations fixed up by an inner.
 
     For every non-identity signed permutation ``pi`` whose image of ``w`` is
     conjugate to ``w``, the composite ``inner(h) . pi`` (with ``h`` the
-    conjugator) fixes ``w`` exactly, and ``pi^-1 . inner(h^-1)`` inverts it.
-    These capture the finite part of the stabilizer — e.g. for ``xxyy`` the
-    swap-and-rotate symmetry, whose abelianization has determinant -1 and is
-    therefore not a product of conjugations and twists.  Each composite has
+    conjugator) fixes ``w`` exactly.  These capture the finite part of the
+    stabilizer — e.g. for ``xxyy`` the swap-and-rotate symmetry, whose
+    abelianization has determinant -1 and is therefore not a product of
+    conjugations and twists.  Each composite has
     the abelianization of its ``pi``, so none repeats and none is the identity.
     """
     out = []
-    for perm, perm_inverse in zip(TYPE1_AUTOMORPHISMS, TYPE1_INVERSES):
+    for perm in TYPE1_AUTOMORPHISMS:
         if perm.is_identity():
             continue
         h = conjugating_word(perm.apply(w), w)
         if h is not None:
-            out.append((inner(h).compose(perm), perm_inverse.compose(inner(invert(h)))))
+            out.append(inner(h).compose(perm))
     return out
 
 
@@ -511,20 +505,16 @@ def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGener
     twist subgroup sits at finite index in the full stabilizer).
     """
     w = reduce_word(w)
-    gens = [CanonicalGenerator(_CONJUGATION, "conjugation-by-lhs", inner(w), inner(invert(w)))]
+    gens = [CanonicalGenerator(_CONJUGATION, "conjugation-by-lhs", inner(w))]
     if cls.kind == CASE_HNN:
-        basis, basis_inverse = cls.hnn.basis_aut, cls.hnn.basis_inverse
-        gens.append(CanonicalGenerator("t", "edge-twist",
-                                       basis.compose(DELTA_Y).compose(basis_inverse),
-                                       basis.compose(DELTA_Y_INVERSE).compose(basis_inverse)))
+        basis = cls.hnn.basis_aut
+        gens.append(CanonicalGenerator("t", "edge-twist", basis.compose(DELTA_Y).compose(basis.inverse)))
     elif cls.kind == CASE_QH:
-        nu, nui = cls.normalizer, cls.normalizer_inverse
-        gens.append(CanonicalGenerator("d", "boundary-twist-x", nui.compose(DELTA_X).compose(nu),
-                                       nui.compose(DELTA_X_INVERSE).compose(nu)))
-        gens.append(CanonicalGenerator("e", "boundary-twist-y", nui.compose(DELTA_Y).compose(nu),
-                                       nui.compose(DELTA_Y_INVERSE).compose(nu)))
-    for i, pair in enumerate(_symmetry_generators(w)):
-        gens.append(CanonicalGenerator(_SYMMETRY_SYMBOLS[i], f"symmetry-{i}", *pair))
+        nu = cls.normalizer
+        gens.append(CanonicalGenerator("d", "boundary-twist-x", nu.inverse.compose(DELTA_X).compose(nu)))
+        gens.append(CanonicalGenerator("e", "boundary-twist-y", nu.inverse.compose(DELTA_Y).compose(nu)))
+    for i, aut in enumerate(_symmetry_generators(w)):
+        gens.append(CanonicalGenerator(_SYMMETRY_SYMBOLS[i], f"symmetry-{i}", aut))
     for g in gens:
         if g.aut.apply(w) != w:
             raise AssertionError(f"canonical generator {g.name} does not fix the left side")
@@ -541,8 +531,8 @@ def _images(gen: CanonicalGenerator, inverse: bool) -> Pair:
     """The images of ``gen``, or of its inverse, on a solution."""
     if gen.symbol == _CONJUGATION:
         return _CONJUGATION_IMAGES[inverse]
-    aut = gen.inverse if inverse else gen.aut
-    return aut.image_x, aut.image_y
+    aut = gen.aut
+    return (aut.inverse_x, aut.inverse_y) if inverse else (aut.image_x, aut.image_y)
 
 
 def _actions(gens) -> list[Pair]:
@@ -722,7 +712,7 @@ def minimal_rank2_solutions(
         carried = level.carry(rewritten)
         if carried is None:
             continue
-        seed = _act(_values(pair), (carried[0].image_x, carried[0].image_y))
+        seed = _act(_values(pair), (carried.image_x, carried.image_y))
         if not eq.holds_for(*seed):
             raise AssertionError("terminal candidate produced a non-solution")
         least = descend(seed, gens, eq.rhs)
@@ -765,7 +755,7 @@ def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> Variet
     level = MinimalLevel(w)
     carried = level.carry("x")
     if carried is not None:
-        family = ParametricFamily(aut=carried[0], recover_y=carried[1].image_y)
+        family = ParametricFamily(aut=carried)
         g1, g2 = family.member(eq.rhs, "")
         if not eq.holds_for(g1, g2):
             raise AssertionError("parametric family failed verification")
@@ -870,11 +860,8 @@ def generate_orbit(desc: VarietyDescription, index: int, sigma: str) -> Pair:
     and is applied left to right, each letter by ``_act``.
     """
     sol = _minimal_solution(desc, index)
-    symbols = {g.symbol for g in desc.generators}
     rhs_values = _rhs_values(desc.reduced.rhs)
     for c in sigma:
-        if c.lower() not in symbols:
-            raise WordError(f"unknown canonical generator {c!r}")
         images = _images(desc.generator_by_symbol(c.lower()), c.isupper())
         sol = _act(_values(sol) | rhs_values, images)
     return _checked(desc.reduced, sol)

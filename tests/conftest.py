@@ -23,7 +23,6 @@ from freeq.autf2 import (
     WHITEHEAD_AUTOMORPHISMS,
     AutF2,
     SearchBudgetExceeded,
-    _BASIS_COMMUTATORS,
     inner,
     whitehead_minimize,
 )
@@ -187,12 +186,13 @@ def greedy_is_basis_pair(w1, w2):
 # The greedy inverse: shorten the images by the first product move that
 # shortens the pair, down to a signed permutation P of (x, y).  Then
 # ``aut . M1 ... Mk == P``, and the inverse is ``M1 ... Mk . P^-1``, P^-1 read
-# off letter by letter.  The library never searches for an inverse: it
-# composes each one alongside its automorphism.
+# off letter by letter.  Only the images of the moves are read, so the
+# inverse does not rest on the inverses the library builds with them.  The
+# library never searches for an inverse: every automorphism carries its own.
 
 
-def nielsen_inverse(aut):
-    pair, inverse = (aut.image_x, aut.image_y), IDENTITY
+def _greedy_inverse(pair):
+    inverse = IDENTITY
     while (total := len(pair[0]) + len(pair[1])) > 2:
         for move, formula in zip(PRODUCT_MOVES, NIELSEN_MOVES):
             new = nielsen_move(formula, pair)
@@ -202,7 +202,18 @@ def nielsen_inverse(aut):
         else:
             raise AssertionError(f"no product move shortens the pair {pair!r}")
     letters = {img.lower(): var if img.islower() else var.upper() for var, img in zip("xy", pair)}
-    return inverse.compose(AutF2(letters["x"], letters["y"]))
+    return inverse.compose(AutF2(letters["x"], letters["y"], *pair))
+
+
+def nielsen_inverse(aut):
+    return _greedy_inverse((aut.image_x, aut.image_y))
+
+
+def automorphism(image_x, image_y):
+    """The automorphism with the given images, a free basis, built by the
+    validating constructor with the greedy inverse's images."""
+    inverse = _greedy_inverse((reduce_word(image_x), reduce_word(image_y)))
+    return AutF2(image_x, image_y, inverse.image_x, inverse.image_y)
 
 
 def recursive_words_of_length(alphabet, n):
@@ -360,9 +371,10 @@ def refolding_terminal_candidates(eq):
 
 # The edge-splitting oracle: the breadth-first order over bases of
 # ``solver.detect_hnn_splitting``, but each basis is built by the validating
-# ``AutF2(p, t)`` and ``w`` is rewritten through its inverse at every basis,
-# where the search tests only the abelianization.  The order depends only on
-# the length bound, so the bases and their inverses are listed once per bound.
+# constructor with its greedy inverse and ``w`` is rewritten through that
+# inverse at every basis, where the search tests only the abelianization.
+# The order depends only on the length bound, so the bases are listed once
+# per bound.
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,23 +393,24 @@ def pairs_in_search_order(bound):
 
 @functools.lru_cache(maxsize=None)
 def _bases_in_search_order(bound):
-    return tuple(((p, t), nielsen_inverse(AutF2(p, t))) for p, t in pairs_in_search_order(bound))
+    return tuple(automorphism(p, t) for p, t in pairs_in_search_order(bound))
 
 
 def rebuilding_hnn_splitting(w, hnn_max_bases=HNN_MAX_BASES):
     w = reduce_word(w)
     bases = _bases_in_search_order(max(len(w), 2))
-    for tested, ((p, t), basis_inverse) in enumerate(bases, 1):
+    for tested, basis in enumerate(bases, 1):
         if tested > hnn_max_bases:
             raise SearchBudgetExceeded(
                 f"edge-splitting search tested {hnn_max_bases} bases without a verdict"
             )
-        rewritten = basis_inverse.apply(w)
+        rewritten = basis.inverse.apply(w)
         if exponent_sum(rewritten, "y") == 0:
+            p, t = basis.image_x, basis.image_y
             q = conjugate(p, t)
             sub = build_subgroup_graph(VARIABLES, [p, q])
             if sub.rank() == 2 and sub.contains(w):
-                return HnnWitness(p=p, q=q, t=t, basis_aut=AutF2(p, t), basis_inverse=basis_inverse)
+                return HnnWitness(p=p, q=q, t=t, basis_aut=basis)
     return None
 
 
@@ -427,8 +440,8 @@ def orbit_automorphism(source: str, target: str, max_visited: int = 10**6) -> Au
     tx, ty = abs(exponent_sum(target, "x")), abs(exponent_sum(target, "y"))
     if gcd(sx, sy) != gcd(tx, ty):
         return None
-    m1, a1, _ = whitehead_minimize(source)
-    m2, a2, _ = whitehead_minimize(target)
+    m1, a1 = whitehead_minimize(source)
+    m2, a2 = whitehead_minimize(target)
     level = cyclic_length(m1)
     if level != cyclic_length(m2):
         return None
@@ -508,10 +521,14 @@ def primitive_closed_form(w: str) -> AutF2 | None:
     """The automorphism ``MinimalLevel(w).carry("x")`` finds: by Whitehead,
     ``w`` is primitive exactly when its minimization ends at one letter ``m``,
     and the first signed permutation taking ``m`` to ``x`` finishes it."""
-    m, aut, _ = whitehead_minimize(w)
+    m, aut = whitehead_minimize(w)
     if len(m) != 1:
         return None
     return next(p for p in TYPE1_AUTOMORPHISMS if p.apply(m) == "x").compose(aut)
+
+
+# The cyclic words of [x, y] and [y, x].
+BASIS_COMMUTATORS = frozenset({cyclic_normal_form("XYxy"), cyclic_normal_form("YXyx")})
 
 
 def commutator_normalizer(w: str) -> AutF2 | None:
@@ -519,10 +536,10 @@ def commutator_normalizer(w: str) -> AutF2 | None:
     the orbit of ``[x, y]`` is the conjugates of ``[x, y]^±1``, and the first
     signed permutation matching the minimized words cyclically, fixed up by a
     conjugation, joins the two Whitehead minimizers."""
-    if cyclic_normal_form(w) not in _BASIS_COMMUTATORS:
+    if cyclic_normal_form(w) not in BASIS_COMMUTATORS:
         return None
-    m1, a1, _ = whitehead_minimize(w)
-    m2, a2, _ = whitehead_minimize("XYxy")
+    m1, a1 = whitehead_minimize(w)
+    m2, a2 = whitehead_minimize("XYxy")
     p = next(p for p in TYPE1_AUTOMORPHISMS if cyclic_normal_form(p.apply(m1)) == m2)
     h = conjugating_word(p.apply(m1), m2)
     return nielsen_inverse(a2).compose(inner(h).compose(p.compose(a1)))
@@ -596,7 +613,7 @@ def widening_minimal_solutions(eq, gens):
 
 def evaluating_orbit_walk(seed, gens, rhs):
     ball = max(2 * len(rhs) + 4, len(seed[0]) + len(seed[1]))
-    actions = [g.aut for g in gens] + [g.inverse for g in gens]
+    actions = [g.aut for g in gens] + [g.aut.inverse for g in gens]
     queue = [seed]
     visited = {seed}
     for pair in queue:  # the list grows while it is walked: breadth first
@@ -619,7 +636,7 @@ def delta_orbit_closure(seeds, generators, max_len):
     def fits(pair):
         return len(pair[0]) <= max_len and len(pair[1]) <= max_len
 
-    actions = [g.aut for g in generators] + [g.inverse for g in generators]
+    actions = [g.aut for g in generators] + [g.aut.inverse for g in generators]
     queue = [s for s in seeds if fits(s)]
     visited = set(queue)
     for pair in queue:  # the list grows while it is walked: breadth first

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     NIELSEN_MOVES,
     applying_whitehead_minimize,
+    automorphism,
     commutator_normalizer,
     greedy_is_basis_pair,
     nielsen_inverse,
@@ -27,18 +28,15 @@ from freeq.autf2 import (
     PRODUCT_MOVES,
     TYPE1_AUTOMORPHISMS,
     TYPE2_AUTOMORPHISMS,
-    TYPE1_INVERSES,
     WHITEHEAD_AUTOMORPHISMS,
-    WHITEHEAD_INVERSES,
     _act,
     _length_changes,
     _values,
     inner,
-    is_basis_pair,
     is_primitive,
     whitehead_minimize,
 )
-from freeq.solver import _BASIS_INVERSES, _basis_walk, _BasisWalk
+from freeq.solver import _basis_walk, _BasisWalk
 from freeq.words import (
     VARIABLES,
     Alphabet,
@@ -64,7 +62,7 @@ def random_aut(rng, steps=6):
     pair = ("x", "y")
     for _ in range(rng.randint(1, steps)):
         pair = nielsen_move(rng.choice(NIELSEN_MOVES), pair)
-    return AutF2(*pair)
+    return automorphism(*pair)
 
 
 def random_word(rng, max_len):
@@ -72,16 +70,31 @@ def random_word(rng, max_len):
 
 
 def test_accepts_bases():
-    AutF2("yx", "y")
-    AutF2("y", "x")
-    AutF2("X", "y")
-    AutF2("xyx", "xy")
+    """Each basis builds with the images of its inverse, both stored reduced;
+    the inverse stays out of equality, hashing and repr."""
+    for images, inverse in (
+        (("yx", "y"), ("Yx", "y")),
+        (("y", "x"), ("y", "x")),
+        (("X", "y"), ("X", "y")),
+        (("xyx", "xy"), ("Yx", "Xyy")),
+        (("xyYyx", "xYyy"), ("YyYx", "Xyy")),
+    ):
+        aut = AutF2(*images, *inverse)
+        assert (aut.image_x, aut.image_y) == tuple(map(reduce_word, images))
+        assert (aut.inverse_x, aut.inverse_y) == tuple(map(reduce_word, inverse))
+        assert aut.inverse == nielsen_inverse(aut)
+        assert hash(aut) == hash((aut.image_x, aut.image_y))
+        assert repr(aut) == f"AutF2(image_x={aut.image_x!r}, image_y={aut.image_y!r})"
 
 
-@pytest.mark.parametrize("images", [("xx", "y"), ("xy", "yx"), ("x", "X"), ("x", ""), ("XYxy", "y")])
+@pytest.mark.parametrize("images", [
+    ("xx", "y"), ("xy", "yx"), ("x", "X"), ("x", ""), ("XYxy", "y"),
+    # unimodular abelianization, but shortening stalls short of a permutation
+    ("x", "yyxY"),
+])
 def test_rejects_non_bases(images):
     with pytest.raises(NotAnAutomorphism):
-        AutF2(*images)
+        AutF2(*images, "x", "y")
 
 
 def test_apply_is_homomorphism():
@@ -103,6 +116,7 @@ def test_compose_and_inverse():
         assert a.compose(b).apply(w) == a.apply(b.apply(w))
         assert a.compose(nielsen_inverse(a)).is_identity()
         assert nielsen_inverse(a).compose(a).is_identity()
+        assert a.compose(b).inverse == nielsen_inverse(a.compose(b))
     assert IDENTITY.apply("xYx") == "xYx"
 
 
@@ -112,7 +126,8 @@ def test_inner():
         g = random_word(rng, 6)
         w = random_word(rng, 6)
         assert inner(g).apply(w) == conjugate(w, g)
-    assert nielsen_inverse(inner("x")).apply("y") == "xyX"
+        assert inner(g).inverse == inner(invert(g)) == nielsen_inverse(inner(g))
+    assert inner("x").inverse.apply("y") == "xyX"
 
 
 def test_inner_rejects_foreign_letters():
@@ -120,28 +135,33 @@ def test_inner_rejects_foreign_letters():
         inner("xa")
 
 
+# Every automorphism the library builds from scratch: the moves, the Whitehead
+# automorphisms and the identity.
+BUILT_MOVES = ALL_MOVES + WHITEHEAD_AUTOMORPHISMS + (IDENTITY,)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(0, len(WHITEHEAD_AUTOMORPHISMS) - 1), st.booleans()),
+        st.tuples(st.integers(0, len(BUILT_MOVES) - 1), st.booleans()),
         max_size=6,
     ),
     st.text(alphabet="xyXY", max_size=4),
 )
 def test_trusted_products_pass_validation(steps, g):
-    # compose and inner skip the basis check; the validating constructor
-    # must accept every automorphism they build, unchanged.  The inverse
-    # composed alongside, from the tabled inverses, is the greedy inverse.
-    aut = inverse = IDENTITY
+    # compose, inner and inverse skip the check; the validating constructor
+    # must accept every automorphism they build, with the inverse it
+    # carries, unchanged.  That inverse is the greedy inverse, and each
+    # product composes with it to the identity both ways.
+    aut = IDENTITY
     for index, inverted in steps:
-        step, step_inverse = WHITEHEAD_AUTOMORPHISMS[index], WHITEHEAD_INVERSES[index]
-        if inverted:
-            step, step_inverse = step_inverse, step
-        aut, inverse = step.compose(aut), inverse.compose(step_inverse)
-    for built in (aut, inverse, inner(g).compose(aut), inner(g)):
-        assert AutF2(built.image_x, built.image_y) == built
-    assert inverse.compose(aut).is_identity()
-    assert inverse == nielsen_inverse(aut)
+        step = BUILT_MOVES[index]
+        aut = (step.inverse if inverted else step).compose(aut)
+    for built in (aut, aut.inverse, inner(g).compose(aut), inner(g)):
+        assert AutF2(built.image_x, built.image_y, built.inverse_x, built.inverse_y) == built
+        assert built.compose(built.inverse) == IDENTITY == built.inverse.compose(built)
+        assert built.inverse == nielsen_inverse(built)
+        assert built.inverse.inverse == built
 
 
 def test_abelianized_determinant_is_unit():
@@ -165,7 +185,7 @@ def test_abelian_splitting_test_matches_rewritten_y_exponent():
     sample += random.Random(89).sample(list(words_upto(VARIABLES, 5)), 12)
     sums = [(exponent_sum(p, "x"), exponent_sum(p, "y")) for p, _ in walk.pairs]
     for (p, t), (px, py) in zip(walk.pairs, sums):
-        basis_inverse = nielsen_inverse(AutF2(p, t))
+        basis_inverse = automorphism(p, t).inverse
         for w in sample:
             wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
             rewritten = basis_inverse.apply(w)
@@ -182,13 +202,13 @@ def test_abelian_splitting_test_matches_rewritten_y_exponent():
 
 
 def test_inverse_of_signed_permutations():
-    # The tabled inverse of each signed permutation is the greedy inverse,
-    # which reads it off letter by letter; the greedy inverse of the
-    # permutation alone and behind a random automorphism composes to the
-    # identity both ways.
+    # The inverse each signed permutation is built with, its cube, is the
+    # greedy inverse, which reads it off letter by letter; the greedy
+    # inverse of the permutation alone and behind a random automorphism
+    # composes to the identity both ways.
     rng = random.Random(79)
-    for perm, perm_inverse in zip(TYPE1_AUTOMORPHISMS, TYPE1_INVERSES):
-        assert perm_inverse == nielsen_inverse(perm), perm
+    for perm in TYPE1_AUTOMORPHISMS:
+        assert perm.inverse == nielsen_inverse(perm) == perm.compose(perm).compose(perm), perm
         for aut in (perm, random_aut(rng).compose(perm), perm.compose(random_aut(rng))):
             inv = nielsen_inverse(aut)
             assert inv.compose(aut) == IDENTITY, aut
@@ -199,12 +219,12 @@ def test_move_matches_its_automorphism():
     # Each move constant is the move formula applied to (x, y), in the
     # formula's order; the formula on a random basis is that basis composed
     # with the constant, and the action of the constant's images on it.
-    # The basis walk's tabled inverse of each move is its greedy inverse.
+    # The inverse each move is built with is its greedy inverse.
     rng = random.Random(83)
-    assert len(ALL_MOVES) == len(NIELSEN_MOVES) == len(_BASIS_INVERSES) == 18
-    for move, formula, inverse in zip(ALL_MOVES, NIELSEN_MOVES, _BASIS_INVERSES):
+    assert len(ALL_MOVES) == len(NIELSEN_MOVES) == 18
+    for move, formula in zip(ALL_MOVES, NIELSEN_MOVES):
         assert (move.image_x, move.image_y) == nielsen_move(formula, ("x", "y"))
-        assert inverse == nielsen_inverse(move) and move.compose(inverse).is_identity()
+        assert move.inverse == nielsen_inverse(move) and move.compose(move.inverse).is_identity()
         base = random_aut(rng)
         replayed = nielsen_move(formula, (base.image_x, base.image_y))
         composed = base.compose(move)
@@ -243,7 +263,7 @@ def test_action_matches_evaluate(first, second, w, v, ball):
             t = WHITEHEAD_AUTOMORPHISMS[index]
             images = (evaluate(images[0], t.image_x, t.image_y),
                       evaluate(images[1], t.image_x, t.image_y))
-        auts.append(AutF2(*images))
+        auts.append(automorphism(*images))
     a, b = auts
     images = (a.image_x, a.image_y)
     assert a.apply(w) == evaluate(w, *images)
@@ -266,38 +286,39 @@ def test_apply_rejects_foreign_letters():
             IDENTITY.apply(w)
 
 
-def test_is_basis_pair():
-    assert is_basis_pair("x", "y")
-    assert is_basis_pair("yx", "y")
-    assert not is_basis_pair("xx", "y")
-    assert not is_basis_pair("xy", "yx")
-    assert not is_basis_pair("XYxy", "y")
-    # unimodular abelianization, but shortening stalls short of a permutation
-    assert not is_basis_pair("x", "yyxY")
-    rng = random.Random(89)
-    for _ in range(100):
-        a = random_aut(rng)
-        assert is_basis_pair(a.image_x, a.image_y)
-    # The commutator test agrees with greedy shortening on every pair of the
-    # radius-4 ball.
+def test_constructor_accepts_exactly_the_bases():
+    """On every pair of the radius-4 ball, a pair that greedy shortening
+    rejects is refused for the claimed inverse (x, y) and for the pair
+    swapped; a pair it accepts builds with the greedy inverse's images, and
+    is refused for those images swapped."""
     ball = list(words_upto(XY, 4))
+    bases = 0
     for w1 in ball:
         for w2 in ball:
-            assert is_basis_pair(w1, w2) == greedy_is_basis_pair(w1, w2), (w1, w2)
+            if greedy_is_basis_pair(w1, w2):
+                aut = automorphism(w1, w2)
+                assert aut.inverse == nielsen_inverse(aut)
+                with pytest.raises(NotAnAutomorphism):
+                    AutF2(w1, w2, aut.inverse_y, aut.inverse_x)
+                bases += 1
+                continue
+            for inverse in (("x", "y"), (w2, w1)):
+                with pytest.raises(NotAnAutomorphism):
+                    AutF2(w1, w2, *inverse)
+    assert bases == 1032
 
 
 def test_whitehead_counts():
     assert len(TYPE1_AUTOMORPHISMS) == 8
     assert len(TYPE2_AUTOMORPHISMS) == 12
     assert len(WHITEHEAD_AUTOMORPHISMS) == 20
-    assert len(WHITEHEAD_INVERSES) == 20
-    for t, inverse in zip(WHITEHEAD_AUTOMORPHISMS, WHITEHEAD_INVERSES):
-        assert inverse == nielsen_inverse(t)
-        assert t.compose(inverse).is_identity()
+    for t in WHITEHEAD_AUTOMORPHISMS:
+        assert t.inverse == nielsen_inverse(t)
+        assert t.compose(t.inverse).is_identity()
 
 
 def test_whitehead_minimize_golden():
-    form, aut, _ = whitehead_minimize("xyX")
+    form, aut = whitehead_minimize("xyX")
     assert form == "y"
     assert aut.apply("xyX") == "y"
 
@@ -306,7 +327,7 @@ def test_whitehead_minimize_properties():
     rng = random.Random(97)
     for _ in range(150):
         w = random_word(rng, 9)
-        form, aut, _ = whitehead_minimize(w)
+        form, aut = whitehead_minimize(w)
         assert aut.apply(w) == form
         assert cyclic_normal_form(form) == form
         # local minimality over the whole generating set
@@ -335,27 +356,25 @@ def random_reduced_word(rng, n):
 def test_whitehead_minimize_matches_applying_oracle():
     """Applying only the moves of the least change in length picks the image
     and automorphism that applying all twelve moves picks, and the inverse
-    carried step by step is the inverse, on every word of length at most 6
-    and on random words of 9-20 letters."""
+    it carries is the inverse, on every word of length at most 6 and on
+    random words of 9-20 letters."""
     rng = random.Random(113)
     words = list(words_upto(VARIABLES, 6))
     words += [random_reduced_word(rng, rng.randint(9, 20)) for _ in range(400)]
     for w in words:
-        form, aut, inverse = whitehead_minimize(w)
+        form, aut = whitehead_minimize(w)
         assert (form, aut) == applying_whitehead_minimize(w), w
-        assert aut.compose(inverse).is_identity(), w
-        assert inverse == nielsen_inverse(aut), w
+        assert aut.compose(aut.inverse).is_identity(), w
+        assert aut.inverse == nielsen_inverse(aut), w
 
 
 def checked_carry(level, target):
-    """The automorphism of ``level.carry(target)``, once the inverse carried
-    with it is checked against the greedy inverse."""
-    carried = level.carry(target)
-    if carried is None:
-        return None
-    aut, inverse = carried
-    assert aut.compose(inverse).is_identity(), target
-    assert inverse == nielsen_inverse(aut), target
+    """``level.carry(target)``, once the inverse it carries is checked
+    against the greedy inverse."""
+    aut = level.carry(target)
+    if aut is not None:
+        assert aut.compose(aut.inverse).is_identity(), target
+        assert aut.inverse == nielsen_inverse(aut), target
     return aut
 
 
@@ -437,11 +456,11 @@ def test_level_paths_carry_their_inverses():
     for w in sorted({cyclic_normal_form(w) for w in words_upto(XY, 6)} - {""}):
         level = MinimalLevel(w)
         assert not level._reaches("")  # no form is empty: the walk runs to the end
-        assert level.inverse == nielsen_inverse(level.aut), w
-        for form, (path, inverse, image) in level.reached.items():
+        assert level.aut.inverse == nielsen_inverse(level.aut), w
+        for form, (path, image) in level.reached.items():
             assert path.apply(level.minimal) == image and cyclic_normal_form(image) == form
-            assert path.compose(inverse).is_identity(), (w, form)
-            assert inverse == nielsen_inverse(path), (w, form)
+            assert path.compose(path.inverse).is_identity(), (w, form)
+            assert path.inverse == nielsen_inverse(path), (w, form)
         forms += len(level.reached)
     assert forms == 1940
 
@@ -470,7 +489,7 @@ def test_is_primitive():
 def test_commutator_normalizer():
     assert commutator_normalizer("XYxy") == IDENTITY
     assert commutator_normalizer("xxyy") is None
-    assert MinimalLevel("XYxy").carry("XYxy") == (IDENTITY, IDENTITY)
+    assert MinimalLevel("XYxy").carry("XYxy") == IDENTITY
     # The level lookup finds the automorphism the orbit search and Nielsen's
     # closed form find.
     for w in words_upto(XY, 7):

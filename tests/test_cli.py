@@ -247,12 +247,18 @@ def test_gen_and_certify_on_an_unresolved_description_exit_2(capsys, command, me
     assert err.startswith(message)
 
 
+# Each asks for a member the description does not have.
 @pytest.mark.parametrize("argv, message", [
-    (("--u", "aaa"), "the solution set is empty; nothing to generate"),
-    (("--u", "1"), "generating for a trivial right side needs --root"),
+    (("--w", "xxyy", "--u", "aaa"), "the solution set is empty; nothing to generate"),
+    (("--w", "xxyy", "--u", "1"), "generating for a trivial right side needs --root"),
+    (("--w", "xxxyyy", "--u", "aaabbb", "--m", "1"), "this description has no edge-splitting family"),
+    (("--w", "xxyy", "--u", "aabb", "--index", "5"), "solution index 5 out of range 0..0"),
+    (("--w", "xxyy", "--u", "1", "--root", "ab", "--n", "1", "--m", "0"),
+     "exponents (1, 0) are outside the kernel lattice"),
+    (("--w", "xxyy", "--u", "aabb", "--sigma", "cz"), "no canonical generator named 'z'"),
 ])
 def test_gen_with_nothing_to_generate_exits_1(capsys, argv, message):
-    code, out, err = run_main(capsys, "gen", "--w", "xxyy", *argv)
+    code, out, err = run_main(capsys, "gen", *argv)
     assert code == 1
     assert out == ""
     assert err == f"freeq: error: {message}\n"

@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 from conftest import (
+    apply_to_solution,
+    automorphism,
     closure_uncovered,
     full_ball_single_run,
     probe_equations,
@@ -609,6 +611,31 @@ def test_certify_rigid_rotation_symmetry_at_radius_6():
     e = eq("xxyXy", "aabAb")
     report = certify(e, describe_variety(e), 6)
     assert report.uncovered == ()
+
+
+# Automorphisms phi that fix a rigid left side w and are not powers of c, the
+# one canonical generator describe gives w, each with a right side u and a
+# ball that holds phi's image of the minimal pair of w = u (ROADMAP item 1).
+ITEM_1_STABILIZERS = (("xxyyy", "aabbb", ("xxyyyX", "xYX"), 6, ("aabbbA", "aBA")),)
+
+
+@pytest.mark.parametrize("w,u,phi,max_len,image", ITEM_1_STABILIZERS)
+def test_item_1_stabilizer_carries_a_minimal_pair_into_the_ball(w, u, phi, max_len, image):
+    """phi fixes w, and its abelianization is not the identity, as that of
+    every power of c is; its image of the minimal pair solves w = u."""
+    phi, desc = automorphism(*phi), describe_variety(eq(w, u))
+    assert phi.apply(w) == w and phi.abelianized() != ((1, 0), (0, 1))
+    assert apply_to_solution(phi, desc.minimal[0]) == image
+    assert desc.reduced.holds_for(*image) and max(map(len, image)) <= max_len
+
+
+@pytest.mark.parametrize("w,u,phi,max_len,image", ITEM_1_STABILIZERS)
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the canonical generators miss phi, so certify "
+                   "finds phi's image of the minimal pair uncovered")
+def test_certify_covers_item_1_stabilizer_images(w, u, phi, max_len, image):
+    e = eq(w, u)
+    assert certify(e, describe_variety(e), max_len).uncovered == ()
 
 
 @pytest.mark.parametrize("w,u,total", [("XYxy", "ABab", 361), ("xYxy", "aBab", 38)])

@@ -9,6 +9,7 @@ import sys
 import pytest
 from conftest import (
     apply_to_solution,
+    automorphism,
     evaluating_orbit_walk,
     nielsen_inverse,
     orbit_automorphism,
@@ -38,9 +39,7 @@ from freeq.solver import (
     CASE_RIGID,
     CASE_UNRESOLVED,
     DELTA_X,
-    DELTA_X_INVERSE,
     DELTA_Y,
-    DELTA_Y_INVERSE,
     Equation,
     FIRST_LEVEL_LHS,
     FORMULA_CONJUGATES,
@@ -89,6 +88,7 @@ from freeq.words import (
     invert,
     multiply,
     pair_key,
+    pair_rank,
     parse_word,
     power,
     primitive_root,
@@ -129,9 +129,9 @@ def test_holds_for_and_verify():
 
 
 def test_delta_twists_fix_the_commutator():
-    for delta, inverse in ((DELTA_X, DELTA_X_INVERSE), (DELTA_Y, DELTA_Y_INVERSE)):
+    for delta in (DELTA_X, DELTA_Y):
         assert delta.apply("XYxy") == "XYxy"
-        assert inverse == nielsen_inverse(delta)
+        assert delta.inverse == nielsen_inverse(delta)
 
 
 def test_lhs_rejection():
@@ -209,6 +209,23 @@ def test_rank1_only():
         g1, g2 = generate_rank1(desc, n)
         assert evaluate("xxyy", g1, g2) == "aaaa"
     assert desc.minimal == ()
+
+
+def test_left_sides_reaching_step_6_take_no_proper_power_value():
+    """Step 6 describes ``w = u`` with ``u`` a proper power by its commuting
+    solutions alone.  On every cyclic normal form of at most 6 letters that
+    reaches it, in both variables, neither primitive nor a proper power,
+    ``w`` takes no proper-power value at any non-commuting pair of words of
+    at most 3 letters."""
+    forms = [w for w in words_upto(VARIABLES, 6)
+             if {c.lower() for c in w} == {"x", "y"} and cyclic_normal_form(w) == w
+             and primitive_root(w)[1] == 1 and autf2.is_primitive(w) is None]
+    ball = list(words_upto(AB, 3))
+    pairs = [(g1, g2) for g1 in ball for g2 in ball if pair_rank(g1, g2) == 2]
+    assert (len(forms), len(pairs)) == (150, 2552)
+    for w in forms:
+        for pair in pairs:
+            assert primitive_root(evaluate(w, *pair))[1] == 1, (w, pair)
 
 
 def test_rank1_empty_gives_empty_kind():
@@ -434,8 +451,7 @@ def test_minimal_level_carry_matches_orbit_search():
             rewritten = candidate[1]
             match = level.carry(rewritten)
             if match is not None:
-                assert match[1] == nielsen_inverse(match[0]), (e, rewritten)
-                match = match[0]
+                assert match.inverse == nielsen_inverse(match), (e, rewritten)
             assert match == orbit_automorphism(desc.reduced.lhs, rewritten), (e, rewritten)
             looked_up += 1
             matched += match is not None
@@ -548,7 +564,7 @@ def test_variable_automorphism_keeps_the_description_shape():
     Whitehead automorphism and with a product of two others, skipping images
     in one variable, which describe rejects, and the pinned ``ITEM_2_IMAGES``."""
     rng, products = random.Random(61), random.Random(67)
-    pinned = {(w, u, AutF2(*phi)) for w, u, phi in ITEM_2_IMAGES}
+    pinned = {(w, u, automorphism(*phi)) for w, u, phi in ITEM_2_IMAGES}
     images = []
     for e in probe_equations(5):
         shape = _invariants(describe_variety(e))
@@ -568,17 +584,16 @@ def test_variable_automorphism_keeps_the_description_shape():
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: describe classifies the image itself, "
                                        "not its minimal form")
 def test_variable_automorphism_keeps_the_item_2_description_shapes(w, u, phi):
-    image = eq(AutF2(*phi).apply(w), u)
+    image = eq(automorphism(*phi).apply(w), u)
     assert _invariants(describe(image.lhs, u)) == _invariants(describe(w, u))
 
 
 def _twisted_image_solution():
     """The description of phi(XXYY) = bAbABB, phi = (yxY, yXyxY), and the
     twisted solution t of XXYY = bAbABB carried to it by phi^-1."""
-    phi, phi_inverse = AutF2("yxY", "yXyxY"), AutF2("xYxyX", "xyX")
-    assert phi.compose(phi_inverse).is_identity()
+    phi = AutF2("yxY", "yXyxY", "xYxyX", "xyX")
     twisted = generate_orbit(describe("XXYY", "bAbABB"), 0, "t")
-    return describe(phi.apply("XXYY"), "bAbABB"), apply_to_solution(phi_inverse, twisted)
+    return describe(phi.apply("XXYY"), "bAbABB"), apply_to_solution(phi.inverse, twisted)
 
 
 def test_twisted_solution_of_an_hnn_image_is_outside_the_described_orbit():
@@ -606,7 +621,7 @@ def test_twisted_solution_of_an_hnn_image_descends_to_a_minimal_pair():
 
 def test_minimizer_carries_its_inverse(monkeypatch):
     """Every Whitehead minimization that describing the minimization corpus
-    makes returns the inverse of its automorphism."""
+    makes returns an automorphism that carries its inverse."""
     minimized = []
     real_minimize = autf2.whitehead_minimize
 
@@ -618,9 +633,9 @@ def test_minimizer_carries_its_inverse(monkeypatch):
     for e in _minimization_corpus():
         describe_variety(e)
     for w in minimized:
-        _, aut, inverse = real_minimize(w)
-        assert aut.compose(inverse).is_identity(), w
-        assert inverse == nielsen_inverse(aut), w
+        _, aut = real_minimize(w)
+        assert aut.compose(aut.inverse).is_identity(), w
+        assert aut.inverse == nielsen_inverse(aut), w
     assert len(minimized) > 300
 
 
@@ -697,16 +712,16 @@ def test_classify_jsj_matches_describe_classification():
 
 
 def test_canonical_generator_inverses_match_greedy_inversion():
-    """Each generator's inverse, built from the inverses of its factors,
-    is the inverse that greedy shortening computes."""
+    """Each generator's inverse, the product of its factors' inverses, is
+    the inverse that greedy shortening computes."""
     compared = 0
     for e in _minimization_corpus():
         desc = describe_variety(e)
         if desc.kind != KIND_JSJ:
             continue
         for g in desc.generators:
-            assert g.inverse == nielsen_inverse(g.aut), (e, g.name)
-            assert g.aut.compose(g.inverse).is_identity()
+            assert g.aut.inverse == nielsen_inverse(g.aut), (e, g.name)
+            assert g.aut.compose(g.aut.inverse).is_identity()
         compared += 1
     assert compared == 70
     for w, u in JSJ_ANCHORS:
@@ -717,11 +732,12 @@ def test_canonical_generator_inverses_match_greedy_inversion():
 
 
 def test_classifications_carry_their_inverses():
-    """Each edge-splitting witness's basis inverse, composed from the inverses
-    of the moves that reached its basis, each normalizer's inverse, carried
-    on the minimal level, and the inverse whose y-image is a parametric
-    family's recovery word, are the greedy inverses, on every left side of
-    at most 6 letters in both variables that is not a proper power."""
+    """Each edge-splitting witness's basis, the product of the moves that
+    reached it, has the images (p, t); its inverse, each normalizer's
+    inverse, carried on the minimal level, and the inverse of each
+    parametric family's automorphism, whose y-image recovers the parameter,
+    are the greedy inverses, on every left side of at most 6 letters in both
+    variables that is not a proper power."""
     counts, bases = {}, set()
     for w in words_upto(VARIABLES, 6):
         if {c.lower() for c in w} != {"x", "y"} or primitive_root(w)[1] > 1:
@@ -730,18 +746,19 @@ def test_classifications_carry_their_inverses():
             cls = classify_jsj(w)
         except WordError:
             family = describe(w, "ab").parametric
-            assert family.recover_y == nielsen_inverse(family.aut).image_y, w
+            assert family.aut.inverse == nielsen_inverse(family.aut), w
             counts["parametric"] = counts.get("parametric", 0) + 1
             continue
         if cls.kind == CASE_HNN:
-            aut, inverse = cls.hnn.basis_aut, cls.hnn.basis_inverse
+            aut = cls.hnn.basis_aut
+            assert (aut.image_x, aut.image_y) == (cls.hnn.p, cls.hnn.t), w
             bases.add(aut)
         elif cls.kind == CASE_QH:
-            aut, inverse = cls.normalizer, cls.normalizer_inverse
+            aut = cls.normalizer
         else:
-            aut = inverse = IDENTITY
-        assert aut.compose(inverse).is_identity(), w
-        assert inverse == nielsen_inverse(aut), w
+            aut = IDENTITY
+        assert aut.compose(aut.inverse).is_identity(), w
+        assert aut.inverse == nielsen_inverse(aut), w
         counts[cls.kind] = counts.get(cls.kind, 0) + 1
     assert counts == {"parametric": 400, "hnn": 464, "qh": 24, "rigid": 440}
     assert len(bases) == 40
@@ -841,13 +858,13 @@ def test_solution_actions_match_apply_to_solution():
                 pair = sol
                 for _ in range(rng.randint(1, 6)):
                     g, inverse = rng.choice(actions)
-                    pair = apply_to_solution(g.inverse if inverse else g.aut, pair)
+                    pair = apply_to_solution(g.aut.inverse if inverse else g.aut, pair)
                 members.append(pair)
         for pair in members:
             assert desc.reduced.holds_for(*pair)
             values = solver._values(pair) | {"u": (rhs, invert(rhs)), "U": (invert(rhs), rhs)}
             for g, inverse in actions:
-                expected = apply_to_solution(g.inverse if inverse else g.aut, pair)
+                expected = apply_to_solution(g.aut.inverse if inverse else g.aut, pair)
                 assert solver._act(values, solver._images(g, inverse), math.inf) == expected
                 compared += 1
     assert compared > 1000
@@ -875,7 +892,7 @@ def test_generate_orbit_matches_an_evaluate_fold(data):
     pair = desc.minimal[index]
     for c in sigma:
         g = desc.generator_by_symbol(c.lower())
-        pair = apply_to_solution(g.aut if c.islower() else g.inverse, pair)
+        pair = apply_to_solution(g.aut if c.islower() else g.aut.inverse, pair)
     assert generate_orbit(desc, index, sigma) == pair
 
 
@@ -1176,7 +1193,7 @@ def test_symmetries_form_a_subgroup_of_the_signed_permutations():
 
 
 def test_a_seventh_symmetry_raises(monkeypatch):
-    monkeypatch.setattr(solver, "_symmetry_generators", lambda w: [(IDENTITY, IDENTITY)] * 7)
+    monkeypatch.setattr(solver, "_symmetry_generators", lambda w: [IDENTITY] * 7)
     with pytest.raises(IndexError):
         canonical_generators(JsjClassification(kind=CASE_RIGID), "xxyy")
 
