@@ -47,15 +47,26 @@ check it on every non-commuting pair of the radius-4 ball and on random
 pairs built to cancel much.
 
 A single run ``s^a z^k s^b = u`` with ``n = a+b`` is conjugate, by ``g^b``,
-to ``g^n z^k = u``, so ``‖u‖ = ‖g^n z^k‖``.  When ``|n| >= 3``, ``|k| >= 2``
-and ``u != 1``, a solution with g and z not commuting has ``‖z‖ >= 1`` and
-a gcd of at least 1, so ``‖g‖ <= (‖u‖ - |k| - 2) // (|n| - 2)``; a
-commuting one lies in one cyclic group, which holds ``u``, so g is a power
-of u's primitive root.  Brute force then tests only the ball words of
-cyclic length up to that bound, spelled as ``c^-1 h c`` without listing the
-ball, and the longer powers of the root in the ball: ``xxxyyy = aaabbb`` at
-L=9 tests 327 of the ball's 39 365 words.  Every other left side tests the
-whole ball.
+to ``g^n z^k = u' = g^b u g^-b``, so ``‖u‖ = ‖g^n z^k‖``.  A solution with
+g and z commuting lies in one cyclic group, which holds ``u``, so g is a
+power of u's primitive root.  Two facts bound the other solutions when
+``|n| >= 2``, ``|k| >= 2`` and ``u != 1``:
+
+- u a proper power: there are none.  ``u'`` is a proper power too, and
+  Lyndon and Schützenberger (1962) show that ``a^M = b^N c^P`` with
+  ``M, N, P >= 2`` forces a, b and c to commute; so g commutes with ``u'``,
+  hence with u, and lies in the cyclic group of u's root.
+  ``xxyy = aaaa`` at L=8 tests the 17 powers of ``a`` in the ball, not its
+  13 121 words;
+- otherwise, when ``|n| >= 3``: a solution has ``‖z‖ >= 1`` and a gcd of at
+  least 1, so ``‖g‖ <= (‖u‖ - |k| - 2) // (|n| - 2)``.  Brute force tests
+  the ball words of cyclic length up to that bound, spelled as ``c^-1 h c``
+  without listing the ball, and the longer powers of the root in the ball:
+  ``xxxyyy = aaabbb`` at L=9 tests 327 of the ball's 39 365 words.
+
+The single runs that still test the whole ball are those with ``|k| = 1``,
+``u = 1``, ``|n| <= 1``, or ``|n| = 2`` and u not a proper power (e.g.
+``xxyy = aabb``).
 
 A proper-power left side ``v^n`` first becomes ``v = r``, r being the unique
 n-th root of ``u``, and ``v`` picks the route.  Every pair is confirmed on the
@@ -174,16 +185,16 @@ def _flank(g: str, a: int, u: str, b: int) -> str:
 def _single_run_candidates(eq: Equation, shape, max_len: int):
     """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
 
-    The values g of s: when ``|a+b| >= 3``, ``|k| >= 2`` and ``u != 1``, the
-    cancellation bound of the module docstring (``‖g^n z^k‖ >= (|n|-2)·‖g‖
-    + (|k|-2)·‖z‖ + 2·gcd(‖g‖, ‖z‖) + 2`` unless g and z commute, after
-    Lyndon–Schützenberger 1962 and Fine–Wilf 1965) applies to
-    ``‖u‖ = ‖g^(a+b) z^k‖``.  A solution with g and z not commuting has
-    z != 1, so ``‖g‖ <= (‖u‖ - |k| - 2) // (|a+b| - 2)``; a commuting one has
-    g in the cyclic group of u's primitive root, which also covers g = 1 and
-    z = 1.  The values are then the ball words of cyclic length at most that
-    bound and the longer powers of the root in the ball, two disjoint lists.
-    Every other shape, and u = 1, takes the whole ball.
+    The values g of s, when ``|a+b| >= 2``, ``|k| >= 2`` and ``u != 1`` (see
+    the module docstring): the powers of u's primitive root in the ball hold
+    every solution with g and z commuting, g = 1 and z = 1 included.  When u
+    is a proper power there is no other: ``g^(a+b) z^k = g^b u g^-b`` is a
+    proper power too, so g commutes with it, hence with u (Lyndon and
+    Schützenberger 1962), and B = -1.  Otherwise, when ``|a+b| >= 3``, the
+    cancellation bound gives ``‖g‖ <= B = (‖u‖ - |k| - 2) // (|a+b| - 2)``
+    for the others.  The values are the ball words of cyclic length at most
+    B and the powers of the root longer than B, two disjoint lists.  Every
+    other shape takes the whole ball.
 
     The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` has no
     solution unless ``gcd(a+b, k)`` divides ``ab(u)``; otherwise it keeps
@@ -196,9 +207,14 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
     ab_u = _ab(u, letters)
     if any(t % gcd(n, k) for t in ab_u):
         return
-    if abs(n) >= 3 and abs(k) >= 2 and u:
-        bound = min((cyclic_length(u) - abs(k) - 2) // (abs(n) - 2), max_len)
-        rho = primitive_root(u)[0]
+    bound = None
+    if abs(n) >= 2 and abs(k) >= 2 and u:
+        rho, e = primitive_root(u)
+        if e > 1:
+            bound = -1
+        elif abs(n) >= 3:
+            bound = min((cyclic_length(u) - abs(k) - 2) // (abs(n) - 2), max_len)
+    if bound is not None:
         span = max(_power_span(rho, max_len), 0)
         values = _short_core_words(eq.alphabet, bound, max_len) + [
             power(rho, i) for i in range(-span, span + 1) if abs(i) * cyclic_length(rho) > bound]

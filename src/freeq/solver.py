@@ -12,11 +12,12 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
 6. right side a proper power: no non-commuting solutions exist at all.
    For a single run ``s^a z^k s^b`` this is Lyndon–Schützenberger (1962):
    ``g^M h^N = c^P`` with ``M, N, P >= 2`` forces ``g`` and ``h`` to
-   commute.  For a commutator it is Schützenberger's theorem that a
-   non-trivial commutator is never a proper power.  For every other ``w`` it
-   is only measured: no ``w`` of at most 6 letters that reaches this step
-   takes a proper-power value at a non-commuting pair of words of at most 3
-   letters;
+   commute; brute force (``freeq.oracle``) uses the same theorem to test
+   only the powers of u's root for such runs.  For a commutator it is
+   Schützenberger's theorem that a non-trivial commutator is never a proper
+   power.  For every other ``w`` it is only measured: no ``w`` of at most 6
+   letters that reaches this step takes a proper-power value at a
+   non-commuting pair of words of at most 3 letters;
 7. otherwise classify ``w`` (orbit of the commutator / splits over an edge
    letter / neither), compute canonical solution-moving automorphisms, and
    search the finitely many terminal subgroup bases for seeds, each a

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     apply_to_solution,
     delta_orbit_closure,
+    full_ball_single_run,
     is_reduced,
     naive_member,
     naive_nielsen_reduce,
@@ -119,6 +120,8 @@ def test_acceptance_4_fourth_power_rhs_rank1_lattice():
         if len(g1) <= 8 and len(g2) <= 8:
             lattice.add((g1, g2))
     assert set(result.pairs()) == lattice
+    # Brute force tests only the powers of a here, so also check the ball.
+    assert set(result.pairs()) == full_ball_single_run(AB, 2, 2, 0, "aaaa", 8)
     assert ("aaa", "A") in lattice  # the m=3 point is part of the family
     desc = describe_variety(e)
     family_points = {desc.rank1.member(n) for n in range(-9, 12)}

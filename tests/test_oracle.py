@@ -126,6 +126,8 @@ def single_run_word(z, a, k, b):
 @example("y", 3, 3, 0, "planted", "a", "a", 3)  # xxxyyy = a^6: the commuting sweep
 @example("y", -3, 2, 0, "planted", "ab", "b", 3)  # XXXyy: negative exponents
 @example("y", 3, 3, 0, "planted", "ab", "A", 3)  # u = abababAAA: |u| = 9, ‖u‖ = 7
+@example("y", 2, 2, 0, "planted", "a", "a", 3)  # xxyy = aaaa: only the powers of a
+@example("y", -2, 2, 0, "planted", "", "ab", 3)  # XXyy = (ab)^2: only the powers of ab
 def test_single_run_elimination_matches_naive_scan(z, a, k, b, kind, g1, g2, max_len):
     # The root route must find exactly the pairs of the full double loop.
     w = single_run_word(z, a, k, b)
@@ -138,15 +140,17 @@ def test_single_run_elimination_matches_naive_scan(z, a, k, b, kind, g1, g2, max
         assert (g1, g2) in expected
 
 
-def takes_short_core_route(w):
+def bounded_single_run(w, least_n):
     """Is ``w`` a cyclically reduced, non-power single run s^a z^k s^b with
-    |a+b| >= 3 and |k| >= 2, so that a non-trivial u scans short cores?"""
+    |a+b| >= least_n and |k| >= 2?  With least_n = 3 a non-trivial u scans
+    short cores; with least_n = 2 a proper-power u scans only its root's
+    powers."""
     shape = _single_run_shape(w)
     return (cyclic_core(w) == w and primitive_root(w)[1] == 1 and shape is not None
-            and abs(shape[1] + shape[3]) >= 3 and abs(shape[2]) >= 2)
+            and abs(shape[1] + shape[3]) >= least_n and abs(shape[2]) >= 2)
 
 
-SHORT_CORE_LHS = [w for w in words_upto(VARIABLES, 7) if w and takes_short_core_route(w)]
+SHORT_CORE_LHS = [w for w in words_upto(VARIABLES, 7) if w and bounded_single_run(w, 3)]
 SHORT_CORE_PLANTS = (("a", "b"), ("a", "a"), ("ab", "b"), ("aB", "A"), ("", "ab"), ("ab", ""),
                      ("ab", "bA"), ("aab", "ba"))
 
@@ -167,6 +171,71 @@ def test_brute_short_core_route_matches_full_ball_oracle():
             if z == "x":
                 expected = {(root, g) for g, root in expected}
             assert set(brute_force_solutions(eq(w, u), 4).pairs()) == expected, (w, u)
+
+
+PROPER_POWER_LHS = [w for w in words_upto(VARIABLES, 7) if w and bounded_single_run(w, 2)]
+PROPER_POWERS = [u for u in words_upto(AB, 4) if u and primitive_root(u)[1] > 1]
+COMMUTING_PLANTS = (("a", "a"), ("ab", "ab"), ("ab", "BA"), ("aB", "aBaB"))
+
+
+def test_brute_proper_power_route_matches_full_ball_oracle():
+    # Every left side the route serves with |w| <= 7, against the loop over
+    # the whole ball at L=4: every proper power u with |u| <= 4, and the
+    # proper-power values of commuting plants, so that the powers of u's
+    # root hold solutions.
+    assert len(PROPER_POWER_LHS) == 240 and len(PROPER_POWERS) == 28
+    tested = 0
+    for w in PROPER_POWER_LHS:
+        z, a, k, b = _single_run_shape(w)
+        planted = [evaluate(w, g1, g2) for g1, g2 in COMMUTING_PLANTS]
+        for u in dict.fromkeys(PROPER_POWERS + [v for v in planted if v and primitive_root(v)[1] > 1]):
+            expected = full_ball_single_run(AB, a, k, b, u, 4)
+            if z == "x":
+                expected = {(root, g) for g, root in expected}
+            assert set(brute_force_solutions(eq(w, u), 4).pairs()) == expected, (w, u)
+            tested += 1
+    assert tested == 7310
+    # The benchmark's input: the ball of 13 121 words holds 15 solutions.
+    pairs = set(brute_force_solutions(eq("xxyy", "aaaa"), 8).pairs())
+    assert len(pairs) == 15 and pairs == full_ball_single_run(AB, 2, 2, 0, "aaaa", 8)
+
+
+def test_proper_power_rhs_tests_only_the_root_powers(monkeypatch):
+    # xxyy = aaaa at L=8 takes the 17 powers of a, not the 13 121 ball
+    # words; xxyy = aabb, not a proper power, still takes the whole ball.
+    calls = [0]
+    kth_root = oracle.kth_root
+
+    def counting(*args):
+        calls[0] += 1
+        return kth_root(*args)
+
+    monkeypatch.setattr(oracle, "kth_root", counting)
+    brute_force_solutions(eq("xxyy", "aaaa"), 8)
+    assert calls[0] == 17
+    calls[0] = 0
+    brute_force_solutions(eq("xxyy", "aabb"), 4)
+    assert calls[0] == len(list(words_upto(AB, 4)))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.text("aAbB", max_size=10).map(reduce_word),
+    st.text("aAbB", max_size=10).map(reduce_word),
+    st.integers(-3, 3),
+    st.sampled_from((-5, -4, -3, -2, 2, 3, 4, 5)),
+    st.sampled_from((-5, -4, -3, -2, 2, 3, 4, 5)),
+)
+@example("ab", "a", 1, 2, 2)
+@example("aab", "ab", 0, 3, -2)
+def test_no_proper_power_value_at_a_non_commuting_pair(g, r, j, n, k):
+    # Lyndon–Schützenberger (1962), which the proper-power route and step 6
+    # of the solver rely on: g^n z^k with |n|, |k| >= 2 is a proper power
+    # only if g and z commute.  z = g^j r shares much of g's period, so
+    # that the product can come close to a power.
+    z = multiply(power(g, j), r)
+    if len(z) <= 10 and multiply(g, z) != multiply(z, g):
+        assert primitive_root(multiply(power(g, n), power(z, k)))[1] == 1, (g, z, n, k)
 
 
 def test_brute_single_run_with_k_one_scans_the_whole_ball():
@@ -445,12 +514,14 @@ def test_brute_conjugate_pair_totals(w, u, max_len, total):
 @pytest.mark.parametrize(
     "w,u,max_len,total",
     [("xxxyyy", "aaabbb", 11, 3), ("xxxyyy", "aaabbb", 13, 5), ("xxyy", "aaaa", 10, 19),
-     ("xxyy", "aabb", 9, 25)],
+     ("xxyy", "aabb", 9, 25), ("xxyy", "aaaa", 16, 31)],
 )
 def test_certify_single_run_at_larger_balls(w, u, max_len, total):
     # Radii past the benchmark's; the totals match the reduce-based root
     # route (``reducing_kth_root`` in conftest.py) and, at L=13, the loop
-    # over the whole ball of 3 188 645 words.
+    # over the whole ball of 3 188 645 words.  At L=16 brute force tests the
+    # 33 powers of a, not the ball's 86 093 441 words; the 31 solutions are
+    # the lattice slice (a^m, a^(2-m)).
     e = eq(w, u)
     report = certify(e, describe_variety(e), max_len)
     assert report.covered
