@@ -12,10 +12,12 @@ values the abelianized equation ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows,
 ball word is computed only where the equation can remove some values:
 
 - single run, ``s^a z^k s^b``: the values of ``s`` are the ball words, or
-  only those the cancellation bound below allows; of these, only the ones
-  with k dividing ``ab(u) - (a+b)·ab(s)`` are kept (all or none of them when
+  only those the cancellation bound below allows, or only the powers of u's
+  root when both cores are read off u; of these, only the ones with k
+  dividing ``ab(u) - (a+b)·ab(s)`` are kept (all or none of them when
   k divides a+b); for each, ``z`` is the unique k-th root of
-  ``s^-a u s^-b``, found by one period test on the peeled core;
+  ``s^-a u s^-b``, found by one period test on the peeled core, and the
+  reads name pairs of their own;
 - conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: only the values
   of ``s`` with ``(a+b+c)·ab(s) = ab(u)`` are kept; for each, ``z^-e``
   conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z`` form one
@@ -49,7 +51,7 @@ pairs built to cancel much.
 A single run ``s^a z^k s^b = u`` with ``n = a+b`` is conjugate, by ``g^b``,
 to ``g^n z^k = u' = g^b u g^-b``, so ``‖u‖ = ‖g^n z^k‖``.  A solution with
 g and z commuting lies in one cyclic group, which holds ``u``, so g is a
-power of u's primitive root.  Two facts bound the other solutions when
+power of u's primitive root.  Three facts bound the other solutions when
 ``|n| >= 2``, ``|k| >= 2`` and ``u != 1``:
 
 - u a proper power: there are none.  ``u'`` is a proper power too, and
@@ -58,11 +60,38 @@ power of u's primitive root.  Two facts bound the other solutions when
   hence with u, and lies in the cyclic group of u's root.
   ``xxyy = aaaa`` at L=8 tests the 17 powers of ``a`` in the ball, not its
   13 121 words;
-- otherwise, when ``|n| >= 3``: a solution has ``‖z‖ >= 1`` and a gcd of at
-  least 1, so ``‖g‖ <= (‖u‖ - |k| - 2) // (|n| - 2)``.  Brute force tests
-  the ball words of cyclic length up to that bound, spelled as ``c^-1 h c``
-  without listing the ball, and the longer powers of the root in the ball:
-  ``xxxyyy = aaabbb`` at L=9 tests 327 of the ball's 39 365 words.
+- otherwise, when ``|n| >= 3`` and ``|k| = 2``: a solution has
+  ``‖z‖ >= 1`` and a gcd of at least 1, so
+  ``‖g‖ <= B_g = (‖u‖ - |k| - 2) // (|n| - 2)``.  Brute force tests the
+  ball words of cyclic length up to B_g, spelled as ``c^-1 h c`` without
+  listing the ball, and the longer powers of the root in the ball:
+  ``xxxyy = aaabb`` at L=9 tests 164 of the ball's 39 365 words;
+- otherwise, when ``|n| >= 3`` and ``|k| >= 3``: the bound holds both ways,
+  ``‖g‖ <= B_g`` and ``‖z‖ <= B_z = (‖u‖ - |n| - 2) // (|k| - 2)``, and
+  brute force lists no value of s but the root's powers.  It reads both
+  cores off the rotations R of u's cyclic core.  The h-side read takes each
+  ``p <= B_g`` with ``H = R[:p]`` cyclically reduced; ``E = H^|n|`` spells
+  h^n for h = H or H^-1 by the sign of n, and when R begins with at least
+  ``(|n|-2)·p + 2`` letters of E, the k-th root Y of ``E^-1 R``, if any,
+  gives ``h^n Y^k = R``.  The r-side read swaps (n, B_g) with (k, B_z) and
+  gives ``r^k X^n = R``.  ``xxxyyy = aaabbb`` makes 4 reads at every L, and
+  tests 3 pairs at L=9 and 9 at L=30, all of them solutions.
+
+  Why the reads find every solution: with g, z, h, r and f as in the
+  lemma, ``c u c^-1 = h^a f^-1 r^k f h^b`` is conjugate to
+  ``h^n f^-1 r^k f``.  While f != 1 and a junction of that word cancels,
+  rotating h or r by one letter moves a letter of f into c or d.  If f
+  stays != 1, nothing cancels: the word is a rotation R that begins with
+  h^n, which the h-side read with p = |h| sees.  If f = 1, rotating h and
+  r alike (a conjugation of both) by the letters cancelled in front of h^n
+  moves every cancellation behind it.  The lemma lets at most
+  ``|h| + |r| - 2`` letter pairs cancel, each taking one letter of h^n
+  while r^k lasts, and ``‖R‖`` alone is long enough once r^k is used up;
+  so R begins with at least ``(|n|-2)·|h| + 2`` letters of h^n when
+  ``|h| >= |r|``.  Otherwise the r-side read sees as much of r^k.  Both
+  need ``|n|, |k| >= 3``.  When ``|k| = 2`` and ``|r| > |h|``, as few as
+  ``|r| - |h| + 2`` letters of r^k may survive, less than one period, so
+  neither side reads the cores and the short-core scan stays.
 
 The single runs that still test the whole ball are those with ``|k| = 1``,
 ``u = 1``, ``|n| <= 1``, or ``|n| = 2`` and u not a proper power (e.g.
@@ -108,6 +137,7 @@ from .solver import (
 )
 from .words import (
     WordError,
+    conjugate,
     conjugating_word,
     cyclic_length,
     cyclic_reduce,
@@ -190,11 +220,14 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
     every solution with g and z commuting, g = 1 and z = 1 included.  When u
     is a proper power there is no other: ``g^(a+b) z^k = g^b u g^-b`` is a
     proper power too, so g commutes with it, hence with u (Lyndon and
-    Schützenberger 1962), and B = -1.  Otherwise, when ``|a+b| >= 3``, the
-    cancellation bound gives ``‖g‖ <= B = (‖u‖ - |k| - 2) // (|a+b| - 2)``
-    for the others.  The values are the ball words of cyclic length at most
-    B and the powers of the root longer than B, two disjoint lists.  Every
-    other shape takes the whole ball.
+    Schützenberger 1962), and B = -1.  Otherwise, when ``|a+b| >= 3`` and
+    ``|k| >= 3``, the other solutions are the pairs ``_read_pairs`` reads off
+    the rotations of u's core, and B = -1 too.  When ``|a+b| >= 3`` and
+    ``|k| = 2``, the cancellation bound gives
+    ``‖g‖ <= B = (‖u‖ - |k| - 2) // (|a+b| - 2)`` for the others, but none
+    for z, whose core the rotations of u cannot show.  The values are the
+    ball words of cyclic length at most B and the powers of the root longer
+    than B, two disjoint lists.  Every other shape takes the whole ball.
 
     The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` has no
     solution unless ``gcd(a+b, k)`` divides ``ab(u)``; otherwise it keeps
@@ -207,11 +240,13 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
     ab_u = _ab(u, letters)
     if any(t % gcd(n, k) for t in ab_u):
         return
-    bound = None
+    bound, read = None, ()
     if abs(n) >= 2 and abs(k) >= 2 and u:
         rho, e = primitive_root(u)
         if e > 1:
             bound = -1
+        elif abs(n) >= 3 and abs(k) >= 3:
+            bound, read = -1, _read_pairs(a, k, b, u, max_len)
         elif abs(n) >= 3:
             bound = min((cyclic_length(u) - abs(k) - 2) // (abs(n) - 2), max_len)
     if bound is not None:
@@ -228,6 +263,79 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
         root = kth_root(_flank(g, a, u, b), k)
         if root is not None and len(root) <= max_len:
             yield (g, root) if z == "y" else (root, g)
+    for g, root in read:
+        yield (g, root) if z == "y" else (root, g)
+
+
+def _read_pairs(a: int, k: int, b: int, u: str, max_len: int):
+    """The solutions of ``s^a z^k s^b = u`` in the ball with s and z not
+    commuting, when ``|a+b| >= 3``, ``|k| >= 3`` and u is not a proper
+    power: the two-sided read of the module docstring, and a sweep over u's
+    centralizer.  A read off the rotation ``R = σ u σ^-1`` names a pair
+    (g', z') with ``g'^a z'^k g'^b = R``; the solutions it stands for are
+    ``(g_m, z_m) = u^-m σ^-1 (g', z') σ u^m``, as ``c u c^-1 = R`` fixes c
+    up to the centralizer ⟨u⟩ of u, a cyclic group as u is not a proper
+    power.  Reads that give one orbit are swept once.
+
+    The sweep bound.  In the Cayley tree, ``|w| = ‖w‖ + 2·d(1, A_w)`` for
+    the axis A_w of w, so ``|g_m| = ‖g‖ + 2·d(u^m, A_g)``.  The vertices u^m
+    lie ``|conj u|`` from A_u, above points ``‖u‖`` apart along it.  As
+    g_0 and u do not commute, the axes share a segment J shorter than
+    ``‖g‖ + ‖u‖``, or J is the foot on A_u of the bridge between them: after
+    a conjugation that starts J at 1, both words are cyclically reduced and
+    J spells a common prefix of g_0^±∞ and u^∞, whose first ``‖g‖ + ‖u‖``
+    letters would spell both ``g_0 u`` and ``u g_0``.  The foot of 1 on A_u
+    is at most ``|conj u| + (|g_0| - ‖g‖) / 2`` from J, so
+    ``d(u^m, A_g) >= |m|·‖u‖ - |J| - (|g_0| - ‖g‖) / 2 - 2|conj u|`` and
+    ``|g_m| >= 2|m|·‖u‖ - |g_0| - 4|conj u| - 2‖u‖ + 2``.  The same holds
+    for z, so a pair in the ball has
+    ``|m| <= (L + min(|g_0|, |z_0|) + 4|conj u| - 2) // (2‖u‖) + 1``."""
+    n = a + b
+    core, conj = cyclic_reduce(u)
+    size = len(core)
+    bound_g = (size - abs(k) - 2) // (abs(n) - 2)
+    bound_z = (size - abs(n) - 2) // (abs(k) - 2)
+    reads = []
+    for i in range(size):
+        rotation = core[i:] + core[:i]
+        # h^n Y^k = R, so h^a (h^b Y h^-b)^k h^b = R; r^k X^n = R, so
+        # X^a (X^-a r X^a)^k X^b = R.
+        found = [(h, multiply(power(h, b), y, power(h, -b)))
+                 for h, y in _periodic_reads(rotation, n, k, bound_g)]
+        found += [(x, multiply(power(x, -a), r, power(x, a)))
+                  for r, x in _periodic_reads(rotation, k, n, bound_z)]
+        sigma = multiply(invert(core[:i]), conj)
+        reads += [(conjugate(g, sigma), conjugate(w, sigma)) for g, w in found]
+    seen = set()
+    for g, w in reads:
+        if (g, w) in seen:
+            continue
+        span = (max_len + min(len(g), len(w)) + 4 * len(conj) - 2) // (2 * size) + 1
+        for m in range(-span, span + 1):
+            step = power(u, m)
+            pair = conjugate(g, step), conjugate(w, step)
+            seen.add(pair)
+            if len(pair[0]) <= max_len and len(pair[1]) <= max_len:
+                yield pair
+
+
+def _periodic_reads(rotation: str, e: int, f: int, bound: int):
+    """The pairs ``(h, y)`` with ``h^e y^f = rotation`` for which the
+    rotation starts with h^e but for at most 2|h| - 2 letters, |h| <= bound:
+    h^e is spelled ``H^|e|`` with ``H = rotation[:p]`` cyclically reduced,
+    and y is the f-th root of ``H^-|e| · rotation``."""
+    for p in range(1, min(bound, len(rotation)) + 1):
+        piece = rotation[:p]
+        if piece[0] == piece[-1].swapcase():
+            continue
+        t, stop = p, min(len(rotation), abs(e) * p)
+        while t < stop and rotation[t] == rotation[t - p]:
+            t += 1
+        if t < (abs(e) - 2) * p + 2:
+            continue
+        y = kth_root(invert((piece * abs(e))[t:]) + rotation[t:], f)
+        if y is not None:
+            yield (piece if e > 0 else invert(piece)), y
 
 
 def _short_core_words(alphabet, bound: int, max_len: int) -> list[str]:

@@ -8,7 +8,8 @@ search and two closed forms for the minimal-level lookup, an applying oracle
 for Whitehead minimization, an evaluating action on solutions, a widening-ball
 oracle for the orbit minimization, an evaluating oracle for the orbit walk,
 an orbit-closure oracle and an unseeded-walk oracle for certify's rank-two
-coverage, and a full-ball oracle for brute force's single-run route."""
+coverage, and a full-ball and a short-core oracle for brute force's
+single-run route."""
 
 import functools
 import itertools
@@ -27,7 +28,7 @@ from freeq.autf2 import (
     whitehead_minimize,
 )
 from freeq.graphs import build_subgroup_graph, graph_from_edges
-from freeq.oracle import _rank1_in_ball
+from freeq.oracle import _rank1_in_ball, _short_core_words
 from freeq.solver import HNN_MAX_BASES, Equation, HnnWitness, orbit_walk, terminal_candidates
 from freeq.words import (
     VARIABLES,
@@ -44,6 +45,7 @@ from freeq.words import (
     multiply,
     pair_key,
     power,
+    primitive_root,
     reduce_word,
     shortlex_key,
     words_upto,
@@ -693,12 +695,32 @@ def _flanks(alphabet, a, b, u, max_len):
 def full_ball_single_run(alphabet, a, k, b, u, max_len):
     """The pairs (g, z) of the ball with g^a z^k g^b = u, by testing every
     ball word g: z is the k-th root of g^-a u g^-b.  The oracle for brute
-    force's single-run route, which tests only short-core values and the
-    powers of u's root.  Left sides that differ only in which variable is z
-    share it."""
+    force's single-run route, which tests only the powers of u's root and
+    either short-core values or the pairs it reads off u.  Left sides that
+    differ only in which variable is z share it."""
     out = set()
     for g, flank in zip(words_upto(alphabet, max_len), _flanks(alphabet, a, b, u, max_len)):
         root = kth_root(flank, k)
         if root is not None and len(root) <= max_len:
+            out.add((g, root))
+    return frozenset(out)
+
+
+@functools.cache
+def short_core_single_run(alphabet, a, k, b, u, max_len):
+    """The pairs (g, z) of the ball with g^a z^k g^b = u, for |a+b| >= 3,
+    |k| >= 2 and u != 1 not a proper power, by testing every ball word g of
+    cyclic length at most B = (‖u‖ - |k| - 2) // (|a+b| - 2) and every power
+    of u in the ball: z is the k-th root of g^-a u g^-b.  The cancellation
+    bound leaves no other g.  The oracle for brute force's two-sided read,
+    which lists no value of g; it reaches radii where the whole ball is too
+    large to test."""
+    bound = (cyclic_length(u) - abs(k) - 2) // (abs(a + b) - 2)
+    assert u and primitive_root(u)[1] == 1
+    powers = {power(u, i) for i in range(-max_len, max_len + 1)}
+    out = set()
+    for g in set(_short_core_words(alphabet, min(bound, max_len), max_len)) | powers:
+        root = kth_root(multiply(power(g, -a), u, power(g, -b)), k)
+        if len(g) <= max_len and root is not None and len(root) <= max_len:
             out.add((g, root))
     return frozenset(out)

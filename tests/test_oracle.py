@@ -11,6 +11,7 @@ from conftest import (
     full_ball_single_run,
     probe_equations,
     reducing_kth_root,
+    short_core_single_run,
     unseeded_walk_uncovered,
 )
 from hypothesis import example, given, settings
@@ -142,9 +143,9 @@ def test_single_run_elimination_matches_naive_scan(z, a, k, b, kind, g1, g2, max
 
 def bounded_single_run(w, least_n):
     """Is ``w`` a cyclically reduced, non-power single run s^a z^k s^b with
-    |a+b| >= least_n and |k| >= 2?  With least_n = 3 a non-trivial u scans
-    short cores; with least_n = 2 a proper-power u scans only its root's
-    powers."""
+    |a+b| >= least_n and |k| >= 2?  With least_n = 3 a non-trivial u takes
+    the short-core scan (|k| = 2) or the two-sided read (|k| >= 3); with
+    least_n = 2 a proper-power u scans only its root's powers."""
     shape = _single_run_shape(w)
     return (cyclic_core(w) == w and primitive_root(w)[1] == 1 and shape is not None
             and abs(shape[1] + shape[3]) >= least_n and abs(shape[2]) >= 2)
@@ -156,11 +157,11 @@ SHORT_CORE_PLANTS = (("a", "b"), ("a", "a"), ("ab", "b"), ("aB", "A"), ("", "ab"
 
 
 def test_brute_short_core_route_matches_full_ball_oracle():
-    # Every left side the route serves with |w| <= 7, against the loop over
-    # the whole ball: all u with |u| <= 3, planted values (commuting ones
-    # included) and powers of a root, at L=4.  The plant (a, b) has ‖g‖
-    # equal to the bound on every left side, and (ab, bA) on 20 of them, so
-    # a bound one smaller would miss them.
+    # Every left side the short-core scan and the two-sided read serve with
+    # |w| <= 7, against the loop over the whole ball: all u with |u| <= 3,
+    # planted values (commuting ones included) and powers of a root, at L=4.
+    # The plant (a, b) has ‖g‖ equal to the bound on every left side, and
+    # (ab, bA) on 20 of them, so a bound one smaller would miss them.
     assert len(SHORT_CORE_LHS) == 176
     small = list(words_upto(AB, 3))
     for w in SHORT_CORE_LHS:
@@ -171,6 +172,101 @@ def test_brute_short_core_route_matches_full_ball_oracle():
             if z == "x":
                 expected = {(root, g) for g, root in expected}
             assert set(brute_force_solutions(eq(w, u), 4).pairs()) == expected, (w, u)
+
+
+READ_LHS = [w for w in SHORT_CORE_LHS if abs(_single_run_shape(w)[2]) >= 3]
+
+
+def test_brute_read_route_matches_full_ball_oracle_at_radius_5():
+    # The two-sided read's left sides with |w| <= 7, against the loop over
+    # the radius-5 ball, on every planted value that is not a proper power.
+    assert len(READ_LHS) == 80
+    tested = 0
+    for w in READ_LHS:
+        z, a, k, b = _single_run_shape(w)
+        for u in dict.fromkeys(evaluate(w, g1, g2) for g1, g2 in SHORT_CORE_PLANTS):
+            if u and primitive_root(u)[1] == 1:
+                expected = full_ball_single_run(AB, a, k, b, u, 5)
+                if z == "x":
+                    expected = {(root, g) for g, root in expected}
+                assert set(brute_force_solutions(eq(w, u), 5).pairs()) == expected, (w, u)
+                tested += 1
+    assert tested == 428
+
+
+@pytest.mark.parametrize(
+    "w,u,max_len,total",
+    [("xxxyyy", "aaabbb", 13, 5), ("xxxyyy", "aaabbb", 15, 5),
+     ("xxxxyyy", evaluate("xxxxyyy", "ab", "b"), 12, 2),
+     ("xxxxyyy", evaluate("xxxxyyy", "aB", "b"), 12, 2),
+     ("xxxyyyy", evaluate("xxxyyyy", "ab", "b"), 12, 2),
+     ("xxxyyyy", evaluate("xxxyyyy", "aB", "b"), 12, 2)],
+)
+def test_brute_read_route_matches_short_core_oracle(w, u, max_len, total):
+    # Radii whose balls are too large to loop over (3 188 645 words at L=13):
+    # the oracle tests every ball word within the cancellation bound instead.
+    z, a, k, b = _single_run_shape(w)
+    expected = short_core_single_run(AB, a, k, b, u, max_len)
+    assert len(expected) == total
+    assert set(brute_force_solutions(eq(w, u), max_len).pairs()) == expected
+
+
+CORES = st.text("aAbB", min_size=1, max_size=3).map(reduce_word).filter(
+    lambda h: h and cyclic_core(h) == h)
+CONJUGATORS = st.text("aAbB", max_size=4).map(reduce_word)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(CORES, CORES, CONJUGATORS, CONJUGATORS, st.integers(-3, 3),
+       st.sampled_from((-5, -4, -3, 3, 4, 5)), st.sampled_from((-4, -3, 3, 4)))
+@example("a", "b", "", "ab", 3, 3, 3)  # f = ab: aaa·BA·bbb·ab cancels nowhere
+@example("a", "Abb", "", "", 3, 3, 3)  # |r| > |h|: only the r-side read names (a, Abb)
+@example("a", "b", "aB", "b", 0, -3, -3)  # (baB, b) is at m = 1, the sweep's last
+def test_read_route_finds_planted_pairs(h, r, c, d, a, n, k):
+    # A non-commuting plant g = c^-1 h c, z = d^-1 r d of s^a z^k s^(n-a):
+    # brute force at the plant's radius finds it, and only solutions.
+    g, z = multiply(invert(c), h, c), multiply(invert(d), r, d)
+    if multiply(g, z) == multiply(z, g):
+        return
+    w = single_run_word("y", a, k, n - a)
+    u = evaluate(w, g, z)
+    pairs = brute_force_solutions(eq(w, u), max(len(g), len(z))).pairs()
+    assert (g, z) in pairs
+    assert all(evaluate(w, *pair) == u for pair in pairs)
+
+
+def test_read_route_makes_the_same_reads_at_every_radius(monkeypatch):
+    # xxxyyy = aaabbb: besides the 2·(L // 6) + 1 powers of u, whose k-th
+    # roots brute force tests through _flank, it takes 4 k-th roots, its
+    # reads, at L=9 and at L=30.  xxxyy = aaabb (|k| = 2) tests exactly the
+    # short-core values and the longer powers of u that its abelianization
+    # keeps.
+    tested, roots = [], [0]
+    flank, kth_root = oracle._flank, oracle.kth_root
+
+    def recording(g, *args):
+        tested.append(g)
+        return flank(g, *args)
+
+    def counting(*args):
+        roots[0] += 1
+        return kth_root(*args)
+
+    monkeypatch.setattr(oracle, "_flank", recording)
+    monkeypatch.setattr(oracle, "kth_root", counting)
+    for max_len in (9, 30):
+        tested.clear()
+        roots[0] = 0
+        brute_force_solutions(eq("xxxyyy", "aaabbb"), max_len)
+        span = max_len // 6
+        assert sorted(tested) == sorted(power("aaabbb", i) for i in range(-span, span + 1))
+        assert roots[0] - len(tested) == 4
+    tested.clear()
+    brute_force_solutions(eq("xxxyy", "aaabb"), 9)
+    values = oracle._short_core_words(AB, 1, 9) + [power("aaabb", i) for i in (-1, 1)]
+    kept = [g for g in values
+            if (3 - 3 * exponent_sum(g, "a")) % 2 == 0 and (2 - 3 * exponent_sum(g, "b")) % 2 == 0]
+    assert sorted(tested) == sorted(kept) and len(kept) == 164
 
 
 PROPER_POWER_LHS = [w for w in words_upto(VARIABLES, 7) if w and bounded_single_run(w, 2)]
@@ -513,15 +609,18 @@ def test_brute_conjugate_pair_totals(w, u, max_len, total):
 
 @pytest.mark.parametrize(
     "w,u,max_len,total",
-    [("xxxyyy", "aaabbb", 11, 3), ("xxxyyy", "aaabbb", 13, 5), ("xxyy", "aaaa", 10, 19),
-     ("xxyy", "aabb", 9, 25), ("xxyy", "aaaa", 16, 31)],
+    [("xxxyyy", "aaabbb", 11, 3), ("xxxyyy", "aaabbb", 13, 5), ("xxxyyy", "aaabbb", 21, 7),
+     ("xxxyyy", "aaabbb", 30, 9), ("xxyy", "aaaa", 10, 19), ("xxyy", "aabb", 9, 25),
+     ("xxyy", "aaaa", 16, 31)],
 )
 def test_certify_single_run_at_larger_balls(w, u, max_len, total):
     # Radii past the benchmark's; the totals match the reduce-based root
     # route (``reducing_kth_root`` in conftest.py) and, at L=13, the loop
-    # over the whole ball of 3 188 645 words.  At L=16 brute force tests the
-    # 33 powers of a, not the ball's 86 093 441 words; the 31 solutions are
-    # the lattice slice (a^m, a^(2-m)).
+    # over the whole ball of 3 188 645 words.  At L=21 the total matches
+    # ``short_core_single_run`` in conftest.py, which takes 1.2 s there; at
+    # L=30 the 9 solutions are u-conjugates of (a, b) and (b, BBBabbb).  At
+    # L=16 brute force tests the 33 powers of a, not the ball's 86 093 441
+    # words; the 31 solutions are the lattice slice (a^m, a^(2-m)).
     e = eq(w, u)
     report = certify(e, describe_variety(e), max_len)
     assert report.covered
