@@ -31,8 +31,8 @@ from .solver import (
     KIND_TRIVIAL,
     STATUS_OK,
     Equation,
+    LeftSide,
     VarietyDescription,
-    classify_jsj,
     describe_variety,
     generate_conjugates,
     generate_hnn,
@@ -44,7 +44,7 @@ from .solver import (
     verify_solution,
     verify_two_level,
 )
-from .words import Alphabet, WordError, format_word, parse_word, primitive_root
+from .words import Alphabet, WordError, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,10 +178,10 @@ def _description_fields(desc: VarietyDescription) -> list[tuple[str, str]]:
 
 
 def _cmd_classify(args):
-    w = parse_word(args.w, "xy")
-    cls = classify_jsj(w, args.hnn_budget)
-    root = primitive_root(w)[0]
-    fields = [("lhs", format_word(w))] + ([("reduced.lhs", format_word(root))] if root != w else [])
+    left = LeftSide(parse_word(args.w, "xy"), args.hnn_budget)
+    cls = left.classification
+    fields = [("lhs", format_word(left.word))]
+    fields += [("reduced.lhs", format_word(left.root))] if left.power > 1 else []
     fields += _classification_fields(cls)
     if cls.note:
         fields.append(("note", cls.note))

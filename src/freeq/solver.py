@@ -28,9 +28,12 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
    orbit's walk in a finite ball, ``orbit_walk``, runs only when certify
    reads ``VarietyDescription.orbits``.
 
-Steps 4 and 7 ask whether ``w`` lies in the orbit of ``x``, of ``[x, y]``
-and of each candidate's rewritten right side: each is a lookup on one
-``MinimalLevel`` of ``w``, built once per left side.  Nielsen moves act on
+Steps 3 to 7 read one ``LeftSide`` of ``w``, built once per left side.
+Step 3 reads its ``root`` and ``power``, step 4 its ``primitive`` carry, and
+step 7 its ``classification``, its ``generators`` and its ``level``.  Each
+orbit question, whether the root lies in the orbit of ``x``, of ``[x, y]``
+or of a candidate's rewritten right side, is a lookup on that ``level``,
+the one ``MinimalLevel`` of the root's orbit.  Nielsen moves act on
 basis pairs, and generators on solutions, by ``autf2._act``, which reads
 their image words letter by letter.
 
@@ -40,10 +43,9 @@ returned.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd
 
 from .autf2 import (
@@ -319,17 +321,6 @@ def rank1_family(eq: Equation) -> Rank1Family:
     return family
 
 
-def reduce_proper_power(eq: Equation) -> Equation | None:
-    """Replace v^n = u by v = u^(1/n); None when no n-th root exists."""
-    root_w, n = primitive_root(eq.lhs)
-    if n <= 1:
-        return eq
-    root_u = kth_root(eq.rhs, n)
-    if root_u is None:
-        return None
-    return Equation(eq.alphabet, root_w, root_u)
-
-
 _MOVES = PRODUCT_MOVES + INVERSION_MOVES
 _BASIS_MOVES = tuple((move.image_x, move.image_y) for move in _MOVES)
 
@@ -438,40 +429,6 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
         )
 
 
-def classify_jsj(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> JsjClassification:
-    """Orbit-of-commutator / edge-splitting / rigid trichotomy for the root
-    of w, as describe classifies it; a primitive root raises :class:`WordError`.
-
-    The commutator test runs first, as the lookup of ``XYxy`` on the minimal
-    level of the root's orbit; a word in the orbit of [x, y] (or its inverse)
-    is never reported as split though it also admits splittings.
-    """
-    root, _ = primitive_root(_check_lhs(w))
-    level = MinimalLevel(root)
-    if level.carry("x") is not None:
-        raise WordError(f"the root {root} of the left side is primitive: "
-                        "its equations are parametric, with no splitting case")
-    return _classify(root, level, hnn_max_bases)
-
-
-def _classify(w: str, level: MinimalLevel, hnn_max_bases: int) -> JsjClassification:
-    """``classify_jsj`` of a checked ``w`` with its minimal level."""
-    # xyXY is a rotation of XYxy, hence in the same orbit: one target.
-    normalizer = level.carry("XYxy")
-    if normalizer is not None:
-        return JsjClassification(kind=CASE_QH, normalizer=normalizer)
-    try:
-        witness = detect_hnn_splitting(w, hnn_max_bases)
-    except SearchBudgetExceeded as exc:
-        return JsjClassification(kind=CASE_UNRESOLVED, note=str(exc))
-    if witness is not None:
-        return JsjClassification(kind=CASE_HNN, hnn=witness)
-    return JsjClassification(
-        kind=CASE_RIGID,
-        note=f"no splitting among bases of total length at most {max(len(w), 2)}",
-    )
-
-
 _CONJUGATION = "c"  # the symbol of inner(w), which acts on solutions as conjugation by u
 _SYMMETRY_SYMBOLS = "pqruvz"  # one per symmetry: a seventh raises IndexError
 
@@ -497,29 +454,86 @@ def _symmetry_generators(w: str) -> list[AutF2]:
     return out
 
 
-def canonical_generators(cls: JsjClassification, w: str) -> tuple[CanonicalGenerator, ...]:
-    """Automorphisms fixing w that carry solutions to solutions.
+class LeftSide:
+    """The analysis of one left side ``w``, which holds whatever ``u`` is.
 
-    Beyond the conjugation by w itself and the case-specific twists, the
-    finite permutation symmetries of w are included: without them the orbit
-    of a single minimal solution can miss mirror-image solutions (the
-    twist subgroup sits at finite index in the full stabilizer).
+    The constructor checks ``w`` and writes it ``root^power`` with ``root``
+    not a proper power.  Everything else is of the root, and each part is
+    computed the first time it is read, so a trivial right side builds no
+    level and a proper-power right side runs no edge-splitting search:
+
+    - ``level``: the minimal level of the root's orbit, which answers every
+      orbit lookup;
+    - ``primitive``: the automorphism carrying the root to ``x``, or None;
+    - ``classification``: orbit of the commutator / splits over an edge
+      letter / neither, under the budget ``hnn_max_bases``;
+    - ``generators``: the canonical automorphisms that fix the root.
     """
-    w = reduce_word(w)
-    gens = [CanonicalGenerator(_CONJUGATION, "conjugation-by-lhs", inner(w))]
-    if cls.kind == CASE_HNN:
-        basis = cls.hnn.basis_aut
-        gens.append(CanonicalGenerator("t", "edge-twist", basis.compose(DELTA_Y).compose(basis.inverse)))
-    elif cls.kind == CASE_QH:
-        nu = cls.normalizer
-        gens.append(CanonicalGenerator("d", "boundary-twist-x", nu.inverse.compose(DELTA_X).compose(nu)))
-        gens.append(CanonicalGenerator("e", "boundary-twist-y", nu.inverse.compose(DELTA_Y).compose(nu)))
-    for i, aut in enumerate(_symmetry_generators(w)):
-        gens.append(CanonicalGenerator(_SYMMETRY_SYMBOLS[i], f"symmetry-{i}", aut))
-    for g in gens:
-        if g.aut.apply(w) != w:
-            raise AssertionError(f"canonical generator {g.name} does not fix the left side")
-    return tuple(gens)
+
+    def __init__(self, w: str, hnn_max_bases: int = HNN_MAX_BASES) -> None:
+        self.word = _check_lhs(w)
+        self.root, self.power = primitive_root(self.word)
+        self.hnn_max_bases = hnn_max_bases
+
+    @cached_property
+    def level(self) -> MinimalLevel:
+        return MinimalLevel(self.root)
+
+    @cached_property
+    def primitive(self) -> AutF2 | None:
+        return self.level.carry("x")
+
+    @cached_property
+    def classification(self) -> JsjClassification:
+        """The trichotomy of the root; a primitive root raises :class:`WordError`.
+
+        The commutator test runs first, as the lookup of ``XYxy`` on the
+        level; a word in the orbit of [x, y] (or its inverse) is never
+        reported as split though it also admits splittings.
+        """
+        if self.primitive is not None:
+            raise WordError(f"the root {self.root} of the left side is primitive: "
+                            "its equations are parametric, with no splitting case")
+        # xyXY is a rotation of XYxy, hence in the same orbit: one target.
+        normalizer = self.level.carry("XYxy")
+        if normalizer is not None:
+            return JsjClassification(kind=CASE_QH, normalizer=normalizer)
+        try:
+            witness = detect_hnn_splitting(self.root, self.hnn_max_bases)
+        except SearchBudgetExceeded as exc:
+            return JsjClassification(kind=CASE_UNRESOLVED, note=str(exc))
+        if witness is not None:
+            return JsjClassification(kind=CASE_HNN, hnn=witness)
+        return JsjClassification(
+            kind=CASE_RIGID,
+            note=f"no splitting among bases of total length at most {max(len(self.root), 2)}",
+        )
+
+    @cached_property
+    def generators(self) -> tuple[CanonicalGenerator, ...]:
+        """Automorphisms fixing the root that carry solutions to solutions.
+
+        Beyond the conjugation by the root itself and the case-specific
+        twists, the finite permutation symmetries of the root are included:
+        without them the orbit of a single minimal solution can miss
+        mirror-image solutions (the twist subgroup sits at finite index in
+        the full stabilizer).
+        """
+        w, cls = self.root, self.classification
+        gens = [CanonicalGenerator(_CONJUGATION, "conjugation-by-lhs", inner(w))]
+        if cls.kind == CASE_HNN:
+            basis = cls.hnn.basis_aut
+            gens.append(CanonicalGenerator("t", "edge-twist", basis.compose(DELTA_Y).compose(basis.inverse)))
+        elif cls.kind == CASE_QH:
+            nu = cls.normalizer
+            gens.append(CanonicalGenerator("d", "boundary-twist-x", nu.inverse.compose(DELTA_X).compose(nu)))
+            gens.append(CanonicalGenerator("e", "boundary-twist-y", nu.inverse.compose(DELTA_Y).compose(nu)))
+        for i, aut in enumerate(_symmetry_generators(w)):
+            gens.append(CanonicalGenerator(_SYMMETRY_SYMBOLS[i], f"symmetry-{i}", aut))
+        for g in gens:
+            if g.aut.apply(w) != w:
+                raise AssertionError(f"canonical generator {g.name} does not fix the left side")
+        return tuple(gens)
 
 
 # A generator acts on a solution (g1, g2) of w = u by ``_act`` over the pair's
@@ -726,73 +740,44 @@ def minimal_rank2_solutions(
 def describe_variety(eq: Equation, hnn_max_bases: int = HNN_MAX_BASES) -> VarietyDescription:
     """Full description of the solution set of one equation.
 
-    A proper power is described by its root.  Past that step, one minimal
-    level of the left side's orbit answers the primitivity test, the qh test
-    and every candidate's lookup."""
-    w = _check_lhs(eq.lhs)
-
-    if eq.rhs == "":
-        return VarietyDescription(
-            equation=eq,
-            reduced=eq,
-            status=STATUS_OK,
-            kind=KIND_TRIVIAL,
-            formula=FORMULA_KERNEL,
-            trivial=solve_trivial_rhs(eq),
-        )
-
+    One ``LeftSide`` of ``w`` serves every step.  A trivial right side reads
+    only the exponent sums of ``w``.  A proper power ``v^n = u`` is described
+    as ``v = u^(1/n)``, the ``reduced`` equation, over ``left.root``.  The
+    primitivity test reads ``left.primitive``; the jsj step reads
+    ``left.classification`` and ``left.generators``, and every candidate's
+    lookup reads ``left.level``."""
+    left = LeftSide(eq.lhs, hnn_max_bases)
     # Before the primitivity test: a proper power v^n, n >= 2, is never primitive.
-    reduced = reduce_proper_power(eq)
-    if reduced is None:
-        return VarietyDescription(
-            equation=eq, reduced=eq, status=STATUS_OK,
-            kind=KIND_EMPTY, formula=FORMULA_EMPTY,
-            note="the right side has no root matching the left side's power",
-        )
-    if reduced != eq:
-        inner_desc = describe_variety(reduced, hnn_max_bases)
-        return dataclasses.replace(inner_desc, equation=eq)
+    rhs = eq.rhs if left.power == 1 else kth_root(eq.rhs, left.power)
+    reduced = Equation(eq.alphabet, left.root, rhs) if left.power > 1 and rhs else eq
+    described = partial(VarietyDescription, equation=eq, reduced=reduced, status=STATUS_OK)
 
-    level = MinimalLevel(w)
-    carried = level.carry("x")
-    if carried is not None:
-        family = ParametricFamily(aut=carried)
-        g1, g2 = family.member(eq.rhs, "")
-        if not eq.holds_for(g1, g2):
+    if not eq.rhs:
+        return described(kind=KIND_TRIVIAL, formula=FORMULA_KERNEL, trivial=solve_trivial_rhs(eq))
+    if rhs is None:
+        return described(kind=KIND_EMPTY, formula=FORMULA_EMPTY,
+                         note="the right side has no root matching the left side's power")
+
+    if left.primitive is not None:
+        family = ParametricFamily(aut=left.primitive)
+        if not reduced.holds_for(*family.member(rhs, "")):
             raise AssertionError("parametric family failed verification")
-        return VarietyDescription(
-            equation=eq, reduced=eq, status=STATUS_OK,
-            kind=KIND_PARAMETRIC, formula=FORMULA_PARAMETRIC, parametric=family,
-        )
+        return described(kind=KIND_PARAMETRIC, formula=FORMULA_PARAMETRIC, parametric=family)
 
-    family = rank1_family(eq)
-    _, e = primitive_root(eq.rhs)
-    if e > 1:
+    family = rank1_family(reduced)
+    if primitive_root(rhs)[1] > 1:
         if family.is_empty():
-            return VarietyDescription(
-                equation=eq, reduced=eq, status=STATUS_OK,
-                kind=KIND_EMPTY, formula=FORMULA_EMPTY, rank1=family,
-                note="the power lattice is empty and no non-commuting solutions exist",
-            )
-        return VarietyDescription(
-            equation=eq, reduced=eq, status=STATUS_OK,
-            kind=KIND_RANK1_ONLY, formula=FORMULA_POWER, rank1=family,
-        )
+            return described(kind=KIND_EMPTY, formula=FORMULA_EMPTY, rank1=family,
+                             note="the power lattice is empty and no non-commuting solutions exist")
+        return described(kind=KIND_RANK1_ONLY, formula=FORMULA_POWER, rank1=family)
 
-    cls = _classify(w, level, hnn_max_bases)
+    cls = left.classification
     if cls.kind == CASE_UNRESOLVED:
-        return VarietyDescription(
-            equation=eq, reduced=eq, status=STATUS_UNRESOLVED,
-            kind=KIND_JSJ, formula="", note=cls.note,
-            classification=cls, rank1=family,
-        )
-    gens = canonical_generators(cls, w)
-    minimal = minimal_rank2_solutions(eq, gens, level)
-    return VarietyDescription(
-        equation=eq, reduced=eq, status=STATUS_OK,
-        kind=KIND_JSJ, formula=_FORMULA_BY_CASE[cls.kind],
-        classification=cls, generators=gens, rank1=family, minimal=minimal,
-    )
+        return described(status=STATUS_UNRESOLVED, kind=KIND_JSJ, formula="", note=cls.note,
+                         classification=cls, rank1=family)
+    return described(kind=KIND_JSJ, formula=_FORMULA_BY_CASE[cls.kind], classification=cls,
+                     generators=left.generators, rank1=family,
+                     minimal=minimal_rank2_solutions(reduced, left.generators, left.level))
 
 
 # ---------------------------------------------------------------------------

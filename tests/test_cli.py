@@ -51,7 +51,8 @@ def _load_golden(path):
 
 
 # Every command and every field branch: hnn, qh, rigid and unresolved
-# classifications; each description shape of solve; each generator route of
+# classifications; each description shape of solve, and a proper-power left
+# side whose root is jsj for both classify and solve; each generator route of
 # gen; both verdicts of verify; brute; certify with and without
 # family-exact and uncovered pairs; the two-level demo with and without
 # --verify.

@@ -1,5 +1,6 @@
 """The description pipeline: kinds, classification, generators, generation."""
 
+import dataclasses
 import functools
 import inspect
 import math
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freeq.autf2 as autf2
+import freeq.cli as cli
 import freeq.solver as solver
 from freeq.autf2 import (
     IDENTITY,
@@ -47,18 +49,16 @@ from freeq.solver import (
     FORMULA_KERNEL,
     FORMULA_ORBIT,
     FORMULA_PARAMETRIC,
-    JsjClassification,
     KIND_EMPTY,
     KIND_JSJ,
     KIND_PARAMETRIC,
     KIND_RANK1_ONLY,
     KIND_TRIVIAL,
+    LeftSide,
     STATUS_OK,
     STATUS_UNRESOLVED,
     _basis_walk,
     _symmetry_generators,
-    canonical_generators,
-    classify_jsj,
     descend,
     describe_variety,
     detect_hnn_splitting,
@@ -86,6 +86,7 @@ from freeq.words import (
     evaluate,
     exponent_sum,
     invert,
+    kth_root,
     multiply,
     pair_key,
     pair_rank,
@@ -245,21 +246,21 @@ def test_rank1_empty_gives_empty_kind():
     ],
 )
 def test_classify(w, case):
-    assert classify_jsj(w).kind == case
+    assert LeftSide(w).classification.kind == case
 
 
 def test_classify_hnn_witness():
-    cls = classify_jsj("xxyy")
+    cls = LeftSide("xxyy").classification
     assert (cls.hnn.p, cls.hnn.q, cls.hnn.t) == ("xy", "Yxyy", "y")
     assert cls.hnn.q == conjugate(cls.hnn.p, cls.hnn.t)
     # w lies in <p, q> with zero stable-letter exponent
     assert build_subgroup_graph(Alphabet.from_string("xy"), [cls.hnn.p, cls.hnn.q]).contains("xxyy")
-    cls2 = classify_jsj("xYxy")
+    cls2 = LeftSide("xYxy").classification
     assert (cls2.hnn.p, cls2.hnn.t) == ("x", "y")
 
 
 def test_classify_budget_exhaustion():
-    cls = classify_jsj("xxyyxy", hnn_max_bases=1)
+    cls = LeftSide("xxyyxy", hnn_max_bases=1).classification
     assert cls.kind == CASE_UNRESOLVED
 
 
@@ -679,7 +680,7 @@ def test_one_minimal_level_per_described_equation(monkeypatch):
     for e in _minimization_corpus() + anchors:
         built.clear()
         desc = describe_variety(e)
-        expected = bool(e.rhs) and solver.reduce_proper_power(e) is not None
+        expected = bool(e.rhs) and kth_root(e.rhs, primitive_root(e.lhs)[1]) is not None
         assert built == ([desc.reduced.lhs] if expected else []), e
         levels += expected
     assert levels == 166
@@ -689,21 +690,60 @@ def test_one_minimal_level_per_described_equation(monkeypatch):
         assert len(minimized) == MINIMIZATIONS_PER_ANCHOR[w, u], (w, u, minimized)
 
 
-def test_classify_jsj_matches_describe_classification():
-    """``classify_jsj`` classifies the root of its word on a level of its
-    own.  On the minimization corpus it refuses the left side of every
-    parametric description, and classifies the unreduced left side of every
-    jsj description as describe, which shares its level, does."""
+@pytest.mark.parametrize("argv,code,levels", [
+    ("classify --w xxyy", 0, 1),
+    ("classify --w (xxyy)^2", 0, 1),
+    ("classify --w xyxy", 1, 1),
+    ("solve --w xxyy --u 1", 0, 0),
+])
+def test_one_minimal_level_per_cli_left_side(monkeypatch, capsys, argv, code, levels):
+    """``classify`` and ``solve`` build one level per left side, on its
+    root, and only when a step reads it: refusing a primitive root reads it
+    once, and a trivial right side never reads it."""
+    built = []
+
+    class Counting(MinimalLevel):
+        def __init__(self, w):
+            built.append(w)
+            super().__init__(w)
+
+    monkeypatch.setattr(solver, "MinimalLevel", Counting)
+    assert cli.main(argv.split() + ["--format", "structured"]) == code
+    capsys.readouterr()
+    assert len(built) == levels, built
+
+
+def test_powered_equations_describe_as_their_roots():
+    """``w^n = u^n`` describes as ``w = u`` in every field but the equation,
+    for every equation of the minimization corpus with ``u != 1`` and ``w``
+    not a proper power: n-th roots are unique in a free group."""
+    compared = 0
+    for e in _minimization_corpus():
+        if not e.rhs or primitive_root(e.lhs)[1] > 1:
+            continue
+        desc = describe_variety(e)
+        for n in (2, 3):
+            powered = Equation(AB, power(e.lhs, n), power(e.rhs, n))
+            assert describe_variety(powered) == dataclasses.replace(desc, equation=powered), (e, n)
+            compared += 1
+    assert compared == 306
+
+
+def test_left_side_classification_matches_describe_classification():
+    """A ``LeftSide`` of its own classifies the root of its word.  On the
+    minimization corpus it refuses the left side of every parametric
+    description, and classifies the unreduced left side of every jsj
+    description as describe does."""
     squares = [eq(multiply(w, w), multiply(u, u)) for w, u in JSJ_ANCHORS]
     compared = refused = powers = 0
     for e in _minimization_corpus() + squares:
         desc = describe_variety(e)
         if desc.kind == KIND_PARAMETRIC:
             with pytest.raises(WordError, match="parametric"):
-                classify_jsj(e.lhs)
+                LeftSide(e.lhs).classification
             refused += 1
         elif desc.kind == KIND_JSJ:
-            assert classify_jsj(e.lhs) == desc.classification, e
+            assert LeftSide(e.lhs).classification == desc.classification, e
             compared += 1
         else:
             continue
@@ -743,7 +783,7 @@ def test_classifications_carry_their_inverses():
         if {c.lower() for c in w} != {"x", "y"} or primitive_root(w)[1] > 1:
             continue
         try:
-            cls = classify_jsj(w)
+            cls = LeftSide(w).classification
         except WordError:
             family = describe(w, "ab").parametric
             assert family.aut.inverse == nielsen_inverse(family.aut), w
@@ -1195,7 +1235,7 @@ def test_symmetries_form_a_subgroup_of_the_signed_permutations():
 def test_a_seventh_symmetry_raises(monkeypatch):
     monkeypatch.setattr(solver, "_symmetry_generators", lambda w: [IDENTITY] * 7)
     with pytest.raises(IndexError):
-        canonical_generators(JsjClassification(kind=CASE_RIGID), "xxyy")
+        LeftSide("xxyy").generators
 
 
 def test_two_level_family():
