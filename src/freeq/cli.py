@@ -44,7 +44,7 @@ from .solver import (
     verify_solution,
     verify_two_level,
 )
-from .words import Alphabet, WordError, format_word, parse_word
+from .words import Alphabet, WordError, conjugate, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,14 +127,14 @@ def _rank_fields(counts) -> list[tuple[str, str]]:
 
 
 def _classification_fields(cls) -> list[tuple[str, str]]:
-    fields = [("case", cls.kind)]
-    if cls.kind == CASE_HNN:
-        fields.append(("splitting.p", format_word(cls.hnn.p)))
-        fields.append(("splitting.q", format_word(cls.hnn.q)))
-        fields.append(("splitting.t", format_word(cls.hnn.t)))
-    elif cls.kind == CASE_QH:
-        fields.append(("normalizer.x", format_word(cls.normalizer.image_x)))
-        fields.append(("normalizer.y", format_word(cls.normalizer.image_y)))
+    fields, aut = [("case", cls.kind)], cls.aut
+    if cls.kind == CASE_HNN:  # the splitting basis x -> p, y -> t, and q = t^-1 p t
+        fields.append(("splitting.p", format_word(aut.image_x)))
+        fields.append(("splitting.q", format_word(conjugate(aut.image_x, aut.image_y))))
+        fields.append(("splitting.t", format_word(aut.image_y)))
+    elif cls.kind == CASE_QH:  # aut^-1 carries the left side to XYxy
+        fields.append(("normalizer.x", format_word(aut.inverse_x)))
+        fields.append(("normalizer.y", format_word(aut.inverse_y)))
         fields.append(("normalizer.target", "XYxy"))
     return fields
 

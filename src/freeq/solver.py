@@ -207,21 +207,15 @@ class ParametricFamily:
 
 
 @dataclass(frozen=True)
-class HnnWitness:
-    """An edge splitting: w lies in <p, q> with q = t^-1 p t, balanced in t.
-    The edge twist is ``y -> xy`` conjugated by ``basis_aut``."""
-
-    p: str
-    q: str
-    t: str
-    basis_aut: AutF2  # x -> p, y -> t
-
-
-@dataclass(frozen=True)
 class JsjClassification:
+    """The case of a root and, for qh and hnn, the automorphism ``aut`` that
+    carries the case's standard form onto the root: ``aut.apply("XYxy")``
+    is the root (qh), or ``aut`` is the splitting basis ``x -> p, y -> t``,
+    so that the root lies in ``aut(<x, Yxy>) = <p, t^-1 p t>`` with zero
+    t-exponent (hnn).  The case's twists are ``aut . delta . aut^-1``."""
+
     kind: str
-    hnn: HnnWitness | None = None
-    normalizer: AutF2 | None = None  # carries w to the commutator XYxy
+    aut: AutF2 | None = None
     note: str = ""
 
 
@@ -376,8 +370,9 @@ def _basis_walk(bound: int) -> _BasisWalk:
     return _BasisWalk(bound)
 
 
-def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitness | None:
-    """Search basis pairs (p, t) for an edge splitting of w.
+def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> AutF2 | None:
+    """Search basis pairs (p, t) for an edge splitting of w, and return the
+    first basis ``x -> p, y -> t`` that is one.
 
     Pairs are enumerated breadth-first from (x, y) under elementary Nielsen
     moves, expanding only within total length max(|w|, 2).  A pair is a
@@ -397,8 +392,8 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
     primitive, the bases that pass are those filed under ``(w_x, w_y)/gcd``,
     or all of them when both sums are zero.  The search traces only those,
     and grows the walk only once it has traced every one reached, so it
-    stops where a scan of every basis would.  The witness's ``basis_aut`` is
-    the product of the moves that reached its basis, so it carries its inverse.
+    stops where a scan of every basis would.  The basis returned is the
+    product of the moves that reached it, so it carries its inverse.
     """
     w = reduce_word(w)
     walk = _basis_walk(max(len(w), 2))
@@ -409,12 +404,11 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
     while True:
         while k < len(line) and line[k] < hnn_max_bases:
             if walk.edge_group(line[k]).trace(w) == 0:
-                p, t = walk.pairs[line[k]]
                 basis, i = IDENTITY, line[k]
                 while i:  # node i is its parent composed with move: multiply up to (x, y)
                     i, move = walk.visited[walk.pairs[i]]
                     basis = _MOVES[move].compose(basis)
-                return HnnWitness(p=p, q=conjugate(p, t), t=t, basis_aut=basis)
+                return basis
             k += 1
         # Every basis of the line walked so far is traced: grow the walk by
         # what the scan would read next, unless that is past the budget.
@@ -430,6 +424,11 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> HnnWitne
 
 
 _CONJUGATION = "c"  # the symbol of inner(w), which acts on solutions as conjugation by u
+# The twists of each case's standard form, <x, Yxy> or XYxy, by symbol and name.
+_TWISTS = {
+    CASE_HNN: (("t", "edge-twist", DELTA_Y),),
+    CASE_QH: (("d", "boundary-twist-x", DELTA_X), ("e", "boundary-twist-y", DELTA_Y)),
+}
 _SYMMETRY_SYMBOLS = "pqruvz"  # one per symmetry: a seventh raises IndexError
 
 
@@ -495,15 +494,15 @@ class LeftSide:
             raise WordError(f"the root {self.root} of the left side is primitive: "
                             "its equations are parametric, with no splitting case")
         # xyXY is a rotation of XYxy, hence in the same orbit: one target.
-        normalizer = self.level.carry("XYxy")
-        if normalizer is not None:
-            return JsjClassification(kind=CASE_QH, normalizer=normalizer)
+        to_commutator = self.level.carry("XYxy")
+        if to_commutator is not None:
+            return JsjClassification(kind=CASE_QH, aut=to_commutator.inverse)
         try:
-            witness = detect_hnn_splitting(self.root, self.hnn_max_bases)
+            basis = detect_hnn_splitting(self.root, self.hnn_max_bases)
         except SearchBudgetExceeded as exc:
             return JsjClassification(kind=CASE_UNRESOLVED, note=str(exc))
-        if witness is not None:
-            return JsjClassification(kind=CASE_HNN, hnn=witness)
+        if basis is not None:
+            return JsjClassification(kind=CASE_HNN, aut=basis)
         return JsjClassification(
             kind=CASE_RIGID,
             note=f"no splitting among bases of total length at most {max(len(self.root), 2)}",
@@ -513,21 +512,17 @@ class LeftSide:
     def generators(self) -> tuple[CanonicalGenerator, ...]:
         """Automorphisms fixing the root that carry solutions to solutions.
 
-        Beyond the conjugation by the root itself and the case-specific
-        twists, the finite permutation symmetries of the root are included:
+        Beyond the conjugation by the root itself and the twists of its
+        case, each ``aut . delta . aut^-1`` with the classification's
+        ``aut``, the finite permutation symmetries of the root are included:
         without them the orbit of a single minimal solution can miss
         mirror-image solutions (the twist subgroup sits at finite index in
         the full stabilizer).
         """
         w, cls = self.root, self.classification
         gens = [CanonicalGenerator(_CONJUGATION, "conjugation-by-lhs", inner(w))]
-        if cls.kind == CASE_HNN:
-            basis = cls.hnn.basis_aut
-            gens.append(CanonicalGenerator("t", "edge-twist", basis.compose(DELTA_Y).compose(basis.inverse)))
-        elif cls.kind == CASE_QH:
-            nu = cls.normalizer
-            gens.append(CanonicalGenerator("d", "boundary-twist-x", nu.inverse.compose(DELTA_X).compose(nu)))
-            gens.append(CanonicalGenerator("e", "boundary-twist-y", nu.inverse.compose(DELTA_Y).compose(nu)))
+        for symbol, name, delta in _TWISTS.get(cls.kind, ()):
+            gens.append(CanonicalGenerator(symbol, name, cls.aut.compose(delta).compose(cls.aut.inverse)))
         for i, aut in enumerate(_symmetry_generators(w)):
             gens.append(CanonicalGenerator(_SYMMETRY_SYMBOLS[i], f"symmetry-{i}", aut))
         for g in gens:

@@ -29,7 +29,7 @@ from freeq.autf2 import (
 )
 from freeq.graphs import build_subgroup_graph, graph_from_edges
 from freeq.oracle import _rank1_in_ball, _short_core_words
-from freeq.solver import HNN_MAX_BASES, Equation, HnnWitness, orbit_walk, terminal_candidates
+from freeq.solver import HNN_MAX_BASES, Equation, orbit_walk, terminal_candidates
 from freeq.words import (
     VARIABLES,
     Alphabet,
@@ -409,10 +409,9 @@ def rebuilding_hnn_splitting(w, hnn_max_bases=HNN_MAX_BASES):
         rewritten = basis.inverse.apply(w)
         if exponent_sum(rewritten, "y") == 0:
             p, t = basis.image_x, basis.image_y
-            q = conjugate(p, t)
-            sub = build_subgroup_graph(VARIABLES, [p, q])
+            sub = build_subgroup_graph(VARIABLES, [p, conjugate(p, t)])
             if sub.rank() == 2 and sub.contains(w):
-                return HnnWitness(p=p, q=q, t=t, basis_aut=basis)
+                return basis
     return None
 
 

@@ -251,12 +251,13 @@ def test_classify(w, case):
 
 def test_classify_hnn_witness():
     cls = LeftSide("xxyy").classification
-    assert (cls.hnn.p, cls.hnn.q, cls.hnn.t) == ("xy", "Yxyy", "y")
-    assert cls.hnn.q == conjugate(cls.hnn.p, cls.hnn.t)
+    p, t = cls.aut.image_x, cls.aut.image_y
+    q = conjugate(p, t)
+    assert (p, q, t) == ("xy", "Yxyy", "y")
     # w lies in <p, q> with zero stable-letter exponent
-    assert build_subgroup_graph(Alphabet.from_string("xy"), [cls.hnn.p, cls.hnn.q]).contains("xxyy")
+    assert build_subgroup_graph(Alphabet.from_string("xy"), [p, q]).contains("xxyy")
     cls2 = LeftSide("xYxy").classification
-    assert (cls2.hnn.p, cls2.hnn.t) == ("x", "y")
+    assert (cls2.aut.image_x, cls2.aut.image_y) == ("x", "y")
 
 
 def test_classify_budget_exhaustion():
@@ -353,13 +354,20 @@ def test_hnn_search_budget_trip_matches_oracle():
     assert _hnn_outcome(detect_hnn_splitting, "xxyyxy", 1) == (
         "edge-splitting search tested 1 bases without a verdict"
     )
-    assert detect_hnn_splitting("xYxy", 1).basis_aut.is_identity()
+    assert detect_hnn_splitting("xYxy", 1).is_identity()
     for w in words_upto(VARIABLES, 6):
         if {c.lower() for c in w} != {"x", "y"}:
             continue
         for cap in (1, 2, 7, 50, 300):
             fast = _hnn_outcome(detect_hnn_splitting, w, cap)
             assert fast == _hnn_outcome(rebuilding_hnn_splitting, w, cap), (w, cap)
+    # The rigid xxxyyy walks all 904 bases of the bound-6 walk: one short of
+    # that trips, and a cap at or past the walk's end gives the verdict.
+    for cap in (903, 904, 905):
+        fast = _hnn_outcome(detect_hnn_splitting, "xxxyyy", cap)
+        assert fast == _hnn_outcome(rebuilding_hnn_splitting, "xxxyyy", cap), cap
+        expected = "edge-splitting search tested 903 bases without a verdict" if cap == 903 else None
+        assert fast == expected, cap
 
 
 JSJ_ANCHORS = (("XYxy", "ABab"), ("xxyy", "aabb"), ("xYxy", "aBab"), ("xxxyyy", "aaabbb"))
@@ -772,13 +780,16 @@ def test_canonical_generator_inverses_match_greedy_inversion():
 
 
 def test_classifications_carry_their_inverses():
-    """Each edge-splitting witness's basis, the product of the moves that
-    reached it, has the images (p, t); its inverse, each normalizer's
-    inverse, carried on the minimal level, and the inverse of each
-    parametric family's automorphism, whose y-image recovers the parameter,
-    are the greedy inverses, on every left side of at most 6 letters in both
-    variables that is not a proper power."""
+    """Each classification's automorphism carries its case's standard form
+    onto the left side: an edge-splitting basis, the product of the moves
+    that reached it, rewrites the left side into <x, Yxy>, and a qh
+    automorphism, carried on the minimal level, takes XYxy to it.  Its
+    inverse, and the inverse of each parametric family's automorphism,
+    whose y-image recovers the parameter, are the greedy inverses, on every
+    left side of at most 6 letters in both variables that is not a proper
+    power."""
     counts, bases = {}, set()
+    edge_group = build_subgroup_graph(VARIABLES, ["x", "Yxy"])
     for w in words_upto(VARIABLES, 6):
         if {c.lower() for c in w} != {"x", "y"} or primitive_root(w)[1] > 1:
             continue
@@ -789,14 +800,12 @@ def test_classifications_carry_their_inverses():
             assert family.aut.inverse == nielsen_inverse(family.aut), w
             counts["parametric"] = counts.get("parametric", 0) + 1
             continue
+        aut = cls.aut or IDENTITY
         if cls.kind == CASE_HNN:
-            aut = cls.hnn.basis_aut
-            assert (aut.image_x, aut.image_y) == (cls.hnn.p, cls.hnn.t), w
+            assert edge_group.contains(aut.inverse.apply(w)), w
             bases.add(aut)
         elif cls.kind == CASE_QH:
-            aut = cls.normalizer
-        else:
-            aut = IDENTITY
+            assert aut.apply("XYxy") == w, w
         assert aut.compose(aut.inverse).is_identity(), w
         assert aut.inverse == nielsen_inverse(aut), w
         counts[cls.kind] = counts.get(cls.kind, 0) + 1
@@ -1143,7 +1152,7 @@ def _substituted_hnn_member(desc, n, m):
     """The edge-splitting family by hand: with p, t the splitting basis at
     the minimal solution and q = t^-1 p t, substitute p -> u^-n p u^n and
     t -> u^-n (t q^m) u^n into the solution's expression over (p, t)."""
-    basis = desc.classification.hnn.basis_aut
+    basis = desc.classification.aut
     inv = nielsen_inverse(basis)
     sol = desc.minimal[0]
     p_val = evaluate(basis.image_x, *sol)
