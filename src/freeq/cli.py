@@ -10,11 +10,15 @@ it.  ``--format structured`` prints the versioned header ``freeq/1`` and
 ``command: <name>`` first, and is byte-identical across runs with equal
 flags.  The default human format prints the same fields without the header,
 then one ``elapsed: N.NNs`` line with the command's wall time.
+
+A process builds one parser, on the first ``main`` call, and every later
+call parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -287,79 +291,71 @@ def _cmd_demo(args):
     return EXIT_OK, fields
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command or, when ``command`` is given, one that
-    adds the arguments of that command only.  Every command keeps its name
-    and help, so usage lines, help and errors print the same either way."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: every ``main``
+    call parses with it, so no caller may change it.  ``set_defaults(func=...)``
+    binds each ``_cmd_*`` when the parser is built, so a test that patches a
+    command function must do so before the first ``main`` call."""
     parser = _ArgumentParser(prog="freeq", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
-    def add(name: str, text: str):
-        # a command not named is never parsed: it needs its name and help only
-        built = command in (None, name)
-        p = sub.add_parser(name, help=text, add_help=built)
-        return p if built else None
+    p = sub.add_parser("classify", help="splitting case of a variable word")
+    p.add_argument("--w", required=True, help="a word in x and y")
+    _add_budget_args(p)
+    _add_format(p)
+    p.set_defaults(func=_cmd_classify)
 
-    if p := add("classify", "splitting case of a variable word"):
-        p.add_argument("--w", required=True, help="a word in x and y")
-        _add_budget_args(p)
-        _add_format(p)
-        p.set_defaults(func=_cmd_classify)
+    p = sub.add_parser("solve", help="describe the full solution set")
+    _add_equation_args(p)
+    _add_budget_args(p)
+    _add_format(p)
+    p.set_defaults(func=_cmd_solve)
 
-    if p := add("solve", "describe the full solution set"):
-        _add_equation_args(p)
-        _add_budget_args(p)
-        _add_format(p)
-        p.set_defaults(func=_cmd_solve)
+    p = sub.add_parser("gen", help="generate one solution from the description")
+    _add_equation_args(p)
+    _add_budget_args(p)
+    p.add_argument("--index", type=int, default=None, help="which minimal solution (default 0)")
+    p.add_argument("--n", type=int, default=None, help="family parameter n (default 0)")
+    p.add_argument("--m", type=int, default=None, help="family parameter m")
+    p.add_argument("--z", default=None, help="free word parameter (parametric kind)")
+    p.add_argument("--root", default=None, help="root word (trivial right side)")
+    p.add_argument("--sigma", default=None, help="word in the canonical generator symbols")
+    _add_format(p)
+    p.set_defaults(func=_cmd_gen)
 
-    if p := add("gen", "generate one solution from the description"):
-        _add_equation_args(p)
-        _add_budget_args(p)
-        p.add_argument("--index", type=int, default=None, help="which minimal solution (default 0)")
-        p.add_argument("--n", type=int, default=None, help="family parameter n (default 0)")
-        p.add_argument("--m", type=int, default=None, help="family parameter m")
-        p.add_argument("--z", default=None, help="free word parameter (parametric kind)")
-        p.add_argument("--root", default=None, help="root word (trivial right side)")
-        p.add_argument("--sigma", default=None, help="word in the canonical generator symbols")
-        _add_format(p)
-        p.set_defaults(func=_cmd_gen)
+    p = sub.add_parser("verify", help="check one candidate pair")
+    _add_equation_args(p)
+    p.add_argument("--g1", required=True)
+    p.add_argument("--g2", required=True)
+    _add_format(p)
+    p.set_defaults(func=_cmd_verify)
 
-    if p := add("verify", "check one candidate pair"):
-        _add_equation_args(p)
-        p.add_argument("--g1", required=True)
-        p.add_argument("--g2", required=True)
-        _add_format(p)
-        p.set_defaults(func=_cmd_verify)
+    p = sub.add_parser("brute", help="enumerate all solutions in a length ball")
+    _add_equation_args(p)
+    p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
+    _add_format(p)
+    p.set_defaults(func=_cmd_brute)
 
-    if p := add("brute", "enumerate all solutions in a length ball"):
-        _add_equation_args(p)
-        p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
-        _add_format(p)
-        p.set_defaults(func=_cmd_brute)
+    p = sub.add_parser("certify", help="check the description against brute force")
+    _add_equation_args(p)
+    _add_budget_args(p)
+    p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
+    _add_format(p)
+    p.set_defaults(func=_cmd_certify)
 
-    if p := add("certify", "check the description against brute force"):
-        _add_equation_args(p)
-        _add_budget_args(p)
-        p.add_argument("-L", "--max-len", type=_count, default=None, help="ball radius (default |u|+2)")
-        _add_format(p)
-        p.set_defaults(func=_cmd_certify)
-
-    if p := add("demo-two-level", "a two-parameter family for a nested equation"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--verify", action="store_true", help="also evaluate the nested word")
-        _add_format(p)
-        p.set_defaults(func=_cmd_demo)
+    p = sub.add_parser("demo-two-level", help="a two-parameter family for a nested equation")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--verify", action="store_true", help="also evaluate the nested word")
+    _add_format(p)
+    p.set_defaults(func=_cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # argparse's command is the first argument not starting with "-": no
-    # command name starts with "-"
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         code, fields = args.func(args)

@@ -197,7 +197,8 @@ def test_budget_flag_defaults_are_the_budgets_defaults(command):
     assert "unrecognized arguments: --orbit-cap 5" in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [
+# Success, usage errors (exit 1), exit 2, an empty argv, help and version.
+SHARED_PARSER_ARGVS = (
     "solve --w xxyy --u aabb --format structured",
     "classify --w xxyyxy --hnn-budget 1 --format structured",
     "--bogus verify --w xy --u ab --g1 a --g2 b",
@@ -211,23 +212,41 @@ def test_budget_flag_defaults_are_the_budgets_defaults(command):
     "--help solve",
     "demo-two-level --help",
     "--version",
-])
+)
+
+
+def main_outcome(capsys, argv):
+    """The exit code, output and errors of ``cli.main`` on ``argv``."""
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", SHARED_PARSER_ARGVS)
 def test_main_parses_as_with_every_command_built(capsys, monkeypatch, argv):
-    """``main`` adds the arguments of the command its argv names only; its
-    exit code, output and errors are those of the parser of every command."""
+    """``main``'s shared parser, already used by earlier calls, gives the exit
+    code, output and errors of a newly built parser of every command."""
+    shared = main_outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert shared == main_outcome(capsys, argv)
 
-    def outcome():
-        try:
-            code = cli.main(argv.split())
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
 
-    named = outcome()
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: build_parser())
-    assert named == outcome()
+def test_main_reuses_one_parser_and_prints_as_a_fresh_process(capsys, monkeypatch):
+    """Every ``main`` call in a process parses with one parser, and a call
+    carries nothing over to the next: each argv, run twice in one process
+    (in order, then reversed), gives the exit code, output and errors of a
+    fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+    fresh = {}
+    for argv in SHARED_PARSER_ARGVS:
+        proc = run_proc(*argv.split())
+        fresh[argv] = proc.returncode, proc.stdout, proc.stderr
+    for argv in SHARED_PARSER_ARGVS + SHARED_PARSER_ARGVS[::-1]:
+        assert main_outcome(capsys, argv) == fresh[argv], argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_unresolved_exit(capsys):

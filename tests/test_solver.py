@@ -479,15 +479,16 @@ def test_coefficient_automorphism_keeps_the_description_shape():
     (alpha(g1), alpha(g2)) solves w = alpha(u): both equations describe with
     the same status, kind, case and number of minimal solutions.  Checked
     per equation of the |w| <= 5 probe with one seeded Whitehead
-    automorphism and with a product of two others."""
-    rng, products = random.Random(61), random.Random(67)
+    automorphism, with a product of two others and with a product of three."""
+    rng, products, triples = random.Random(61), random.Random(67), random.Random(71)
     to_xy, to_ab = str.maketrans("abAB", "xyXY"), str.maketrans("xyXY", "abAB")
     equations = probe_equations(5)
     for e in equations:
         shape = _invariants(describe_variety(e))
         alpha = rng.choice(WHITEHEAD_AUTOMORPHISMS)
         beta = products.choice(WHITEHEAD_AUTOMORPHISMS).compose(products.choice(WHITEHEAD_AUTOMORPHISMS))
-        for phi in (alpha, beta):
+        gamma = functools.reduce(AutF2.compose, (triples.choice(WHITEHEAD_AUTOMORPHISMS) for _ in range(3)))
+        for phi in (alpha, beta, gamma):
             image = eq(e.lhs, phi.apply(e.rhs.translate(to_xy)).translate(to_ab))
             assert _invariants(describe_variety(image)) == shape, (e, phi, image)
     assert len(equations) == 410
