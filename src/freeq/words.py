@@ -23,6 +23,7 @@ rejected where coefficients are meaningful, i.e. at the equation layer).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from string import ascii_lowercase, ascii_uppercase
 from typing import Iterable, Iterator
@@ -295,6 +296,9 @@ def format_word(w: str) -> str:
     return w if w else "1"
 
 
+_EXPONENT = re.compile(r"-?[0-9]+")
+
+
 class _WordParser:
     """Recursive-descent parser for the CLI word grammar.
 
@@ -373,18 +377,13 @@ class _WordParser:
         raise self.fail(f"unexpected {c!r}")
 
     def integer(self) -> int:
-        digits = ""
-        if self.peek() == "-":
-            digits = self.take()
-        while True:
-            c = self.peek()
-            if c is not None and c.isdigit():
-                digits += self.take()
-            else:
-                break
-        if not digits or digits == "-":
+        """A signed exponent: whitespace may come before it, not inside it."""
+        self.peek()
+        m = _EXPONENT.match(self.text, self.pos)
+        if m is None:
             raise self.fail("expected an integer exponent")
-        return int(digits)
+        self.pos = m.end()
+        return int(m.group())
 
 
 def parse_word(text: str, allowed: Iterable[str]) -> str:

@@ -309,6 +309,7 @@ def test_alphabet():
         ("x y", "xy"),
         ("1", ""),
         ("x^-2", "XX"),
+        ("x^ -2", "XX"),
         ("(ab)^2", "abab"),
         ("[x,y]", "XYxy"),
         ("[x,y]^2 x", "XYxyXYxyx"),
@@ -322,7 +323,7 @@ def test_parse_word(text, expected):
     assert parse_word(text, allowed) == expected
 
 
-@pytest.mark.parametrize("bad", ["x^", "(xy", "[x y]", "x)", "c", "x^z", "^2"])
+@pytest.mark.parametrize("bad", ["x^", "(xy", "[x y]", "x)", "c", "x^z", "^2", "x^1 2", "x^- 2", "x^²", "x^３"])
 def test_parse_word_rejects(bad):
     with pytest.raises(ParseError):
         parse_word(bad, "xyab")
