@@ -270,8 +270,8 @@ def _cmd_certify(args):
         return EXIT_UNRESOLVED, None
     report = certify(eq, desc, _ball_radius(args, eq))
     fields = _equation_fields(eq) + [
-        ("kind", report.description_kind),
-        ("formula", report.formula or "-"),
+        ("kind", desc.kind),
+        ("formula", desc.formula or "-"),
         ("max-len", str(report.max_len)),
         ("total", str(report.total_solutions)),
     ]

@@ -122,6 +122,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
+from .autf2 import _act, _values
 from .solver import (
     KIND_EMPTY,
     KIND_JSJ,
@@ -200,18 +201,6 @@ def _single_run_shape(w: str) -> tuple[str, int, int, int] | None:
     return None
 
 
-def _flank(g: str, a: int, u: str, b: int) -> str:
-    """``g^-a · u · g^-b`` for reduced ``g`` and ``u``.  ``words.power`` spells
-    each power reduced, so the product cancels only at its two junctions."""
-    word = power(g, -a)
-    for w in (u, power(g, -b)):
-        j, n = 0, min(len(word), len(w))
-        while j < n and word[-1 - j] == w[j].swapcase():
-            j += 1
-        word = word[:len(word) - j] + w[j:]
-    return word
-
-
 def _single_run_candidates(eq: Equation, shape, max_len: int):
     """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
 
@@ -259,8 +248,9 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
         values = [g for key, bucket in _ab_buckets(values, letters).items()
                   if not any((t - n * m) % k for t, m in zip(ab_u, key))
                   for g in bucket]
+    image = power("x", -a) + "y" + power("x", -b)
     for g in values:
-        root = kth_root(_flank(g, a, u, b), k)
+        root = kth_root(_act(_values((g, u)), (image,))[0], k)
         if root is not None and len(root) <= max_len:
             yield (g, root) if z == "y" else (root, g)
     for g, root in read:
@@ -401,8 +391,9 @@ def _conjugate_pair_candidates(eq: Equation, shape, max_len: int):
     else:
         key = tuple(t // n for t in ab_u)
         values = [g for g in ball if _ab(g, letters) == key]
+    image = power("x", -a) + "y" + power("x", -c)
     for g in values:
-        target = _flank(g, a, eq.rhs, c)
+        target = _act(_values((g, eq.rhs)), (image,))[0]
         if not g:
             others = () if target else ball
         else:
@@ -499,45 +490,41 @@ def _power_span(r: str, max_len: int) -> int:
 
 
 def _rank1_in_ball(family: Rank1Family | None, max_len: int) -> set:
-    # Both exponents (p + n·dx, q + n·dy) of a member in the ball are 0 or at
-    # most m = _power_span(root) in size, and one of dx, dy is non-zero, so
-    # |n| <= max(m, 0) + |p| + |q|; filtering that sweep by length is exact.
+    # Both exponents (p + n·dx, q + n·dy) of a member in the ball are at most
+    # m = max(_power_span(root), 0) in size, and one of dx, dy is non-zero, so
+    # |n| <= m + |p| + |q|; filtering that sweep by exponent is exact.
     out: set[Pair] = set()
     if family is None or family.is_empty():
         return out
-    span = max(_power_span(family.root, max_len), 0) + abs(family.base[0]) + abs(family.base[1])
+    m = max(_power_span(family.root, max_len), 0)
+    span = m + abs(family.base[0]) + abs(family.base[1])
     for n in range(-span, span + 1):
         n1, n2 = family.exponents(n)
-        g1, g2 = power(family.root, n1), power(family.root, n2)
-        if len(g1) <= max_len and len(g2) <= max_len:
-            out.add((g1, g2))
+        if abs(n1) <= m and abs(n2) <= m:
+            out.add((power(family.root, n1), power(family.root, n2)))
     return out
 
 
 def _trivial_in_ball(family: TrivialFamily, eq: Equation, max_len: int) -> set:
     # The members (r^n1, r^n2) over primitive roots r, the lesser of r and
     # r^-1 only, as the lattice is symmetric: every exponent pair for two
-    # generators, the multiples k·(d1, d2) with |k·d1|, |k·d2| <= span for one.
+    # generators, and for one generator d the rank-one family r^(n·d).
     out = {("", "")}
     for r in words_upto(eq.alphabet, max_len):
         if not r or invert(r) < r or primitive_root(r)[1] > 1:
             continue
-        span = _power_span(r, max_len)
         if len(family.generators) == 2:
+            span = _power_span(r, max_len)
             powers = [power(r, n) for n in range(-span, span + 1)]
             out.update(itertools.product(powers, repeat=2))
-            continue
-        (d1, d2), = family.generators
-        m = span // max(abs(d1), abs(d2))
-        out.update((power(r, k * d1), power(r, k * d2)) for k in range(-m, m + 1))
+        else:
+            out |= _rank1_in_ball(Rank1Family(r, (0, 0), family.generators[0]), max_len)
     return out
 
 
 @dataclass(frozen=True)
 class CertifyReport:
     equation: Equation
-    description_kind: str
-    formula: str
     max_len: int
     total_solutions: int
     rank_counts: tuple[int, int, int]
@@ -597,8 +584,6 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int) -> CertifyRepo
     uncovered = tuple(p for p in pairs if p not in covered_set)
     return CertifyReport(
         equation=eq,
-        description_kind=desc.kind,
-        formula=desc.formula,
         max_len=max_len,
         total_solutions=len(pairs),
         rank_counts=brute.rank_counts(),

@@ -326,7 +326,8 @@ class _BasisWalk:
     holds the pairs in breadth-first order, the index of each reached pair's
     parent and of the move that reached it, the index of the next pair to
     expand and the graphs ``edge_group`` built.
-    It grows only as far as a caller reads it.  ``lines`` files each pair's
+    It grows only as far as a caller reads it: ``line`` grows it while it
+    scans one line, ``reaches`` to a given index.  ``lines`` files each pair's
     index, in breadth-first order, under ``±(p_x, p_y)``, the exponent sums of
     its first component, and under ``(0, 0)``.
     """
@@ -364,6 +365,29 @@ class _BasisWalk:
             self.head += 1
         return i < len(pairs)
 
+    def line(self, key: tuple[int, int], limit: int):
+        """Yield, in walk order, the indices below ``limit`` filed under
+        ``key``, growing the walk as they are read; it stops growing once it
+        holds more than ``limit`` pairs."""
+        line, k = self.lines[key], 0
+        while True:
+            while k < len(line):
+                if line[k] >= limit:
+                    return
+                yield line[k]
+                k += 1
+            if len(self.pairs) > limit or not self.reaches(len(self.pairs)):
+                return
+
+    def basis(self, i: int) -> AutF2:
+        """The basis ``x -> p, y -> t`` of node ``i = (p, t)``: the product of
+        the moves up its parent chain, so it carries its inverse."""
+        basis = IDENTITY
+        while i:
+            i, move = self.visited[self.pairs[i]]
+            basis = _MOVES[move].compose(basis)
+        return basis
+
 
 @lru_cache(maxsize=8)
 def _basis_walk(bound: int) -> _BasisWalk:
@@ -377,11 +401,10 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> AutF2 | 
     Pairs are enumerated breadth-first from (x, y) under elementary Nielsen
     moves, expanding only within total length max(|w|, 2).  A pair is a
     witness when w, rewritten over (p, t), has zero t-exponent, and w lies in
-    <p, t^-1 p t> (rank two: the image of <x, Yxy> under (p, t)).  Exhausting
-    the bounded space without a witness returns None; when the walk holds
-    more than ``hnn_max_bases`` bases and none of the first
-    ``hnn_max_bases`` is a witness, it raises :class:`SearchBudgetExceeded`.
-    The budget counts bases walked, whether or not they are tested.
+    <p, t^-1 p t> (rank two: the image of <x, Yxy> under (p, t)).  The
+    budget rule: with no witness among the first ``hnn_max_bases`` bases
+    walked, tested or not, it raises :class:`SearchBudgetExceeded` when the
+    walk holds more bases than that, and returns None when it does not.
 
     The walk depends only on the bound, so it is held per bound and shared
     by every call, and it grows only as far as a call reads it; so is the
@@ -390,37 +413,20 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> AutF2 | 
     is ``phi^-1(w)``, whose y-exponent sum is zero exactly when
     ``p_x * w_y == p_y * w_x``, and ``w`` is never rewritten.  As ``p`` is
     primitive, the bases that pass are those filed under ``(w_x, w_y)/gcd``,
-    or all of them when both sums are zero.  The search traces only those,
-    and grows the walk only once it has traced every one reached, so it
-    stops where a scan of every basis would.  The basis returned is the
-    product of the moves that reached it, so it carries its inverse.
+    or all of them when both sums are zero: the search reads that line only.
     """
     w = reduce_word(w)
     walk = _basis_walk(max(len(w), 2))
     wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
     d = gcd(wx, wy) or 1
-    line = walk.lines[wx // d, wy // d]
-    k = 0  # line[:k] are traced and are no witness
-    while True:
-        while k < len(line) and line[k] < hnn_max_bases:
-            if walk.edge_group(line[k]).trace(w) == 0:
-                basis, i = IDENTITY, line[k]
-                while i:  # node i is its parent composed with move: multiply up to (x, y)
-                    i, move = walk.visited[walk.pairs[i]]
-                    basis = _MOVES[move].compose(basis)
-                return basis
-            k += 1
-        # Every basis of the line walked so far is traced: grow the walk by
-        # what the scan would read next, unless that is past the budget.
-        walked = len(walk.pairs)
-        if k == len(line) and walked <= hnn_max_bases:
-            if not walk.reaches(walked):
-                return None
-            if walked < hnn_max_bases:
-                continue
+    for i in walk.line((wx // d, wy // d), hnn_max_bases):
+        if walk.edge_group(i).trace(w) == 0:
+            return walk.basis(i)
+    if walk.reaches(hnn_max_bases):
         raise SearchBudgetExceeded(
             f"edge-splitting search tested {hnn_max_bases} bases without a verdict"
         )
+    return None
 
 
 _CONJUGATION = "c"  # the symbol of inner(w), which acts on solutions as conjugation by u

@@ -236,23 +236,23 @@ def test_read_route_finds_planted_pairs(h, r, c, d, a, n, k):
 
 
 def test_read_route_makes_the_same_reads_at_every_radius(monkeypatch):
-    # xxxyyy = aaabbb: besides the 2·(L // 6) + 1 powers of u, whose k-th
-    # roots brute force tests through _flank, it takes 4 k-th roots, its
-    # reads, at L=9 and at L=30.  xxxyy = aaabb (|k| = 2) tests exactly the
-    # short-core values and the longer powers of u that its abelianization
-    # keeps.
+    # xxxyyy = aaabbb: brute force tests the 2·(L // 6) + 1 powers of u as
+    # values of s, each with one value table (_values) and one k-th root, and
+    # takes 4 k-th roots more, its reads, at L=9 and at L=30.  xxxyy = aaabb
+    # (|k| = 2) tests exactly the short-core values and the longer powers of
+    # u that its abelianization keeps.
     tested, roots = [], [0]
-    flank, kth_root = oracle._flank, oracle.kth_root
+    values, kth_root = oracle._values, oracle.kth_root
 
-    def recording(g, *args):
-        tested.append(g)
-        return flank(g, *args)
+    def recording(pair):
+        tested.append(pair[0])
+        return values(pair)
 
     def counting(*args):
         roots[0] += 1
         return kth_root(*args)
 
-    monkeypatch.setattr(oracle, "_flank", recording)
+    monkeypatch.setattr(oracle, "_values", recording)
     monkeypatch.setattr(oracle, "kth_root", counting)
     for max_len in (9, 30):
         tested.clear()

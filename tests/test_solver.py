@@ -554,6 +554,30 @@ def test_coefficient_automorphism_carries_item_1_pairs_into_described_orbits(w, 
     assert _descends_into_its_orbit(desc, alpha, image)
 
 
+def test_conjugated_right_side_keeps_the_description():
+    """(g1, g2) solves w = u exactly when (h^-1 g1 h, h^-1 g2 h) solves
+    w = h^-1 u h.  For each equation of the |w| <= 5 probe and each h, both
+    describe with the same status, kind, formula, classification, generators
+    and number of minimal pairs, and the minimal pairs of w = h^-1 u h,
+    conjugated back by h^-1, solve w = u and descend onto exactly its
+    minimal set."""
+    checked = 0
+    for e in probe_equations(5):
+        desc = describe_variety(e)
+        for h in ("a", "B", "ab"):
+            image = describe(e.lhs, conjugate(e.rhs, h))
+            key = (e.lhs, e.rhs, h)
+            for field in ("status", "kind", "formula", "classification", "generators"):
+                assert getattr(image, field) == getattr(desc, field), (key, field)
+            assert len(image.minimal) == len(desc.minimal), key
+            back = [tuple(conjugate(g, invert(h)) for g in pair) for pair in image.minimal]
+            assert all(desc.reduced.holds_for(*pair) for pair in back), key
+            descended = {descend(pair, desc.generators, desc.reduced.rhs) for pair in back}
+            assert descended == set(desc.minimal), key
+            checked += 1
+    assert checked == 1230
+
+
 # Variable-side images phi(w) = u that describe with another shape than
 # w = u, because describe classifies phi(w) itself and not its minimal form
 # (ROADMAP item 2).  The first two are drawn by the test below, the other two
