@@ -6,24 +6,25 @@ words inside a length ball that solves the equation, tagging each with the
 rank of the subgroup the pair generates.  The left side picks one of three
 routes; each walks the values of a kept variable ``s`` once and names the
 values of the other variable ``z`` to test, using only word arithmetic, and
-one loop confirms every candidate pair.  Every route first keeps only the
-values the abelianized equation ``w_s·ab(s) + w_z·ab(z) = ab(u)`` allows,
-``ab`` being the exponent sums over the coefficient letters; ``ab`` of a
-ball word is computed only where the equation can remove some values:
+one loop confirms every candidate pair.  A solution satisfies the abelianized
+equation ``w_s·ab(s) + w_z·ab(z) = ab(u)``, ``ab`` being the exponent sums
+over the coefficient letters, and ``_candidates`` alone applies it: before
+any route lists a value, the equation is ruled out unless ``gcd(w_s, w_z)``
+divides ``ab(u)`` (``ab(u) = 0`` when both sums are zero), and each route
+solves ``z`` only for the values g of ``s`` with ``ab(u) - w_s·ab(g)`` in
+``w_z·Z^n`` (0 when ``w_z = 0``), which is every value, with no ``ab``
+computed, when ``w_z`` divides ``w_s``:
 
 - single run, ``s^a z^k s^b``: the values of ``s`` are the ball words, or
   only those the cancellation bound below allows, or only the powers of u's
-  root when both cores are read off u; of these, only the ones with k
-  dividing ``ab(u) - (a+b)·ab(s)`` are kept (all or none of them when
-  k divides a+b); for each, ``z`` is the unique k-th root of
-  ``s^-a u s^-b``, found by one period test on the peeled core, and the
-  reads name pairs of their own;
-- conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: only the values
-  of ``s`` with ``(a+b+c)·ab(s) = ab(u)`` are kept; for each, ``z^-e``
-  conjugates ``s^b`` to ``s^-a u s^-c``, so the values of ``z`` form one
-  coset of a cyclic centralizer;
-- abelianization filter: for every other left side, ``z`` ranges over the
-  ball words whose exponent sums the abelianized equation allows.
+  root when both cores are read off u; for each, ``z`` is the unique k-th
+  root of ``s^-a u s^-b``, found by one period test on the peeled core, and
+  the reads name pairs of their own;
+- conjugate pair, ``s^a z^e s^b z^-e s^c`` with ``e = ±1``: for each value
+  of ``s``, ``z^-e`` conjugates ``s^b`` to ``s^-a u s^-c``, so the values of
+  ``z`` form one coset of a cyclic centralizer;
+- full scan: for every other left side, ``z`` ranges over the one bucket of
+  ball words, grouped by ``ab``, that the value of ``s`` leaves it.
 
 Every sweep over the powers of a root ``r`` is bounded by its cyclic length,
 as a reduced ``r^n`` has length ``|n|·|core r| + 2|conj r|``: the centralizer
@@ -201,7 +202,7 @@ def _single_run_shape(w: str) -> tuple[str, int, int, int] | None:
     return None
 
 
-def _single_run_candidates(eq: Equation, shape, max_len: int):
+def _single_run_candidates(eq: Equation, shape, max_len: int, keep):
     """Candidates for s^a z^k s^b = u: z is the unique k-th root of g^-a u g^-b.
 
     The values g of s, when ``|a+b| >= 2``, ``|k| >= 2`` and ``u != 1`` (see
@@ -217,18 +218,9 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
     for z, whose core the rotations of u cannot show.  The values are the
     ball words of cyclic length at most B and the powers of the root longer
     than B, two disjoint lists.  Every other shape takes the whole ball.
-
-    The abelianized equation ``(a+b)·ab(g) + k·ab(z) = ab(u)`` has no
-    solution unless ``gcd(a+b, k)`` divides ``ab(u)``; otherwise it keeps
-    only the g with k dividing ``ab(u) - (a+b)·ab(g)``, tested once per
-    bucket of the values by ``ab``.  When k divides a+b, that holds for
-    every g, so the values are not bucketed."""
+    Only the values ``keep`` passes are solved for z."""
     z, a, k, b = shape
     n, u = a + b, eq.rhs
-    letters = eq.alphabet.letters
-    ab_u = _ab(u, letters)
-    if any(t % gcd(n, k) for t in ab_u):
-        return
     bound, read = None, ()
     if abs(n) >= 2 and abs(k) >= 2 and u:
         rho, e = primitive_root(u)
@@ -244,17 +236,12 @@ def _single_run_candidates(eq: Equation, shape, max_len: int):
             power(rho, i) for i in range(-span, span + 1) if abs(i) * cyclic_length(rho) > bound]
     else:
         values = list(words_upto(eq.alphabet, max_len))
-    if n % k:
-        values = [g for key, bucket in _ab_buckets(values, letters).items()
-                  if not any((t - n * m) % k for t, m in zip(ab_u, key))
-                  for g in bucket]
     image = power("x", -a) + "y" + power("x", -b)
-    for g in values:
+    for g in keep(values):
         root = kth_root(_act(_values((g, u)), (image,))[0], k)
         if root is not None and len(root) <= max_len:
-            yield (g, root) if z == "y" else (root, g)
-    for g, root in read:
-        yield (g, root) if z == "y" else (root, g)
+            yield g, root
+    yield from read
 
 
 def _read_pairs(a: int, k: int, b: int, u: str, max_len: int):
@@ -371,28 +358,18 @@ def _conjugate_pair_shape(w: str) -> tuple[str, int, int, int, int] | None:
     return None
 
 
-def _conjugate_pair_candidates(eq: Equation, shape, max_len: int):
-    """Candidates for s^a z^e s^b z^-e s^c = u, by conjugacy.  The
-    abelianized equation is ``(a+b+c)·ab(g) = ab(u)``, so only the g with
-    ``ab(g) = ab(u) / (a+b+c)`` are values of s: every g or none when
-    a+b+c = 0, and none when a+b+c does not divide ab(u).
+def _conjugate_pair_candidates(eq: Equation, shape, max_len: int, keep):
+    """Candidates for s^a z^e s^b z^-e s^c = u, by conjugacy, for the values
+    g of s in the ball that ``keep`` passes.
     With B = g^b and V = g^-a u g^-c, h' = z^-e satisfies h'^-1 B h' = V.
     For B != 1 the solutions are h' = r^k h, where h = conjugating_word(B, V)
     and r is the primitive root of B, whose cyclic group is the centralizer
     of B.  As |r^k h| >= |k|·|core r| - |h|, the sweep
     |k| <= (max_len + |h|) // |core r| finds every z in the ball."""
     z, a, e, b, c = shape
-    letters = eq.alphabet.letters
-    ab_u = _ab(eq.rhs, letters)
     ball = list(words_upto(eq.alphabet, max_len))
-    n = a + b + c
-    if n == 0 or any(t % n for t in ab_u):
-        values = () if any(ab_u) else ball
-    else:
-        key = tuple(t // n for t in ab_u)
-        values = [g for g in ball if _ab(g, letters) == key]
     image = power("x", -a) + "y" + power("x", -c)
-    for g in values:
+    for g in keep(ball):
         target = _act(_values((g, eq.rhs)), (image,))[0]
         if not g:
             others = () if target else ball
@@ -406,7 +383,7 @@ def _conjugate_pair_candidates(eq: Equation, shape, max_len: int):
             others = (power(multiply(power(root, k), h), -e) for k in range(-span, span + 1))
         for other in others:
             if len(other) <= max_len:
-                yield (g, other) if z == "y" else (other, g)
+                yield g, other
 
 
 def _ab(v: str, letters: str) -> tuple[int, ...]:
@@ -423,33 +400,37 @@ def _ab_buckets(values: list[str], letters: str) -> dict[tuple[int, ...], list[s
     return buckets
 
 
-def _abelian_candidates(eq: Equation, shape, max_len: int):
-    """Candidates for every other left side, by the abelianized equation
-    ``w_s·ab(g) + w_z·ab(z) = ab(u)``: the value g of s fixes the one bucket
-    of the ball that z comes from.  When both exponent sums are zero, every
-    pair is a candidate if ``ab(u) = 0``, and none otherwise."""
-    z, ws, wz = shape
-    ab_u = _ab(eq.rhs, eq.alphabet.letters)
+def _multiple(t: int, m: int) -> bool:
+    """Whether t is m times an integer: t = 0 when m = 0."""
+    return t % m == 0 if m else t == 0
+
+
+def _abelian_candidates(eq: Equation, shape, max_len: int, keep):
+    """Candidates for every other left side, whose shape is the abelianized
+    equation ``(w_s, w_z, ab(u))`` itself: each value g of s that ``keep``
+    passes fixes the one bucket of the ball that z comes from (a bucket is
+    kept or dropped whole).  When both exponent sums are zero, every pair
+    is a candidate."""
+    ws, wz, ab_u = shape
     ball = list(words_upto(eq.alphabet, max_len))
     if wz == 0:
-        if not any(ab_u):
-            yield from itertools.product(ball, repeat=2)
+        yield from itertools.product(ball, repeat=2)
         return
     buckets = _ab_buckets(ball, eq.alphabet.letters)
     for key, values in buckets.items():
-        need = [t - ws * n for t, n in zip(ab_u, key)]
-        if any(n % wz for n in need):
-            continue
-        others = buckets.get(tuple(n // wz for n in need), ())
-        for g in values:
+        others = buckets.get(tuple((t - ws * m) // wz for t, m in zip(ab_u, key)), ())
+        for g in keep(values):
             for other in others:
-                yield (g, other) if z == "y" else (other, g)
+                yield g, other
 
 
 def _candidates(eq: Equation, max_len: int):
-    """The pairs (g1, g2) in the ball that the left side's route names.  Each
-    route takes the shape (z, ...), z being the eliminated variable.  A
-    proper-power left side names no pair when u has no n-th root."""
+    """The pairs (g1, g2) in the ball that the left side's route names.
+
+    A proper-power left side names no pair when u has no n-th root.  Each
+    route takes the shape (z, ...), z being the eliminated variable, and
+    yields pairs (value of s, value of z); ``keep`` is the abelianized
+    equation's filter on the values of s (see the module docstring)."""
     if eq.lhs:
         root, n = primitive_root(eq.lhs)
         if n > 1:
@@ -457,15 +438,30 @@ def _candidates(eq: Equation, max_len: int):
             if rhs is None:
                 return ()
             eq = Equation(eq.alphabet, root, rhs)
-    for detect, candidates in ((_single_run_shape, _single_run_candidates),
-                               (_conjugate_pair_shape, _conjugate_pair_candidates)):
+    for detect, route in ((_single_run_shape, _single_run_candidates),
+                          (_conjugate_pair_shape, _conjugate_pair_candidates)):
         shape = detect(eq.lhs)
         if shape is not None:
-            return candidates(eq, shape, max_len)
+            break
+    else:
+        route, shape = _abelian_candidates, None
     wx, wy = exponent_sum(eq.lhs, "x"), exponent_sum(eq.lhs, "y")
-    # z is y unless only x has a non-zero exponent sum; the shape is (z, w_s, w_z).
-    shape = ("x", wy, wx) if wy == 0 and wx != 0 else ("y", wx, wy)
-    return _abelian_candidates(eq, shape, max_len)
+    # z is the shape's, or else y unless only x has a non-zero exponent sum.
+    z = shape[0] if shape else "x" if wy == 0 and wx != 0 else "y"
+    ws, wz = (wx, wy) if z == "y" else (wy, wx)
+    letters = eq.alphabet.letters
+    ab_u = _ab(eq.rhs, letters)
+    if not all(_multiple(t, gcd(ws, wz)) for t in ab_u):
+        return ()
+
+    def keep(values: list[str]) -> list[str]:
+        if _multiple(ws, wz):
+            return values
+        return [g for key, bucket in _ab_buckets(values, letters).items()
+                if all(_multiple(t - ws * m, wz) for t, m in zip(ab_u, key)) for g in bucket]
+
+    pairs = route(eq, shape or (ws, wz, ab_u), max_len, keep)
+    return pairs if z == "y" else ((g2, g1) for g1, g2 in pairs)
 
 
 def brute_force_solutions(eq: Equation, max_len: int) -> BruteForceResult:
@@ -555,21 +551,16 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int) -> CertifyRepo
     pairs = brute.pairs()
 
     family_exact: bool | None = None
-    if desc.kind == KIND_EMPTY:
-        covered_set = set()
-    elif desc.kind == KIND_TRIVIAL:
+    covered_set = _rank1_in_ball(desc.rank1, max_len)
+    if desc.kind == KIND_TRIVIAL:
         covered_set = _trivial_in_ball(desc.trivial, eq, max_len)
         family_exact = covered_set == set(pairs)
     elif desc.kind == KIND_PARAMETRIC:
-        covered_set = set()
         for g1, g2 in pairs:
             z = desc.parametric.parameter_of(g1, g2)
             if desc.parametric.member(desc.reduced.rhs, z) == (g1, g2):
                 covered_set.add((g1, g2))
-    elif desc.kind == KIND_RANK1_ONLY:
-        covered_set = _rank1_in_ball(desc.rank1, max_len)
     elif desc.kind == KIND_JSJ:
-        covered_set = _rank1_in_ball(desc.rank1, max_len)
         minimal = set(desc.minimal)
         for orbit in desc.orbits:
             covered_set |= orbit
@@ -578,7 +569,7 @@ def certify(eq: Equation, desc: VarietyDescription, max_len: int) -> CertifyRepo
                 walk = orbit_walk((g1, g2), desc.generators, desc.reduced.rhs)
                 if not minimal.isdisjoint(walk):
                     covered_set |= walk
-    else:
+    elif desc.kind not in (KIND_EMPTY, KIND_RANK1_ONLY):
         raise WordError(f"cannot certify a description of kind {desc.kind!r}")
 
     uncovered = tuple(p for p in pairs if p not in covered_set)

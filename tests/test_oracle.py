@@ -560,6 +560,47 @@ def test_conjugate_pair_with_zero_exponent_sum_tests_nothing(monkeypatch):
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("w", ["xxyy", "XYxy", "xYxy", "xxyXyXYY"])
+def test_unsolvable_abelianization_lists_no_ball(monkeypatch, w):
+    # gcd(w_s, w_z) does not divide ab(a) = (1, 0) for a single run (2, 2),
+    # a commutator (0, 0), a conjugate pair (2, 0) or a left side with both
+    # exponent sums zero: brute force names no pair, so it lists no word of
+    # the radius-40 ball.
+    def listing(*args):
+        raise AssertionError("the ball was listed")
+
+    monkeypatch.setattr(oracle, "words_upto", listing)
+    assert brute_force_solutions(eq(w, "a"), 40).solutions == ()
+
+
+@pytest.mark.parametrize("w, u", [("xxyyy", "ab"), ("xYxy", "aBab")])
+def test_routes_test_exactly_the_values_the_abelianization_keeps(monkeypatch, w, u):
+    # A single run with k ∤ a+b over the whole ball, (a+b, k) = (2, 3), and
+    # a conjugate pair with a+b+c = 2: the values g of s solved for z are
+    # the ball words for which ab(u) - w_s·ab(g) is w_z times an integer
+    # vector (is 0 when w_z = 0), each once.  Extra values would only waste
+    # work, as holds_for drops the pairs they name.
+    tested = []
+    values = oracle._values
+
+    def recording(pair):
+        tested.append(pair[0])
+        return values(pair)
+
+    monkeypatch.setattr(oracle, "_values", recording)
+    brute_force_solutions(eq(w, u), 4)
+    ws, wz = exponent_sum(w, "x"), exponent_sum(w, "y")
+    ball = list(words_upto(AB, 4))
+
+    def allowed(g):
+        rest = [exponent_sum(u, c) - ws * exponent_sum(g, c) for c in "ab"]
+        return all(t % wz == 0 if wz else t == 0 for t in rest)
+
+    kept = [g for g in ball if allowed(g)]
+    assert sorted(tested) == sorted(kept)
+    assert 0 < len(kept) < len(ball)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     st.sampled_from([w for w in words_upto(Alphabet.from_string("xy"), 4) if w]),
