@@ -504,17 +504,20 @@ def _rank1_in_ball(family: Rank1Family | None, max_len: int) -> set:
 def _trivial_in_ball(family: TrivialFamily, eq: Equation, max_len: int) -> set:
     # The members (r^n1, r^n2) over primitive roots r, the lesser of r and
     # r^-1 only, as the lattice is symmetric: every exponent pair for two
-    # generators, and for one generator d the rank-one family r^(n·d).
+    # generators, and for one generator d the multiples k·d with
+    # |k·d1|, |k·d2| <= span.
     out = {("", "")}
     for r in words_upto(eq.alphabet, max_len):
         if not r or invert(r) < r or primitive_root(r)[1] > 1:
             continue
+        span = _power_span(r, max_len)
         if len(family.generators) == 2:
-            span = _power_span(r, max_len)
             powers = [power(r, n) for n in range(-span, span + 1)]
             out.update(itertools.product(powers, repeat=2))
         else:
-            out |= _rank1_in_ball(Rank1Family(r, (0, 0), family.generators[0]), max_len)
+            (d1, d2), = family.generators
+            m = span // max(abs(d1), abs(d2))
+            out.update((power(r, k * d1), power(r, k * d2)) for k in range(-m, m + 1))
     return out
 
 

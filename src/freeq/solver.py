@@ -19,14 +19,16 @@ words ``(g1, g2)`` with ``w(g1, g2) = u``.  The describing pipeline:
    letters that reaches this step takes a proper-power value at a
    non-commuting pair of words of at most 3 letters;
 7. otherwise classify ``w`` (orbit of the commutator / splits over an edge
-   letter / neither), compute canonical solution-moving automorphisms, and
-   search the finitely many terminal subgroup bases for seeds, each a
-   rank-two solution that ``descend`` carries to the least pair of its orbit
-   under those automorphisms.  A terminal subgroup's basis is read only when
-   the gcd of ``u``'s signed crossings of its two non-tree edges equals the
-   gcd of ``w``'s exponent sums; no other subgroup can host a solution.  The
-   orbit's walk in a finite ball, ``orbit_walk``, runs only when certify
-   reads ``VarietyDescription.orbits``.
+   letter / neither: the line test ``_may_split`` proves most rigid roots
+   rigid, and the bounded edge-splitting search decides the rest), compute
+   canonical solution-moving automorphisms, and search the finitely many
+   terminal subgroup bases for seeds, each a rank-two solution that
+   ``descend`` carries to a representative of its orbit under those
+   automorphisms, a local minimum of descent.  A terminal subgroup's basis
+   is read only when the gcd of ``u``'s signed crossings of its two
+   non-tree edges equals the gcd of ``w``'s exponent sums; no other subgroup
+   can host a solution.  The orbit's walk in a finite ball, ``orbit_walk``,
+   runs only when certify reads ``VarietyDescription.orbits``.
 
 Steps 3 to 7 read one ``LeftSide`` of ``w``, built once per left side.
 Step 3 reads its ``root`` and ``power``, step 4 its ``primitive`` carry, and
@@ -68,6 +70,7 @@ from .words import (
     commutator,
     conjugate,
     conjugating_word,
+    cyclic_core,
     evaluate,
     exponent_sum,
     invert,
@@ -429,6 +432,49 @@ def detect_hnn_splitting(w: str, hnn_max_bases: int = HNN_MAX_BASES) -> AutF2 | 
     return None
 
 
+@lru_cache(maxsize=64)
+def _line_basis(a: int, b: int) -> AutF2:
+    """A basis ``phi`` whose ``phi(x)`` has the coprime exponent sums
+    ``(a, b)``: a signed permutation, which carries ``(a', b')`` with
+    ``a' > 0 <= b'`` to ``(a, b)``, after the Stern–Brocot path of
+    ``(a', b')`` in ``x -> xy`` and ``y -> xy``."""
+    for phi in TYPE1_AUTOMORPHISMS:
+        (p, q), (r, s) = phi.inverse.abelianized()
+        a1, b1 = p * a + q * b, r * a + s * b
+        if a1 > 0 <= b1:
+            break
+    while b1:  # x -> xy carries sums (a, b) to (a, a + b), and y -> xy to (a + b, b)
+        if b1 >= a1:
+            b1 -= a1
+            phi = phi.compose(PRODUCT_MOVES[0])
+        else:
+            a1 -= b1
+            phi = phi.compose(PRODUCT_MOVES[15])
+    return phi
+
+
+def _may_split(w: str) -> bool:
+    """Whether ``detect_hnn_splitting`` can find a basis for ``w``; False is
+    a proof that no basis of F(x, y), of any length, splits ``w``.
+
+    A basis ``(p, t)`` splits ``w`` only if ``p`` lies on the line
+    ``±(w_x, w_y)/gcd``, or on any line when both sums are zero, when this
+    says True.  Otherwise, every primitive on the line is conjugate to
+    ``phi(x)^±1``, ``phi = _line_basis`` (Osborne–Zieschang, *Primitives in
+    the free group on two generators*, Invent. Math. 1981); every basis
+    ``(phi(x), t)`` has ``t = phi(x)^k phi(y)^±1 phi(x)^m`` (Nielsen); so
+    every edge group ``<p, t^-1 p t>`` is conjugate to ``phi(<x, Yxy>)`` or
+    ``phi(<x, yxY>)``.  A cyclic word has a conjugate in one of those exactly
+    when its y-letters alternate in sign around the cycle.
+    """
+    wx, wy = exponent_sum(w, "x"), exponent_sum(w, "y")
+    d = gcd(wx, wy)
+    if not d:
+        return True
+    signs = [c for c in cyclic_core(_line_basis(wx // d, wy // d).inverse.apply(w)) if c in "yY"]
+    return all(s != t for s, t in zip(signs, signs[1:] + signs[:1]))
+
+
 _CONJUGATION = "c"  # the symbol of inner(w), which acts on solutions as conjugation by u
 # The twists of each case's standard form, <x, Yxy> or XYxy, by symbol and name.
 _TWISTS = {
@@ -471,7 +517,7 @@ class LeftSide:
       orbit lookup;
     - ``primitive``: the automorphism carrying the root to ``x``, or None;
     - ``classification``: orbit of the commutator / splits over an edge
-      letter / neither, under the budget ``hnn_max_bases``;
+      letter / neither, the search under the budget ``hnn_max_bases``;
     - ``generators``: the canonical automorphisms that fix the root.
     """
 
@@ -494,7 +540,10 @@ class LeftSide:
 
         The commutator test runs first, as the lookup of ``XYxy`` on the
         level; a word in the orbit of [x, y] (or its inverse) is never
-        reported as split though it also admits splittings.
+        reported as split though it also admits splittings.  Then a root
+        that fails the line test ``_may_split`` is rigid, and only the
+        others, with both exponent sums zero or passing the test, run the
+        edge-splitting search under the budget ``hnn_max_bases``.
         """
         if self.primitive is not None:
             raise WordError(f"the root {self.root} of the left side is primitive: "
@@ -503,16 +552,17 @@ class LeftSide:
         to_commutator = self.level.carry("XYxy")
         if to_commutator is not None:
             return JsjClassification(kind=CASE_QH, aut=to_commutator.inverse)
+        rigid = JsjClassification(
+            kind=CASE_RIGID,
+            note=f"no splitting among bases of total length at most {max(len(self.root), 2)}",
+        )
+        if not _may_split(self.root):
+            return rigid
         try:
             basis = detect_hnn_splitting(self.root, self.hnn_max_bases)
         except SearchBudgetExceeded as exc:
             return JsjClassification(kind=CASE_UNRESOLVED, note=str(exc))
-        if basis is not None:
-            return JsjClassification(kind=CASE_HNN, aut=basis)
-        return JsjClassification(
-            kind=CASE_RIGID,
-            note=f"no splitting among bases of total length at most {max(len(self.root), 2)}",
-        )
+        return rigid if basis is None else JsjClassification(kind=CASE_HNN, aut=basis)
 
     @cached_property
     def generators(self) -> tuple[CanonicalGenerator, ...]:
@@ -671,16 +721,19 @@ def orbit_walk(seed: Pair, gens, rhs: str) -> set[Pair]:
 
 
 def descend(seed: Pair, gens, rhs: str) -> Pair:
-    """The least pair of the orbit of ``seed`` under ``gens``, by descent.
+    """A representative of the orbit of ``seed`` under ``gens``, found by
+    descent: a local minimum, not always the orbit's least pair.
 
     Each generator and inverse is applied with ``_act``'s ball set to the
     current total length, and the descent moves to the ShortLex-least
     strictly shorter image; with none, the plateau of equal total length is
     walked breadth first until a pair has one.  A plateau with none ends the
-    descent at its least pair.  This is Whitehead's peak reduction, measured,
-    not proved, to reach the least pair of ``orbit_walk``.  ``seed`` must
-    solve ``w = u``, ``u`` being ``rhs``.  No step lengthens a pair, so no
-    ball is needed.
+    descent at its least pair.  This is Whitehead's peak reduction, but two
+    plateaus of one orbit can be joined only through a longer pair, so the
+    end need not be the least pair of ``orbit_walk``: on
+    ``xyXY = aBBBBAbbbb`` descent fixes ``(aBBB, BA)``, whose walk holds
+    ``(ab, BBBB)``.  ``seed`` must solve ``w = u``, ``u`` being ``rhs``.  No
+    step lengthens a pair, so no ball is needed.
     """
     actions = _actions(gens)
     rhs_values = _rhs_values(rhs)
@@ -718,7 +771,7 @@ def minimal_rank2_solutions(
     on ``level``, the minimal level of the left side's orbit that describe
     built; a hit carries the left side to it, and precomposing the basis
     with that automorphism gives a seed.  ``descend`` carries the seed to
-    the least pair of its orbit under the canonical generators.
+    a representative of its orbit under the canonical generators.
     Precomposing with an automorphism keeps ``<g1, g2>``, so the orbits of
     distinct candidates never meet.  Seeds and minimal pairs are both
     checked against the equation.

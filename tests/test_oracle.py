@@ -623,6 +623,35 @@ def test_family_sweeps_match_naive_scan(w, u, max_len):
         assert _trivial_in_ball(solve_trivial_rhs(e), e, max_len) == expected
 
 
+def rank1_sweep_trivial_in_ball(family, e, max_len):
+    """The one-generator kernel lattice in the ball, as one rank-one family
+    swept by ``_rank1_in_ball`` per root."""
+    out = {("", "")}
+    for r in words_upto(e.alphabet, max_len):
+        if r and invert(r) >= r and primitive_root(r)[1] == 1:
+            out |= _rank1_in_ball(solver.Rank1Family(r, (0, 0), family.generators[0]), max_len)
+    return out
+
+
+def test_one_generator_trivial_sweep_matches_the_rank1_sweep():
+    """Every trivial-rhs w with |w| <= 5 whose kernel lattice has one
+    generator, at every L <= 5.  The oracle reads only the generator, so it
+    runs once per generator and radius."""
+    expected, checked = {}, 0
+    for w in words_upto(VARIABLES, 5):
+        e = eq(w, "")
+        family = solve_trivial_rhs(e)
+        if len(family.generators) != 1:
+            continue
+        for max_len in range(6):
+            key = (family.generators, max_len)
+            if key not in expected:
+                expected[key] = rank1_sweep_trivial_in_ball(family, e, max_len)
+            assert _trivial_in_ball(family, e, max_len) == expected[key], (w, max_len)
+            checked += 1
+    assert (checked, len(expected)) == (2856, 120)
+
+
 def test_certify_full_scan_at_larger_ball():
     # The naive double loop would test 1457^2 pairs here.
     e = eq("xyxy", "abab")

@@ -35,6 +35,7 @@ from freeq.autf2 import (
     SearchBudgetExceeded,
 )
 from freeq.graphs import CoreGraph, build_subgroup_graph
+from freeq.oracle import certify
 from freeq.solver import (
     CASE_HNN,
     CASE_QH,
@@ -57,7 +58,10 @@ from freeq.solver import (
     LeftSide,
     STATUS_OK,
     STATUS_UNRESOLVED,
+    _BasisWalk,
     _basis_walk,
+    _line_basis,
+    _may_split,
     _symmetry_generators,
     descend,
     describe_variety,
@@ -82,6 +86,7 @@ from freeq.words import (
     WordError,
     commutator,
     conjugate,
+    cyclic_core,
     cyclic_normal_form,
     evaluate,
     exponent_sum,
@@ -370,6 +375,88 @@ def test_hnn_search_budget_trip_matches_oracle():
         assert fast == expected, cap
 
 
+def test_line_test_agrees_with_the_basis_walk():
+    """Every root with |w| <= 8 that reaches the edge-splitting search, with
+    exponent sums not both zero: a basis found by the walk implies that the
+    line test passes, and on cyclically reduced roots the two verdicts are
+    equal.  The 32 roots that pass but that the walk calls rigid are not
+    cyclically reduced (ROADMAP item 2)."""
+    walked = split = uncertain = 0
+    for w in words_upto(VARIABLES, 8):
+        if {c.lower() for c in w} != {"x", "y"}:
+            continue
+        left = LeftSide(w)
+        root = left.root
+        if not (exponent_sum(root, "x") or exponent_sum(root, "y")):
+            continue
+        if left.primitive is not None or left.level.carry("XYxy") is not None:
+            continue
+        basis, passes = detect_hnn_splitting(root), _may_split(root)
+        walked += 1
+        split += basis is not None
+        if basis is not None or cyclic_core(root) == root:
+            assert passes == (basis is not None), w
+        else:
+            uncertain += passes
+    assert (walked, split, uncertain) == (10832, 2424, 32)
+
+
+def test_line_basis_is_a_basis_on_its_line():
+    """For every coprime (a, b) with |a| + |b| <= 12, the line basis passes
+    the checked ``AutF2`` constructor and its image of x has sums (a, b)."""
+    lines = 0
+    for a in range(-12, 13):
+        for b in range(-12 + abs(a), 13 - abs(a)):
+            if math.gcd(a, b) != 1:
+                continue
+            phi = _line_basis(a, b)
+            AutF2(phi.image_x, phi.image_y, phi.inverse_x, phi.inverse_y)
+            assert (exponent_sum(phi.image_x, "x"), exponent_sum(phi.image_x, "y")) == (a, b)
+            lines += 1
+    assert lines == 184
+
+
+def test_walk_primitives_are_conjugate_to_the_line_basis():
+    """Osborne–Zieschang: every first component of the bound-8 walk is
+    conjugate to phi(x) or phi(x)^-1, phi the line basis of its sums."""
+    walk = _BasisWalk(8)
+    while walk.reaches(len(walk.pairs)):
+        pass
+    for p, _ in walk.pairs:
+        x = _line_basis(exponent_sum(p, "x"), exponent_sum(p, "y")).image_x
+        assert cyclic_normal_form(p) in (cyclic_normal_form(x), cyclic_normal_form(invert(x))), p
+    assert len(walk.pairs) == 2856
+
+
+def _long_left_sides(count, seed=11):
+    """Cyclically reduced 12-14-letter left sides with exponent sums not
+    both zero, neither primitive nor proper powers."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        w = rng.choice("xyXY")
+        for _ in range(rng.randint(12, 14) - 1):
+            w += rng.choice([c for c in "xyXY" if c != w[-1].swapcase()])
+        if w[0] == w[-1].swapcase() or {c.lower() for c in w} != {"x", "y"}:
+            continue
+        left = LeftSide(w)
+        sums = exponent_sum(w, "x"), exponent_sum(w, "y")
+        if sums != (0, 0) and left.power == 1 and left.primitive is None:
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("w", _long_left_sides(4))
+def test_long_rigid_left_sides_describe_and_certify(w):
+    """(aab, ba) planted on a long left side: the line test proves it rigid,
+    and certify at L = 3 finds one solution, the plant, and covers it."""
+    assert not _may_split(w)
+    e = eq(w, evaluate(w, "aab", "ba"))
+    desc = describe_variety(e)
+    assert (desc.status, desc.classification.kind) == (STATUS_OK, CASE_RIGID)
+    report = certify(e, desc, 3)
+    assert (report.covered, report.rank_counts) == (True, (0, 0, 1))
+
+
 JSJ_ANCHORS = (("XYxy", "ABab"), ("xxyy", "aabb"), ("xYxy", "aBab"), ("xxxyyy", "aaabbb"))
 LARGE_U = (("[x,y]", "[aab,ba]"), ("xxyy", "(aab)^2(bab)^2"), ("[x,y]", "[aab,bba]"))
 
@@ -578,15 +665,16 @@ def test_conjugated_right_side_keeps_the_description():
     assert checked == 1230
 
 
-# Variable-side images phi(w) = u that describe with another shape than
+# A variable-side image phi(w) = u that describes with another shape than
 # w = u, because describe classifies phi(w) itself and not its minimal form
-# (ROADMAP item 2).  The first two are drawn by the test below, the other two
-# by another draw: three go from rigid to unresolved, XXYY from hnn to rigid.
-ITEM_2_IMAGES = (
+# (ROADMAP item 2): XXYY goes from hnn to rigid.
+ITEM_2_IMAGES = (("XXYY", "bAbABB", ("yxY", "yXyxY")),)
+# Images of rigid words whose edge-splitting search ran out of budget until
+# the line test proved them rigid.  The first two are drawn by the test below.
+RIGID_IMAGES = (
     ("XXXYY", "BABABAABAB", ("xxY", "yX")),
     ("XyXYY", "BAbaBAABAB", ("xY", "yXy")),
     ("xxyyy", "aabbb", ("Yx", "YxyXy")),
-    ("XXYY", "bAbABB", ("yxY", "yXyxY")),
 )
 
 
@@ -611,15 +699,27 @@ def test_variable_automorphism_keeps_the_description_shape():
                 continue
             assert _invariants(describe_variety(image)) == shape, (e, phi, image)
             images.append(image)
-    assert (len(images), len(images) - images.count(None)) == (820, 806)
+    assert (len(images), len(images) - images.count(None)) == (820, 808)
+
+
+def _keeps_the_description_shape(w, u, phi):
+    image = eq(automorphism(*phi).apply(w), u)
+    assert _invariants(describe(image.lhs, u)) == _invariants(describe(w, u))
 
 
 @pytest.mark.parametrize("w,u,phi", ITEM_2_IMAGES)
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: describe classifies the image itself, "
                                        "not its minimal form")
 def test_variable_automorphism_keeps_the_item_2_description_shapes(w, u, phi):
-    image = eq(automorphism(*phi).apply(w), u)
-    assert _invariants(describe(image.lhs, u)) == _invariants(describe(w, u))
+    _keeps_the_description_shape(w, u, phi)
+
+
+@pytest.mark.parametrize("w,u,phi", RIGID_IMAGES)
+def test_variable_automorphism_keeps_the_rigid_image_description_shapes(w, u, phi):
+    image = describe(automorphism(*phi).apply(w), u)
+    shape = (image.status, image.classification.kind, len(image.minimal))
+    assert shape == (STATUS_OK, CASE_RIGID, 1)
+    _keeps_the_description_shape(w, u, phi)
 
 
 def _twisted_image_solution():
@@ -890,6 +990,23 @@ def test_descend_matches_the_walk_minimum(monkeypatch):
             assert descend(pair, gens, rhs) == least, (seed, pair)
         pairs += len(walk)
     assert (len(seeds), pairs) == (827, 13979)
+
+
+@pytest.mark.parametrize("w,u,printed,smaller", [
+    ("xyXY", "aBBBBAbbbb", ("aBBB", "BA"), ("ab", "BBBB")),
+    ("xyXY", "ABBBabbb", ("ABB", "Ba"), ("Ab", "BBB")),
+    ("xYxy", "bAABabAbAABaBA", ("bABabAbABaBA", "abAbABaBA"), ("bAABabAbABaBAbaB", "bAB")),
+])
+def test_descent_ends_at_a_local_minimum(w, u, printed, smaller):
+    """ROADMAP item 24: a printed minimal pair is a representative found by
+    descent, not always the least pair of its orbit.  Descent fixes it, and
+    its walk holds a pair with a smaller ``pair_key``, which descent fixes too."""
+    desc = describe(w, u)
+    gens, rhs = desc.generators, desc.reduced.rhs
+    assert printed in desc.minimal and descend(printed, gens, rhs) == printed
+    walk = orbit_walk(printed, gens, rhs)
+    assert min(walk, key=pair_key) == smaller and pair_key(smaller) < pair_key(printed)
+    assert descend(smaller, gens, rhs) == smaller
 
 
 @functools.lru_cache(maxsize=None)
